@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError, DomainError
 from .linalg import Scalar, pairing, quadratic
@@ -35,6 +35,9 @@ class Chamber(enum.Enum):
         if self is Chamber.C_MINUS:
             return Chamber.C_PLUS
         return self
+
+
+_SIDE_CHAMBERS = {-1: Chamber.C_PLUS, 1: Chamber.C_MINUS, 0: Chamber.ON_WALL}
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,10 @@ class OrientationData:
     """Orientation conventions entering wall crossing.
 
     ``o1_sign`` orients H^1(X,R) by fixing the generator
-    o1_sign * a_1 ^ ... ^ a_b1 of its top exterior power; ``h0``
-    optionally records the chosen hyperbola component.
+    o1_sign * a_1 ^ ... ^ a_b1 of its top exterior power.
     """
 
     o1_sign: int = 1
-    h0: Optional[PeriodRay] = None
 
     def __post_init__(self):
         if self.o1_sign not in (1, -1):
@@ -82,6 +83,10 @@ def _require_bplus_one(m: ManifoldTopology) -> None:
 
 
 def require_positive_square(m: ManifoldTopology, ray: PeriodRay) -> None:
+    if len(ray.h) != m.b2:
+        raise DimensionMismatchError(
+            f"period ray has length {len(ray.h)}, expected b2 = {m.b2}"
+        )
     square = quadratic(m.intersection_form, ray.h)
     if square <= 0:
         raise DomainError(
@@ -89,22 +94,24 @@ def require_positive_square(m: ManifoldTopology, ray: PeriodRay) -> None:
         )
 
 
-def _wall_pairing(
+def pairing_sign(m: ManifoldTopology, x: Sequence[Scalar], h: Sequence[Scalar]) -> int:
+    """Sign (-1, 0 or +1) of the pairing x . h: the side of the wall
+    orthogonal to x on which h lies."""
+    s = pairing(m.intersection_form, x, h)
+    return (s > 0) - (s < 0)
+
+
+def _wall_sign(
     m: ManifoldTopology, c: Sequence[int], ray: PeriodRay, b: Sequence[Scalar]
-) -> Fraction:
+) -> int:
     _require_bplus_one(m)
     c = require_characteristic(m, c)
     if len(b) != m.b2:
         raise DimensionMismatchError(
             f"twisting class has length {len(b)}, expected b2 = {m.b2}"
         )
-    if len(ray.h) != m.b2:
-        raise DimensionMismatchError(
-            f"period ray has length {len(ray.h)}, expected b2 = {m.b2}"
-        )
     require_positive_square(m, ray)
-    diff = [Fraction(ci) - Fraction(bi) for ci, bi in zip(c, b)]
-    return Fraction(pairing(m.intersection_form, diff, ray.h))
+    return pairing_sign(m, [ci - Fraction(bi) for ci, bi in zip(c, b)], ray.h)
 
 
 def classify_chamber(
@@ -118,12 +125,7 @@ def classify_chamber(
     the label when ``component_sign`` is -1 (see
     :func:`classify_chamber_oriented`).
     """
-    s = _wall_pairing(m, c, ray, b)
-    if s < 0:
-        return Chamber.C_PLUS
-    if s > 0:
-        return Chamber.C_MINUS
-    return Chamber.ON_WALL
+    return _SIDE_CHAMBERS[_wall_sign(m, c, ray, b)]
 
 
 def classify_chamber_oriented(
@@ -146,4 +148,4 @@ def is_c_good(
     nonzero; for bplus > 1 the condition needs metric data unavailable
     here and a DomainError is raised.
     """
-    return _wall_pairing(m, c, ray, b) != 0
+    return _wall_sign(m, c, ray, b) != 0

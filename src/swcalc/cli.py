@@ -21,7 +21,15 @@ from .chambers import PeriodRay, classify_chamber_oriented, is_c_good
 from .errors import DomainError, ManifoldFileError
 from .kahler import sw_table, validate_kahler_facts
 from .linalg import quadratic
-from .manifoldfile import ManifoldData, emit_manifold_text, load_manifold_file
+from .manifoldfile import (
+    ManifoldData,
+    emit_manifold_text,
+    load_manifold_file,
+    parse_fraction,
+    parse_fraction_vector,
+    parse_int,
+    parse_int_vector,
+)
 from .stability import (
     HilbertPoly,
     PairProfile,
@@ -42,40 +50,15 @@ from .topology import (
 )
 
 
-def _parse_int_vector(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
-        raise DomainError(f"expected a comma-separated integer vector, got {text!r}")
-
-
-def _parse_fraction_vector(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"expected a comma-separated rational vector, got {text!r}")
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"expected a rational p/q, got {text!r}")
-
-
 def _parse_poly(text: str) -> HilbertPoly:
-    return HilbertPoly.from_coeffs(_parse_fraction_vector(text))
+    return HilbertPoly.from_coeffs(parse_fraction_vector(text))
 
 
 def _parse_ranked_poly(text: str) -> tuple[int, HilbertPoly]:
     rank_part, sep, coeff_part = text.partition(":")
     if not sep:
         raise DomainError(f"expected 'rank:c0,c1,...', got {text!r}")
-    try:
-        rank = int(rank_part.strip())
-    except ValueError:
-        raise DomainError(f"expected an integer rank in {text!r}")
-    return rank, _parse_poly(coeff_part)
+    return parse_int(rank_part), _parse_poly(coeff_part)
 
 
 def _fmt(value) -> str:
@@ -150,7 +133,7 @@ def cmd_dim(args) -> int:
     if args.pu2:
         if args.p1 is None or args.c1 is None:
             raise DomainError("--pu2 needs both --p1 and --c1")
-        c1 = _parse_int_vector(args.c1)
+        c1 = parse_int_vector(args.c1)
         chi = expected_dim_pu2(m, args.p1, c1)
         _emit(
             args,
@@ -160,7 +143,7 @@ def cmd_dim(args) -> int:
     else:
         if args.c is None:
             raise DomainError("supply --c for the abelian dimension or --pu2")
-        c = _parse_int_vector(args.c)
+        c = parse_int_vector(args.c)
         w = expected_dim_abelian(m, c)
         _emit(
             args,
@@ -197,7 +180,7 @@ def cmd_sw_table(args) -> int:
 
 def cmd_strata(args) -> int:
     data = _load(args.file)
-    c1 = _parse_int_vector(args.c1)
+    c1 = parse_int_vector(args.c1)
     strata = uhlenbeck_strata(data.topology, args.p1, c1, args.max_level)
     payload = {
         "command": "strata",
@@ -212,10 +195,10 @@ def cmd_strata(args) -> int:
 def cmd_chamber(args) -> int:
     data = _load(args.file)
     m = data.topology
-    c = _parse_int_vector(args.c)
-    h = _parse_fraction_vector(args.h)
+    c = parse_int_vector(args.c)
+    h = parse_fraction_vector(args.h)
     b = (
-        _parse_fraction_vector(args.b)
+        parse_fraction_vector(args.b)
         if args.b is not None
         else tuple(Fraction(0) for _ in range(m.b2))
     )
@@ -233,16 +216,16 @@ def cmd_chamber(args) -> int:
 
 
 def cmd_stability_slope(args) -> int:
-    value = slope(_parse_fraction(args.degree), args.rank)
+    value = slope(parse_fraction(args.degree), args.rank)
     _emit(args, {"command": "slope", "slope": _json_value(value)}, [f"slope = {value}"])
     return 0
 
 
 def cmd_stability_pair(args) -> int:
     phi_zero = args.phi == "zero"
-    mu_div = _parse_fraction(args.mu_div) if args.mu_div is not None else None
+    mu_div = parse_fraction(args.mu_div) if args.mu_div is not None else None
     status = oriented_pair_status_rank2(
-        phi_zero, Stability(args.e_stability), mu_div, _parse_fraction(args.mu_e)
+        phi_zero, Stability(args.e_stability), mu_div, parse_fraction(args.mu_e)
     )
     _emit(
         args,
@@ -253,7 +236,7 @@ def cmd_stability_pair(args) -> int:
 
 
 def cmd_stability_rho(args) -> int:
-    interval = rho_interval(_parse_fraction(args.m_under), _parse_fraction(args.m_over))
+    interval = rho_interval(parse_fraction(args.m_under), parse_fraction(args.m_over))
     if interval is None:
         _emit(args, {"command": "rho_interval", "interval": None}, ["interval = empty"])
     else:

@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 from .chambers import OrientationData
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
-from .topology import ManifoldTopology, expected_dim_abelian, require_characteristic
+from .topology import IntVector, ManifoldTopology, expected_dim_abelian, require_characteristic
 
 Key = tuple[int, ...]
 
@@ -169,7 +169,10 @@ def cup_form(m: ManifoldTopology, c: Sequence[int]) -> ExtForm:
     inconsistent input and raises InvalidTopologyError instead of
     rounding.
     """
-    c = require_characteristic(m, c)
+    return _cup_form(m, require_characteristic(m, c))
+
+
+def _cup_form(m: ManifoldTopology, c: IntVector) -> ExtForm:
     coeffs: dict[Key, int] = {}
     for i in range(m.b1):
         for j in range(i + 1, m.b1):
@@ -213,7 +216,14 @@ def wall_crossing_delta(
             f"test form has b1 = {test_form.b1}, manifold has b1 = {m.b1}"
         )
     c = require_characteristic(m, c)
-    w = expected_dim_abelian(m, c)
+    return wall_crossing_jump(m, c, expected_dim_abelian(m, c), test_form, orient.o1_sign)
+
+
+def wall_crossing_jump(
+    m: ManifoldTopology, c: IntVector, w: int, test_form: ExtForm, o1_sign: int
+) -> int:
+    """:func:`wall_crossing_delta` for a checked characteristic c with
+    expected dimension w, a test form on b1 generators and bplus = 1."""
     if test_form.is_zero:
         return 0
     r = test_form.degree()
@@ -230,9 +240,9 @@ def wall_crossing_delta(
             "the Betti data is inconsistent"
         )
     k = (m.b1 - r) // 2
-    product = wedge(test_form, wedge_power(cup_form(m, c), k))
+    product = wedge(test_form, wedge_power(_cup_form(m, c), k))
     top = product.coefficient(tuple(range(1, m.b1 + 1)))
-    value = Fraction((-1) ** k * orient.o1_sign * top, math.factorial(k))
+    value = Fraction((-1) ** k * o1_sign * top, math.factorial(k))
     if value.denominator != 1:
         raise InvalidTopologyError(
             f"wall crossing value {value} is not an integer; "

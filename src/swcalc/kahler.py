@@ -23,15 +23,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chambers import OrientationData, PeriodRay, require_positive_square
+from .chambers import PeriodRay, pairing_sign, require_positive_square
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
-from .extalg import ExtForm, wall_crossing_delta
-from .linalg import Scalar, cone_contains, integer_combination, pairing, quadratic, rank
+from .extalg import ExtForm, wall_crossing_jump
+from .linalg import Scalar, cone_contains, integer_combination, quadratic, rank
 from .topology import (
     IntVector,
     ManifoldTopology,
+    characteristic_square,
     expected_dim_abelian,
-    require_characteristic,
+    is_characteristic,
+    spinor_c2,
 )
 
 
@@ -41,6 +43,13 @@ class SolvabilitySide(enum.Enum):
     DOU_M = "dou_m"
     DOU_K_MINUS_M = "dou_K_minus_m"
     ON_WALL = "on_wall"
+
+
+_SIDE_SOLVABILITY = {
+    -1: SolvabilitySide.DOU_M,
+    1: SolvabilitySide.DOU_K_MINUS_M,
+    0: SolvabilitySide.ON_WALL,
+}
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,7 @@ def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:
             f"expected b2 = {m.b2}"
         )
         return violations
-    if any((k - w) % 2 for k, w in zip(facts.canonical_class, m.w2)):
+    if not is_characteristic(m, facts.canonical_class):
         violations.append("canonical class is not characteristic (K != w2 mod 2)")
     if any(len(row) != m.b2 for row in facts.ns_basis):
         violations.append("every ns_basis row must have length b2")
@@ -114,6 +123,12 @@ def _require_valid_facts(m: ManifoldTopology, facts: KahlerFacts) -> None:
         raise DomainError("invalid Kahler facts: " + "; ".join(violations))
 
 
+def _require_pg_zero_facts(m: ManifoldTopology, facts: KahlerFacts) -> None:
+    _require_valid_facts(m, facts)
+    if not facts.pg_zero:
+        raise DomainError("the invariant rule applies only when p_g = 0")
+
+
 def abelian_solvability_side(
     m: ManifoldTopology,
     facts: KahlerFacts,
@@ -138,12 +153,7 @@ def abelian_solvability_side(
         Fraction(2 * mv - kv) - Fraction(bv)
         for mv, kv, bv in zip(line_class, facts.canonical_class, b)
     ]
-    s = pairing(m.intersection_form, diff, facts.kahler_ray.h)
-    if s < 0:
-        return SolvabilitySide.DOU_M
-    if s > 0:
-        return SolvabilitySide.DOU_K_MINUS_M
-    return SolvabilitySide.ON_WALL
+    return _SIDE_SOLVABILITY[pairing_sign(m, diff, facts.kahler_ray.h)]
 
 
 def douady_nonempty(
@@ -161,10 +171,12 @@ def douady_nonempty(
         raise DimensionMismatchError(
             f"line class has length {len(line_class)}, expected b2 = {m.b2}"
         )
-    coords = integer_combination(facts.ns_basis, [int(v) for v in line_class])
-    if coords is None:
-        return False
-    return cone_contains(facts.effective_cone, coords)
+    return _douady_nonempty(facts, [int(v) for v in line_class])
+
+
+def _douady_nonempty(facts: KahlerFacts, line_class: Sequence[int]) -> bool:
+    coords = integer_combination(facts.ns_basis, line_class)
+    return coords is not None and cone_contains(facts.effective_cone, coords)
 
 
 def sw_pg0_invariants(
@@ -182,18 +194,20 @@ def sw_pg0_invariants(
         raise DomainError(f"the p_g = 0 rule requires b1 = 0, got {m.b1}")
     if m.bplus != 1:
         raise DomainError(f"the p_g = 0 rule requires bplus = 1, got {m.bplus}")
-    _require_valid_facts(m, facts)
-    if not facts.pg_zero:
-        raise DomainError("the invariant rule applies only when p_g = 0")
+    _require_pg_zero_facts(m, facts)
     if len(line_class) != m.b2:
         raise DimensionMismatchError(
             f"line class has length {len(line_class)}, expected b2 = {m.b2}"
         )
+    line_class = [int(v) for v in line_class]
     c = tuple(2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class))
-    w = expected_dim_abelian(m, c)
+    return _pg0_pair(facts, line_class, expected_dim_abelian(m, c))
+
+
+def _pg0_pair(facts: KahlerFacts, line_class: Sequence[int], w: int) -> tuple[int, int]:
     if w < 0:
         return (0, 0)
-    if douady_nonempty(m, facts, line_class):
+    if _douady_nonempty(facts, line_class):
         return (1, 0)
     return (0, -1)
 
@@ -211,14 +225,6 @@ class SWRow:
     sw_minus: Optional[int]
 
 
-def _sign(x: Scalar) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def _psc_pair(
     m: ManifoldTopology, c: IntVector, psc_ray: PeriodRay, w: int, delta: int
 ) -> tuple[Optional[int], Optional[int]]:
@@ -227,7 +233,7 @@ def _psc_pair(
     # the opposite chamber follows from the wall-crossing jump.
     if w < 0:
         return (0, 0)
-    s = psc_ray.component_sign * _sign(pairing(m.intersection_form, c, psc_ray.h))
+    s = psc_ray.component_sign * pairing_sign(m, c, psc_ray.h)
     if s == 0:
         return (None, None)
     if s > 0:
@@ -235,41 +241,22 @@ def _psc_pair(
     return (0, -delta)
 
 
-def _kahler_pair(
-    m: ManifoldTopology, facts: KahlerFacts, c: IntVector
-) -> tuple[Optional[int], Optional[int]]:
-    half = [(cv + kv) for cv, kv in zip(c, facts.canonical_class)]
-    if any(v % 2 for v in half):
-        raise InvalidTopologyError(
-            f"c + K is not divisible by 2 for c = {list(c)}; "
-            "characteristic data is inconsistent"
-        )
-    line_class = tuple(v // 2 for v in half)
-    return sw_pg0_invariants(m, facts, line_class)
-
-
 def _merge_pairs(
     c: IntVector,
     pairs: list[tuple[Optional[int], Optional[int]]],
 ) -> tuple[Optional[int], Optional[int]]:
-    plus: Optional[int] = None
-    minus: Optional[int] = None
-    for (p, q) in pairs:
-        if p is not None:
-            if plus is not None and plus != p:
+    merged: list[Optional[int]] = [None, None]
+    for pair in pairs:
+        for i, value in enumerate(pair):
+            if value is None:
+                continue
+            if merged[i] is not None and merged[i] != value:
                 raise DomainError(
                     f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
-                    f"SW+ = {plus} vs {p}; the supplied facts are inconsistent"
+                    f"SW{'+-'[i]} = {merged[i]} vs {value}; the supplied facts are inconsistent"
                 )
-            plus = p
-        if q is not None:
-            if minus is not None and minus != q:
-                raise DomainError(
-                    f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
-                    f"SW- = {minus} vs {q}; the supplied facts are inconsistent"
-                )
-            minus = q
-    return plus, minus
+            merged[i] = value
+    return merged[0], merged[1]
 
 
 def sw_table(
@@ -288,6 +275,12 @@ def sw_table(
     lexicographically sorted c order (they are independent, so a caller
     may well compute them concurrently, but the output order is fixed),
     and every determined row is checked against the wall-crossing jump.
+
+    The manifold (b1 = 0, bplus = 1), the rays (length b2, positive
+    square, one hyperbola component for both) and the Kahler facts
+    (:func:`validate_kahler_facts`, p_g = 0) are checked once, before
+    any row. Each row then checks only its own c: length b2, c == w2
+    (mod 2) and c^2 == signature (mod 8).
     """
     if m.b1 != 0:
         raise DomainError(f"the table synthesis requires b1 = 0, got {m.b1}")
@@ -299,13 +292,9 @@ def sw_table(
             "or Kahler facts"
         )
     if psc_ray is not None:
-        if len(psc_ray.h) != m.b2:
-            raise DimensionMismatchError(
-                f"psc ray has length {len(psc_ray.h)}, expected b2 = {m.b2}"
-            )
         require_positive_square(m, psc_ray)
     if kahler_facts is not None:
-        _require_valid_facts(m, kahler_facts)
+        _require_pg_zero_facts(m, kahler_facts)
     if psc_ray is not None and kahler_facts is not None:
         # Both pipelines must use the same hyperbola component: two rays
         # designate the same one iff their component-signed pairing is
@@ -313,23 +302,25 @@ def sw_table(
         agree = (
             psc_ray.component_sign
             * kahler_facts.kahler_ray.component_sign
-            * _sign(pairing(m.intersection_form, psc_ray.h, kahler_facts.kahler_ray.h))
+            * pairing_sign(m, psc_ray.h, kahler_facts.kahler_ray.h)
         )
         if agree < 0:
             raise DomainError(
                 "the PSC ray and the Kahler ray designate different hyperbola "
                 "components; the two pipelines would use different orientation data"
             )
+    unit = ExtForm.scalar(0, 1)
     rows = []
     for c in sorted(set(tuple(int(v) for v in c) for c in c_list)):
-        c = require_characteristic(m, c)
-        w = expected_dim_abelian(m, c)
-        delta = wall_crossing_delta(m, c, ExtForm.scalar(0, 1), OrientationData())
+        w = spinor_c2(m, characteristic_square(m, c), 1)
+        delta = wall_crossing_jump(m, c, w, unit, 1)
         pairs = []
         if psc_ray is not None:
             pairs.append(_psc_pair(m, c, psc_ray, w, delta))
         if kahler_facts is not None:
-            pairs.append(_kahler_pair(m, kahler_facts, c))
+            # c and K are both characteristic, so c + K is even.
+            line_class = [(cv + kv) // 2 for cv, kv in zip(c, kahler_facts.canonical_class)]
+            pairs.append(_pg0_pair(kahler_facts, line_class, w))
         plus, minus = _merge_pairs(c, pairs)
         if plus is not None and minus is not None and plus - minus != delta:
             raise InvalidTopologyError(

@@ -42,45 +42,52 @@ def quadratic(q: Matrix, x: Vector) -> Scalar:
     return pairing(q, x, x)
 
 
-def determinant(q: Matrix) -> Fraction:
-    """Exact determinant by fraction elimination with row pivoting."""
-    n = len(q)
-    a = [[Fraction(q[i][j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+def _integer_rows(q: Matrix) -> tuple[list[list[int]], int]:
+    """Rows of q scaled to integers by their denominators' lcm, and the scales' product."""
+    rows, scale = [], 1
+    for row in q:
+        d = lcm(*(v.denominator for v in row))
+        rows.append([int(v * d) for v in row])
+        scale *= d
+    return rows, scale
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free row echelon form (Bareiss 1968), in place.
+
+    Every entry stays an integer minor of the input, so each division
+    is exact. Returns the rank and the last pivot times the sign of the
+    row swaps; for a nonsingular square matrix that is its determinant.
+    """
+    sign, prev, r = 1, 1, 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / a[k][k]
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[col]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[col]
+            rows[i] = row[:col] + [(p * x - f * y) // prev for x, y in zip(row[col:], top[col:])]
+        prev = p
+        r += 1
+    return r, sign * prev
+
+
+def determinant(q: Matrix) -> Fraction:
+    """Exact determinant of a square matrix by fraction-free elimination."""
+    rows, scale = _integer_rows(q)
+    r, last = _bareiss(rows)
+    return Fraction(last if r == len(rows) else 0, scale)
 
 
 def rank(q: Matrix) -> int:
-    """Rank over the rationals, by exact elimination."""
-    if not q:
-        return 0
-    rows = [[Fraction(v) for v in row] for row in q]
-    n = len(rows[0])
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [rows[i][j] - f * rows[r][j] for j in range(n)]
-        r += 1
-    return r
+    """Rank over the rationals, by fraction-free elimination."""
+    return _bareiss(_integer_rows(q)[0])[0]
 
 
 def _swap_symmetric(a: list[list[Fraction]], i: int, j: int) -> None:
@@ -136,11 +143,6 @@ def inertia(q: Matrix) -> tuple[int, int, int]:
             for row in range(n):
                 a[row][i] -= f * a[row][k]
     return pos, neg, zero
-
-
-def signature(q: Matrix) -> int:
-    pos, neg, _ = inertia(q)
-    return pos - neg
 
 
 def _row_sub(a: list[list[int]], u: list[list[int]], i: int, base: int, f: int) -> None:

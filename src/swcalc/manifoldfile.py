@@ -55,30 +55,35 @@ class ManifoldData:
     psc_ray: Optional[PeriodRay] = None
 
 
-def _parse_int(token: str, line_no: int, col: int) -> int:
+def parse_int(text: str) -> int:
     try:
-        return int(token)
+        return int(text.strip())
     except ValueError:
-        raise ManifoldFileError(f"expected an integer, got {token!r}", line_no, col)
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_fraction(token: str, line_no: int, col: int) -> Fraction:
+def parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(token)
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise ManifoldFileError(f"expected a rational p/q, got {token!r}", line_no, col)
+        raise ValueError(f"expected a rational p/q, got {text!r}") from None
 
 
-def _parse_int_vector(value: str, line_no: int, col: int) -> tuple[int, ...]:
-    return tuple(
-        _parse_int(part.strip(), line_no, col) for part in value.split(",")
-    )
+def parse_int_vector(text: str) -> tuple[int, ...]:
+    return tuple(parse_int(part) for part in text.split(","))
 
 
-def _parse_fraction_vector(value: str, line_no: int, col: int) -> tuple[Fraction, ...]:
-    return tuple(
-        _parse_fraction(part.strip(), line_no, col) for part in value.split(",")
-    )
+def parse_fraction_vector(text: str) -> tuple[Fraction, ...]:
+    return tuple(parse_fraction(part) for part in text.split(","))
+
+
+def _parse(parse, text: str, line_no: int, col: int):
+    """Apply one of the text parsers above, reporting its error at the
+    given position."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ManifoldFileError(str(exc), line_no, col) from None
 
 
 def _parse_bool(value: str, line_no: int, col: int) -> bool:
@@ -167,11 +172,11 @@ class _Parser:
     def _data_line(self, section: str, raw: str, line: str, line_no: int) -> None:
         tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
         if section == "intersection_form":
-            row = [_parse_int(tok, line_no, col) for tok, col in tokens]
+            row = [_parse(parse_int, tok, line_no, col) for tok, col in tokens]
             self.matrix_rows.append((row, line_no))
         elif section == "w2":
             for tok, col in tokens:
-                value = _parse_int(tok, line_no, col)
+                value = _parse(parse_int, tok, line_no, col)
                 if value not in (0, 1):
                     raise ManifoldFileError(
                         f"w2 entries must be 0 or 1, got {value}", line_no, col
@@ -182,7 +187,7 @@ class _Parser:
                 raise ManifoldFileError(
                     "triple cup entries are 'i j k value'", line_no, tokens[0][1]
                 )
-            i, j, k, v = (_parse_int(tok, line_no, col) for tok, col in tokens)
+            i, j, k, v = (_parse(parse_int, tok, line_no, col) for tok, col in tokens)
             self.cup_entries.append((i, j, k, v))
 
     def _require(self, section: str, key: str) -> tuple[str, int, int]:
@@ -202,11 +207,11 @@ class _Parser:
                 )
         name = self._require("manifold", "name")[0]
         ints = {
-            key: _parse_int(*self._require("manifold", key))
+            key: _parse(parse_int, *self._require("manifold", key))
             for key in ("b1", "bplus", "bminus", "euler", "signature")
         }
         tors_value, tors_line, tors_col = self._require("torsion", "tors2_order")
-        tors2 = _parse_int(tors_value, tors_line, tors_col)
+        tors2 = _parse(parse_int, tors_value, tors_line, tors_col)
         n = len(self.matrix_rows)
         for row, line_no in self.matrix_rows:
             if len(row) != n:
@@ -253,21 +258,21 @@ class _Parser:
     def _build_kahler(self) -> Optional[KahlerFacts]:
         if "kahler" not in self.sections_seen:
             return None
-        canonical = _parse_int_vector(*self._require("kahler", "canonical_class"))
+        canonical = _parse(parse_int_vector, *self._require("kahler", "canonical_class"))
         rows = self.kv_rows.get("kahler", {})
         ns_rows = tuple(
-            _parse_int_vector(value, line, col)
+            _parse(parse_int_vector, value, line, col)
             for value, line, col in rows.get("ns_basis", [])
         )
         cone_rows = tuple(
-            _parse_fraction_vector(value, line, col)
+            _parse(parse_fraction_vector, value, line, col)
             for value, line, col in rows.get("effective_cone", [])
         )
         pg_zero = _parse_bool(*self._require("kahler", "pg_zero"))
-        ray = _parse_fraction_vector(*self._require("kahler", "kahler_ray"))
+        ray = _parse(parse_fraction_vector, *self._require("kahler", "kahler_ray"))
         sign = 1
         if "kahler_component_sign" in self.kv.get("kahler", {}):
-            sign = _parse_int(*self.kv["kahler"]["kahler_component_sign"])
+            sign = _parse(parse_int, *self.kv["kahler"]["kahler_component_sign"])
         try:
             kahler_ray = PeriodRay(ray, sign)
         except ValueError as exc:
@@ -284,10 +289,10 @@ class _Parser:
     def _build_psc(self) -> Optional[PeriodRay]:
         if "psc" not in self.sections_seen:
             return None
-        ray = _parse_fraction_vector(*self._require("psc", "psc_ray"))
+        ray = _parse(parse_fraction_vector, *self._require("psc", "psc_ray"))
         sign = 1
         if "psc_component_sign" in self.kv.get("psc", {}):
-            sign = _parse_int(*self.kv["psc"]["psc_component_sign"])
+            sign = _parse(parse_int, *self.kv["psc"]["psc_component_sign"])
         try:
             return PeriodRay(ray, sign)
         except ValueError as exc:

@@ -212,6 +212,19 @@ def is_characteristic(m: ManifoldTopology, c: Sequence[int]) -> bool:
     return all((ci - wi) % 2 == 0 for ci, wi in zip(c, m.w2))
 
 
+def characteristic_square(m: ManifoldTopology, c: IntVector) -> int:
+    """c^2 for an integer tuple c, checked as in :func:`require_characteristic`."""
+    if not is_characteristic(m, c):
+        raise DomainError(f"c = {list(c)} is not characteristic: c != w2 (mod 2)")
+    square = quadratic(m.intersection_form, c)
+    if (square - m.signature) % 8:
+        raise InvalidTopologyError(
+            f"characteristic vector c = {list(c)} violates "
+            "c^2 == signature (mod 8); the lattice data is inconsistent"
+        )
+    return square
+
+
 def require_characteristic(m: ManifoldTopology, c: Sequence[int]) -> IntVector:
     """Validate c as a characteristic element and return it as a tuple.
 
@@ -220,32 +233,30 @@ def require_characteristic(m: ManifoldTopology, c: Sequence[int]) -> IntVector:
     unimodular lattice, so a failure exposes inconsistent input data.
     """
     c = tuple(int(v) for v in c)
-    if not is_characteristic(m, c):
-        raise DomainError(f"c = {list(c)} is not characteristic: c != w2 (mod 2)")
-    if (quadratic(m.intersection_form, c) - m.signature) % 8:
-        raise InvalidTopologyError(
-            f"characteristic vector c = {list(c)} violates "
-            "c^2 == signature (mod 8); the lattice data is inconsistent"
-        )
+    characteristic_square(m, c)
     return c
+
+
+def spinor_c2(m: ManifoldTopology, c_square: int, sign: int) -> int:
+    """(c^2 - 3*signature - 2*sign*euler) / 4 from a checked c^2."""
+    num = c_square - 3 * m.signature - 2 * sign * m.euler
+    if num % 4:
+        raise InvalidTopologyError(
+            f"spinor bundle c2 numerator {num} is not divisible by 4; "
+            "the topology data is inconsistent"
+        )
+    return num // 4
 
 
 def expected_dim_abelian(m: ManifoldTopology, c: Sequence[int]) -> int:
     """Expected dimension of the abelian monopole moduli space,
-    (c^2 - 3*signature - 2*euler) / 4.
+    (c^2 - 3*signature - 2*euler) / 4, which is c2_spinor_bundle(m, c, +1).
 
     The value depends only on c and the characteristic numbers of the
     manifold. Integrality is checked exactly; failure means the input
     data is inconsistent.
     """
-    c = require_characteristic(m, c)
-    num = quadratic(m.intersection_form, c) - 3 * m.signature - 2 * m.euler
-    if num % 4:
-        raise InvalidTopologyError(
-            f"(c^2 - 3*signature - 2*euler) = {num} is not divisible by 4; "
-            "the topology data is inconsistent"
-        )
-    return num // 4
+    return c2_spinor_bundle(m, c, 1)
 
 
 def c2_spinor_bundle(m: ManifoldTopology, c: Sequence[int], sign: int) -> int:
@@ -255,14 +266,7 @@ def c2_spinor_bundle(m: ManifoldTopology, c: Sequence[int], sign: int) -> int:
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    c = require_characteristic(m, c)
-    num = quadratic(m.intersection_form, c) - 3 * m.signature - 2 * sign * m.euler
-    if num % 4:
-        raise InvalidTopologyError(
-            f"spinor bundle c2 numerator {num} is not divisible by 4; "
-            "the topology data is inconsistent"
-        )
-    return num // 4
+    return spinor_c2(m, characteristic_square(m, tuple(int(v) for v in c)), sign)
 
 
 def spinc_count_per_chern(m: ManifoldTopology) -> int:

@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from swcalc.cli import main
 
 from conftest import P2_FILE_TEXT
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Stdout and exit code of each command on the demo files, text and JSON.
+# Default stdout is a contract: a refactor must reproduce it byte for byte.
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, argv):
@@ -253,3 +262,40 @@ def test_byte_identical_reruns(p2_file, capsys):
         second = run(capsys, argv)
         assert first == second
         assert first[1].encode("utf-8") == second[1].encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[" ".join(case["argv"]).replace("demos/", "") for case in GOLDEN]
+)
+def test_golden_output_on_demo_files(case, capsys):
+    argv = [str(ROOT / arg) if arg.startswith("demos/") else arg for arg in case["argv"]]
+    code, out, _ = run(capsys, argv)
+    assert code == case["exit"]
+    assert out.encode("utf-8") == case["stdout"].encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "spelling, codes",
+    [
+        (" 1, 2 ", (2, 2, 2)),
+        ("1/2", (2, 0, 0)),
+        ("-3", (0, 0, 0)),
+        ("1/0", (2, 2, 2)),
+        ("", (2, 2, 2)),
+        ("1,,2", (2, 2, 2)),
+        ("x", (2, 2, 2)),
+    ],
+)
+def test_vector_spellings_exit_codes(p2_file, capsys, spelling, codes):
+    # An integer vector, a rational vector and a rational scalar, each
+    # given the same spelling; malformed values are domain errors.
+    commands = (
+        ["dim", str(p2_file), f"--c={spelling}"],
+        ["chamber", str(p2_file), "--c=5", f"--h={spelling}"],
+        ["stability", "slope", f"--degree={spelling}", "--rank=2"],
+    )
+    for argv, expected in zip(commands, codes):
+        code, out, err = run(capsys, argv)
+        assert code == expected, argv
+        assert (out == "") == (code == 2)
+        assert err.startswith("error: ") == (code == 2)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from swcalc import (
+    Chamber,
     DomainError,
+    ExtForm,
     KahlerFacts,
     ManifoldTopology,
     PeriodRay,
@@ -16,12 +19,65 @@ from swcalc import (
     SWRow,
     abelian_solvability_side,
     characteristic_range,
+    classify_chamber_oriented,
     douady_nonempty,
     expected_dim_abelian,
     sw_pg0_invariants,
     sw_table,
     validate_kahler_facts,
+    validate_topology,
+    wall_crossing_delta,
 )
+
+
+def quadric_facts() -> KahlerFacts:
+    # Product of two lines: both rulings span the Neron-Severi lattice
+    # and the effective cone is the first quadrant.
+    return KahlerFacts(
+        canonical_class=(-2, -2),
+        ns_basis=((1, 0), (0, 1)),
+        effective_cone=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+        pg_zero=True,
+        kahler_ray=PeriodRay((Fraction(1), Fraction(1))),
+    )
+
+
+# A dense unimodular change of basis and its inverse.
+U = ((2, 1, 1), (3, 2, 1), (2, 1, 2))
+U_INV = ((3, -1, -1), (-4, 2, 1), (-1, 0, 1))
+
+
+def p2_blown_up_twice_dense():
+    """P2#2(-P2) in the basis given by the columns of U, with both rays
+    at -K, the effective cone spanned by the (-1)-curves E1, E2 and
+    H - E1 - E2, and the characteristic vectors of the diagonal box
+    [-3, 3]^3 written in that basis."""
+
+    def to_new(v):
+        return tuple(sum(U_INV[i][j] * v[j] for j in range(3)) for i in range(3))
+
+    diag = (1, -1, -1)
+    q = tuple(
+        tuple(sum(U[k][i] * diag[k] * U[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
+    m = ManifoldTopology(
+        name="P2#2-P2 dense", b1=0, bplus=1, bminus=2, euler=5, signature=-1,
+        intersection_form=q, w2=tuple(v % 2 for v in to_new((1, 1, 1))),
+    )
+    minus_k = PeriodRay(tuple(Fraction(v) for v in to_new((3, -1, -1))))
+    facts = KahlerFacts(
+        canonical_class=to_new((-3, 1, 1)),
+        ns_basis=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        effective_cone=tuple(
+            tuple(Fraction(v) for v in to_new(g))
+            for g in ((0, 1, 0), (0, 0, 1), (1, -1, -1))
+        ),
+        pg_zero=True,
+        kahler_ray=minus_k,
+    )
+    box = itertools.product((-3, -1, 1, 3), repeat=3)
+    return m, minus_k, facts, [to_new(c) for c in box]
 
 
 def test_validate_kahler_facts_p2(p2, p2_kahler):
@@ -105,6 +161,10 @@ def test_sw_pg0_requires_pg_zero(p2, p2_kahler):
     )
     with pytest.raises(DomainError):
         sw_pg0_invariants(p2, facts, (2,))
+    # The table checks the facts once at entry, before any row.
+    for c_list in ([(3,)], []):
+        with pytest.raises(DomainError, match="p_g = 0"):
+            sw_table(p2, c_list, kahler_facts=facts)
 
 
 def test_sw_table_p2_psc_threshold_profile(p2, p2_ray):
@@ -117,11 +177,18 @@ def test_sw_table_p2_psc_threshold_profile(p2, p2_ray):
 
 
 def test_sw_table_cross_path_consistency(p2, p2_ray, p2_kahler):
-    c_list = characteristic_range(p2, -9, 9)
-    psc_rows = sw_table(p2, c_list, psc_ray=p2_ray)
-    kahler_rows = sw_table(p2, c_list, kahler_facts=p2_kahler)
-    both = sw_table(p2, c_list, psc_ray=p2_ray, kahler_facts=p2_kahler)
-    assert psc_rows == kahler_rows == both
+    dense = p2_blown_up_twice_dense()
+    assert validate_topology(dense[0]) == []
+    assert validate_kahler_facts(dense[0], dense[2]) == []
+    for m, ray, facts, c_list in (
+        (p2, p2_ray, p2_kahler, characteristic_range(p2, -9, 9)),
+        dense,
+    ):
+        psc_rows = sw_table(m, c_list, psc_ray=ray)
+        kahler_rows = sw_table(m, c_list, kahler_facts=facts)
+        both = sw_table(m, c_list, psc_ray=ray, kahler_facts=facts)
+        assert psc_rows == kahler_rows == both
+        assert any(row.sw_plus == 1 for row in both)
 
 
 def test_sw_table_small_dimension_rows_are_zero(p2, p2_ray):
@@ -187,16 +254,9 @@ def test_sw_table_rejects_conflicting_orientations(p2, p2_ray, p2_kahler):
 
 
 def test_sw_table_quadric_cross_path(s2xs2):
-    # Product of two lines: both rulings span the Neron-Severi lattice,
-    # the effective cone is the first quadrant, and the product metric
-    # has positive curvature. Both pipelines must fill the whole box.
-    facts = KahlerFacts(
-        canonical_class=(-2, -2),
-        ns_basis=((1, 0), (0, 1)),
-        effective_cone=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-        pg_zero=True,
-        kahler_ray=PeriodRay((Fraction(1), Fraction(1))),
-    )
+    # The product metric on the quadric has positive curvature. Both
+    # pipelines must fill the whole box.
+    facts = quadric_facts()
     ray = PeriodRay((Fraction(1), Fraction(1)))
     c_list = characteristic_range(s2xs2, -4, 4)
     assert len(c_list) == 25
@@ -230,3 +290,48 @@ def test_dimension_coherence_with_linear_systems(p2, p2_kahler):
         w = expected_dim_abelian(p2, c)
         h0 = (m + 1) * (m + 2) // 2
         assert w == m * (m + 3) == 2 * (h0 - 1)
+
+
+def public_row(m, c, psc_ray, facts):
+    """One table row composed from the public, validating functions."""
+    w = expected_dim_abelian(m, c)
+    delta = wall_crossing_delta(m, c, ExtForm.scalar(0, 1))
+    pairs = []
+    if psc_ray is not None:
+        # The PSC metric's chamber at b = 0 carries the value 0; the
+        # other chamber differs by the wall-crossing jump.
+        chamber = classify_chamber_oriented(m, c, psc_ray, (0,) * m.b2)
+        if w < 0:
+            pairs.append((0, 0))
+        elif chamber is Chamber.C_MINUS:
+            pairs.append((delta, 0))
+        elif chamber is Chamber.C_PLUS:
+            pairs.append((0, -delta))
+        else:
+            pairs.append((None, None))
+    if facts is not None:
+        line_class = tuple((cv + kv) // 2 for cv, kv in zip(c, facts.canonical_class))
+        pairs.append(sw_pg0_invariants(m, facts, line_class))
+    plus = [p for p, _ in pairs if p is not None]
+    minus = [q for _, q in pairs if q is not None]
+    assert len(set(plus)) <= 1 and len(set(minus)) <= 1
+    return SWRow(c, plus[0] if plus else None, minus[0] if minus else None)
+
+
+@pytest.mark.parametrize("mode", ["psc", "kahler", "both"])
+@pytest.mark.parametrize("lattice", ["p2", "quadric", "p2#2 dense"])
+def test_sw_table_rows_match_public_composition(lattice, mode, p2, p2_ray, p2_kahler, s2xs2):
+    m, ray, facts, c_list = {
+        "p2": (p2, p2_ray, p2_kahler, characteristic_range(p2, -9, 9)),
+        "quadric": (
+            s2xs2,
+            PeriodRay((Fraction(1), Fraction(1))),
+            quadric_facts(),
+            characteristic_range(s2xs2, -4, 4),
+        ),
+        "p2#2 dense": p2_blown_up_twice_dense(),
+    }[lattice]
+    ray = ray if mode != "kahler" else None
+    facts = facts if mode != "psc" else None
+    rows = sw_table(m, c_list, psc_ray=ray, kahler_facts=facts)
+    assert rows == [public_row(m, c, ray, facts) for c in sorted(c_list)]

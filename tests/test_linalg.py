@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -139,3 +140,59 @@ def test_cone_contains_random_memberships():
             for i in range(n)
         )
         assert cone_contains(gens, target)
+
+
+def laplace_det(a):
+    """Determinant by cofactor expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * laplace_det([row[:j] + row[j + 1:] for row in a[1:]])
+        for j in range(len(a))
+        if a[0][j]
+    )
+
+
+def laplace_rank(a):
+    """Size of the largest nonvanishing minor, each minor by cofactors."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    for k in range(min(rows, cols), 0, -1):
+        for ri in combinations(range(rows), k):
+            for ci in combinations(range(cols), k):
+                if laplace_det([[a[i][j] for j in ci] for i in ri]):
+                    return k
+    return 0
+
+
+def random_matrix(rng, rows, cols, rational):
+    def entry():
+        if rational:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        return rng.randint(-4, 4)
+
+    a = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and rng.random() < 0.4:
+        # Make the matrix singular: one row becomes a combination of two.
+        i, j, k = (rng.randrange(rows) for _ in range(3))
+        f, g = rng.randint(-2, 2), Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        a[i] = [f * x + g * y for x, y in zip(a[j], a[k])]
+    return a
+
+
+def test_determinant_and_rank_against_laplace_oracle():
+    rng = random.Random(31)
+    singular = 0
+    for trial in range(240):
+        rational = trial % 2 == 1
+        n = rng.randint(0, 6)
+        a = random_matrix(rng, n, n, rational)
+        det = laplace_det(a)
+        singular += det == 0
+        assert determinant(a) == det
+        assert rank(a) == laplace_rank(a)
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        b = random_matrix(rng, rows, cols, rational)
+        assert rank(b) == laplace_rank(b)
+    assert singular > 40
+    assert rank(E8) == 8 and rank(HYPERBOLIC) == 2
+    assert rank(((0, 0), (0, 0))) == 0 and rank(()) == 0

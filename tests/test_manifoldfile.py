@@ -89,6 +89,35 @@ def test_parse_errors_carry_line_and_column():
         parse_manifold_text(MINIMAL + "\n[triple_cup]\n1 2 1\n")
     assert "i j k value" in str(info.value)
 
+    # Vector values parse to the given entries, or fail at the (line,
+    # column) of the value: canonical_class is an integer vector on
+    # line 19, kahler_ray a rational one on line 23.
+    F = Fraction
+    cases = [
+        (" 1, 2 ", (1, 2), (F(1), F(2))),
+        ("1/2", None, (F(1, 2),)),
+        ("-3", (-3,), (F(-3),)),
+        ("1/0", None, None),
+        ("", None, None),
+        ("1,,2", None, None),
+        ("x", None, None),
+    ]
+    for spelling, canonical, ray in cases:
+        text = P2_FILE_TEXT.replace("canonical_class = -3", f"canonical_class = {spelling}")
+        if canonical is None:
+            with pytest.raises(ManifoldFileError) as info:
+                parse_manifold_text(text)
+            assert (info.value.line, info.value.column) == (19, 18)
+        else:
+            assert parse_manifold_text(text).kahler.canonical_class == canonical
+        text = P2_FILE_TEXT.replace("kahler_ray = 1", f"kahler_ray = {spelling}")
+        if ray is None:
+            with pytest.raises(ManifoldFileError) as info:
+                parse_manifold_text(text)
+            assert (info.value.line, info.value.column) == (23, 13)
+        else:
+            assert parse_manifold_text(text).kahler.kahler_ray.h == ray
+
 
 def test_parse_rejects_duplicate_cup_entries():
     text = MINIMAL.replace("b1 = 0", "b1 = 2").replace("euler = 4", "euler = 0")
