@@ -2,15 +2,16 @@
 
 Everything here is exact: vectors and matrices carry ``int`` or
 ``fractions.Fraction`` entries and no floating point is ever
-introduced. The routines are sized for the small lattices of
-4-manifold work (second Betti numbers in the tens at most), so the
-implementations favour clarity over asymptotics.
+introduced. Determinant and rank use one fraction-free (Bareiss)
+elimination and cone membership a fraction-free simplex with Bland's
+rule, so integer entries grow only as minors of the input do; inertia
+is congruence diagonalization over ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError
@@ -47,7 +48,7 @@ def _integer_rows(q: Matrix) -> tuple[list[list[int]], int]:
     rows, scale = [], 1
     for row in q:
         d = lcm(*(v.denominator for v in row))
-        rows.append([int(v * d) for v in row])
+        rows.append([v.numerator * (d // v.denominator) for v in row])
         scale *= d
     return rows, scale
 
@@ -207,65 +208,55 @@ def integer_combination(
     return [sum(coeff[i] * u[i][j] for i in range(k)) for j in range(k)]
 
 
-def _canon_ineq(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
-    """Scale an inequality sum(coeffs*t) <= rhs to coprime integers."""
-    denoms = [c.denominator for c in coeffs] + [rhs.denominator]
-    scale = lcm(*denoms) if denoms else 1
-    ints = [int(c * scale) for c in coeffs]
-    r = int(rhs * scale)
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    g = gcd(g, r)
-    if g > 1:
-        ints = [v // g for v in ints]
-        r //= g
-    return tuple(ints), r
-
-
 def cone_contains(generators: Sequence[Vector], target: Vector) -> bool:
     """Exact membership of target in the cone of nonnegative rational
     combinations of the generators.
 
-    Decided by Fourier-Motzkin elimination on the feasibility system
-    {t >= 0, sum_j t_j * generators[j] = target}; sound and complete
-    over the rationals.
+    Decides whether {A t = target, t >= 0} is feasible, where the
+    columns of A are the generators, by phase 1 of the simplex method:
+    rows are flipped so that every right-hand side is >= 0, each row
+    gets an artificial variable, and the sum of the artificials is
+    minimised. The target is in the cone iff that minimum is 0.
+
+    The tableau is kept fraction-free (integer pivoting): every entry is
+    the current basis determinant times the rational entry, so each
+    update divides exactly by the previous pivot. Pivots follow Bland's
+    rule (Bland 1977): the lowest-index column with negative reduced
+    cost enters, and ratio-test ties leave by the lowest basic index,
+    the artificials numbered after the generators. Bland's rule cannot
+    cycle, so the method ends after finitely many pivots even on
+    degenerate cones, where many targets lie on faces. An artificial
+    that leaves the basis is not re-entered, which only fixes it to 0.
     """
-    g = len(generators)
     n = len(target)
     for gen in generators:
         if len(gen) != n:
             raise DimensionMismatchError(
                 f"generator length {len(gen)} does not match target length {n}"
             )
-    ineqs: set[tuple[tuple[int, ...], int]] = set()
-    for j in range(g):
-        coeffs = [Fraction(0)] * g
-        coeffs[j] = Fraction(-1)
-        ineqs.add(_canon_ineq(coeffs, Fraction(0)))
-    for i in range(n):
-        coeffs = [Fraction(generators[j][i]) for j in range(g)]
-        rhs = Fraction(target[i])
-        ineqs.add(_canon_ineq(coeffs, rhs))
-        ineqs.add(_canon_ineq([-c for c in coeffs], -rhs))
-    for v in range(g):
-        pos = [iq for iq in ineqs if iq[0][v] > 0]
-        neg = [iq for iq in ineqs if iq[0][v] < 0]
-        keep = {iq for iq in ineqs if iq[0][v] == 0}
-        for (ap, cp) in pos:
-            for (am, cm) in neg:
-                coeffs = [
-                    Fraction(ap[u]) * (-am[v]) + Fraction(am[u]) * ap[v]
-                    for u in range(g)
-                ]
-                rhs = Fraction(cp) * (-am[v]) + Fraction(cm) * ap[v]
-                if all(c == 0 for c in coeffs):
-                    if rhs < 0:
-                        return False
-                    continue
-                keep.add(_canon_ineq(coeffs, rhs))
-        ineqs = keep
-        for (coeffs_i, rhs_i) in ineqs:
-            if all(c == 0 for c in coeffs_i) and rhs_i < 0:
-                return False
-    return all(rhs_i >= 0 for (_, rhs_i) in ineqs)
+    g = len(generators)
+    tableau = _integer_rows([[gen[i] for gen in generators] + [target[i]] for i in range(n)])[0]
+    tableau = [row if row[-1] >= 0 else [-v for v in row] for row in tableau]
+    # The reduced costs of the phase-1 objective, then minus its value.
+    tableau.append([-sum(col) for col in zip([0] * (g + 1), *tableau)])
+    basis = list(range(g, g + n))
+    prev = 1
+    while tableau[n][-1]:
+        s = next((j for j in range(g) if tableau[n][j] < 0), None)
+        if s is None:
+            return False
+        # A negative reduced cost is minus the sum of the column's entries
+        # in rows with a basic artificial, so some entry is positive.
+        r = min(
+            (i for i in range(n) if tableau[i][s] > 0),
+            key=lambda i: (Fraction(tableau[i][-1], tableau[i][s]), basis[i]),
+        )
+        top = tableau[r]
+        p = top[s]
+        for i, row in enumerate(tableau):
+            if i != r:
+                f = row[s]
+                tableau[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        basis[r] = s
+        prev = p
+    return True

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Sequence
 
 import pytest
+from hypothesis import settings
 
 from swcalc import (
     ExtForm,
@@ -15,6 +18,11 @@ from swcalc import (
     PeriodRay,
     triple_cup_from_entries,
 )
+
+# Property tests draw the same examples on every run, and a slow host
+# cannot fail them by a per-example deadline.
+settings.register_profile("swcalc", derandomize=True, deadline=None)
+settings.load_profile("swcalc")
 
 P2_FILE_TEXT = """\
 [manifold]
@@ -210,3 +218,59 @@ def oracle_wedge(x: ExtForm, y: ExtForm) -> ExtForm:
             key = tuple(arr)
             out[key] = out.get(key, 0) + sign * va * vb
     return ExtForm(x.b1, out)
+
+
+def _canon_ineq(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
+    """Scale an inequality sum(coeffs*t) <= rhs to coprime integers."""
+    denoms = [c.denominator for c in coeffs] + [rhs.denominator]
+    scale = lcm(*denoms) if denoms else 1
+    ints = [int(c * scale) for c in coeffs]
+    r = int(rhs * scale)
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    g = gcd(g, r)
+    if g > 1:
+        ints = [v // g for v in ints]
+        r //= g
+    return tuple(ints), r
+
+
+def fm_cone_contains(generators, target) -> bool:
+    """Cone membership by Fourier-Motzkin elimination on the feasibility
+    system {t >= 0, sum_j t_j * generators[j] = target}: sound and
+    complete over the rationals, but doubly exponential in the number of
+    generators, so keep it to a handful."""
+    g = len(generators)
+    n = len(target)
+    ineqs: set[tuple[tuple[int, ...], int]] = set()
+    for j in range(g):
+        coeffs = [Fraction(0)] * g
+        coeffs[j] = Fraction(-1)
+        ineqs.add(_canon_ineq(coeffs, Fraction(0)))
+    for i in range(n):
+        coeffs = [Fraction(generators[j][i]) for j in range(g)]
+        rhs = Fraction(target[i])
+        ineqs.add(_canon_ineq(coeffs, rhs))
+        ineqs.add(_canon_ineq([-c for c in coeffs], -rhs))
+    for v in range(g):
+        pos = [iq for iq in ineqs if iq[0][v] > 0]
+        neg = [iq for iq in ineqs if iq[0][v] < 0]
+        keep = {iq for iq in ineqs if iq[0][v] == 0}
+        for (ap, cp) in pos:
+            for (am, cm) in neg:
+                coeffs = [
+                    Fraction(ap[u]) * (-am[v]) + Fraction(am[u]) * ap[v]
+                    for u in range(g)
+                ]
+                rhs = Fraction(cp) * (-am[v]) + Fraction(cm) * ap[v]
+                if all(c == 0 for c in coeffs):
+                    if rhs < 0:
+                        return False
+                    continue
+                keep.add(_canon_ineq(coeffs, rhs))
+        ineqs = keep
+        for (coeffs_i, rhs_i) in ineqs:
+            if all(c == 0 for c in coeffs_i) and rhs_i < 0:
+                return False
+    return all(rhs_i >= 0 for (_, rhs_i) in ineqs)

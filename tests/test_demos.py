@@ -35,3 +35,15 @@ def test_demo_manifold_validates(path):
     result = run_python("-m", "swcalc.cli", "validate", str(path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("ok: ")
+
+
+def test_cubic_surface_table_runs():
+    # Both pipelines at -K, with the 27 lines as the effective cone. Every
+    # c in {-1, 1}^7 has c^2 = 1 - 6 < 2*euler + 3*signature = 3, so w_c < 0.
+    result = run_python(
+        "-m", "swcalc.cli", "sw-table", "demos/cubic_surface.manifold", "--cmin=-1", "--cmax=1"
+    )
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert len(rows) == 2 ** 7
+    assert all(row.endswith("\t0\t0") for row in rows)

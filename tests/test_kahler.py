@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -28,6 +29,7 @@ from swcalc import (
     validate_topology,
     wall_crossing_delta,
 )
+from swcalc.linalg import cone_contains
 
 
 def quadric_facts() -> KahlerFacts:
@@ -335,3 +337,108 @@ def test_sw_table_rows_match_public_composition(lattice, mode, p2, p2_ray, p2_ka
     facts = facts if mode != "psc" else None
     rows = sw_table(m, c_list, psc_ray=ray, kahler_facts=facts)
     assert rows == [public_row(m, c, ray, facts) for c in sorted(c_list)]
+
+
+def minus_one_classes(k):
+    """The classes D = dH + a1 E1 + ... + ak Ek of P2#k(-P2), form
+    diag(1, -1, ..., -1) and K = -3H + E1 + ... + Ek, with D^2 = -1,
+    K.D = -1 and degree 0 <= d <= 6. For k <= 8 Cauchy-Schwarz leaves
+    no other degree, so these are all the (-1)-classes."""
+    out = []
+
+    def extend(prefix, squares, total):
+        slots = k + 1 - len(prefix)
+        if total * total > slots * squares:
+            return
+        if not slots:
+            if not squares:
+                out.append(tuple(prefix))
+            return
+        r = isqrt(squares)
+        for a in range(-r, r + 1):
+            extend(prefix + [a], squares - a * a, total - a)
+
+    for d in range(7):
+        # d^2 - sum(a^2) = -1 and -3d - sum(a) = -1.
+        extend([d], d * d + 1, 1 - 3 * d)
+    return out
+
+
+def del_pezzo(k):
+    """P2 blown up at k general points, both rays at -K, the effective
+    cone spanned by the (-1)-classes."""
+    m = ManifoldTopology(
+        name=f"P2#{k}-P2", b1=0, bplus=1, bminus=k, euler=3 + k, signature=1 - k,
+        intersection_form=tuple(
+            tuple((1 if i == 0 else -1) if i == j else 0 for j in range(k + 1))
+            for i in range(k + 1)
+        ),
+        w2=(1,) * (k + 1),
+    )
+    minus_k = PeriodRay((Fraction(3),) + (Fraction(-1),) * k)
+    facts = KahlerFacts(
+        canonical_class=(-3,) + (1,) * k,
+        ns_basis=tuple(tuple(int(i == j) for j in range(k + 1)) for i in range(k + 1)),
+        effective_cone=tuple(tuple(Fraction(v) for v in d) for d in minus_one_classes(k)),
+        pg_zero=True,
+        kahler_ray=minus_k,
+    )
+    return m, minus_k, facts
+
+
+def del_pezzo_c_list(k, count):
+    """A fixed sample of characteristic vectors: odd degree up to 7 and
+    entries +-1, up to four of them tripled, so that rows with w_c < 0,
+    with an effective line class and with a non-effective one all occur."""
+    rng = random.Random(f"del Pezzo {k}")
+    out = set()
+    while len(out) < count:
+        c = [rng.choice((-7, -5, -3, -1, 1, 3, 5, 7))] + [rng.choice((-1, 1)) for _ in range(k)]
+        for j in rng.sample(range(1, k + 1), rng.randint(0, min(4, k))):
+            c[j] *= 3
+        out.add(tuple(c))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("k, count", [(5, 400), (6, 400), (7, 300), (8, 120)])
+def test_sw_table_del_pezzo_cross_path(k, count):
+    m, minus_k, facts = del_pezzo(k)
+    assert len(facts.effective_cone) == {5: 16, 6: 27, 7: 56, 8: 240}[k]
+    assert validate_topology(m) == []
+    assert validate_kahler_facts(m, facts) == []
+    c_list = del_pezzo_c_list(k, count)
+    psc_rows = sw_table(m, c_list, psc_ray=minus_k)
+    kahler_rows = sw_table(m, c_list, kahler_facts=facts)
+    assert psc_rows == kahler_rows
+    seen = set()
+    for row in kahler_rows:
+        c = row.c
+        w = expected_dim_abelian(m, c)
+        c_dot_minus_k = 3 * c[0] + sum(c[1:])
+        if w < 0:
+            expected = (0, 0)
+        elif c_dot_minus_k > 0:
+            expected = (1, 0)
+        else:
+            expected = (0, -1)
+        assert (row.sw_plus, row.sw_minus) == expected, c
+        seen.add(expected)
+    assert seen == {(0, 0), (1, 0), (0, -1)}
+
+
+def test_del_pezzo_k8_cone_membership_known_answers():
+    cone = [tuple(Fraction(v) for v in d) for d in minus_one_classes(8)]
+    rng = random.Random("del Pezzo 8 membership")
+    for _ in range(12):
+        gens = rng.sample(cone, rng.randint(1, 6))
+        weights = [rng.randint(1, 3) for _ in gens]
+        target = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(9))
+        assert cone_contains(cone, target)
+    # H is nef, so classes of negative H-degree are not effective; H - E1
+    # is nef too, so neither is a class with d + a1 < 0.
+    for _ in range(12):
+        target = (rng.randint(-6, -1),) + tuple(rng.randint(-4, 4) for _ in range(8))
+        assert not cone_contains(cone, target)
+    for d in range(4):
+        target = (d, -d - 1) + tuple(rng.randint(-2, 2) for _ in range(7))
+        assert not cone_contains(cone, target)

@@ -7,7 +7,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
+from conftest import fm_cone_contains
 from swcalc.errors import DimensionMismatchError
 from swcalc.linalg import (
     cone_contains,
@@ -140,6 +143,88 @@ def test_cone_contains_random_memberships():
             for i in range(n)
         )
         assert cone_contains(gens, target)
+
+
+F = Fraction
+# The cone over a square: |x| + |y| <= z.
+SQUARE = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+
+DEGENERATE_CONES = [
+    # The zero target is in every cone.
+    ((), (0, 0, 0), True),
+    (((1, 2, 0),), (0, 0, 0), True),
+    (SQUARE, (0, 0, 0), True),
+    # The empty generator list spans only the zero target.
+    ((), (0, 0, 1), False),
+    ((), (), True),
+    # Zero generators span nothing.
+    (((0, 0),), (0, 0), True),
+    (((0, 0),), (1, 0), False),
+    (((0, 0), (0, 0), (1, 1)), (F(5, 2), F(5, 2)), True),
+    (((0, 0), (1, 1)), (1, 0), False),
+    # Duplicated generators span the same cone.
+    (((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0)), (1, 2, 0), True),
+    (((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0)), (1, 0, 1), False),
+    (((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0)), (-1, 0, 0), False),
+    # Antiparallel generators span a line.
+    (((1, 2), (-1, -2)), (-3, -6), True),
+    (((1, 2), (-1, -2)), (F(1, 2), 1), True),
+    (((1, 2), (-1, -2)), (1, 1), False),
+    (((1, 0, 0), (-1, 0, 0), (0, 1, 0)), (-4, 1, 0), True),
+    (((1, 0, 0), (-1, 0, 0), (0, 1, 0)), (-4, -1, 0), False),
+    # Targets on faces, on rays and just outside them.
+    (SQUARE, (F(1, 2), F(1, 2), 1), True),
+    (SQUARE, (F(1, 2), F(2, 3), 1), False),
+    (SQUARE, (0, -3, 3), True),
+    (SQUARE, (0, 0, 1), True),
+    (SQUARE, (F(-1, 3), F(-2, 3), 1), True),
+    (SQUARE, (0, 0, -1), False),
+    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), (2, 3, 0), True),
+    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), (2, -3, 0), False),
+]
+
+
+@pytest.mark.parametrize("gens, target, inside", DEGENERATE_CONES)
+def test_cone_contains_degenerate_cones(gens, target, inside):
+    gens = [tuple(F(v) for v in gen) for gen in gens]
+    target = tuple(F(v) for v in target)
+    assert cone_contains(gens, target) is inside
+    assert fm_cone_contains(gens, target) is inside
+
+
+def test_cone_contains_rejects_mismatched_lengths():
+    with pytest.raises(DimensionMismatchError):
+        cone_contains(((F(1), F(2)),), (F(1), F(2), F(3)))
+
+
+@st.composite
+def cones_with_targets(draw):
+    """At most 5 generators in dimension <= 3 or 4 in dimension 4, where
+    Fourier-Motzkin still finishes quickly. A combination of the
+    generators with weights of either sign lands inside or outside the
+    cone; a free target lands mostly outside."""
+    n = draw(st.integers(1, 4))
+    g = draw(st.integers(0, 4 if n == 4 else 5))
+    entry = st.integers(-3, 3).map(F) | st.fractions(-3, 3, max_denominator=3)
+    gens = draw(st.lists(st.tuples(*[entry] * n), min_size=g, max_size=g))
+    if draw(st.booleans()):
+        weights = draw(
+            st.lists(st.fractions(-2, 4, max_denominator=3), min_size=g, max_size=g)
+        )
+        target = tuple(
+            sum((w * gen[i] for w, gen in zip(weights, gens)), F(0)) for i in range(n)
+        )
+    else:
+        target = draw(st.tuples(*[st.fractions(-4, 4, max_denominator=3)] * n))
+    return gens, target
+
+
+@given(cones_with_targets())
+def test_cone_contains_agrees_with_fourier_motzkin(case):
+    gens, target = case
+    inside = cone_contains(gens, target)
+    event("inside" if inside else "outside")
+    assert inside == fm_cone_contains(gens, target)
 
 
 def laplace_det(a):
