@@ -101,6 +101,20 @@ def pairing_sign(m: ManifoldTopology, x: Sequence[Scalar], h: Sequence[Scalar]) 
     return (s > 0) - (s < 0)
 
 
+def require_same_component(
+    m: ManifoldTopology, psc_ray: PeriodRay, kahler_ray: PeriodRay
+) -> None:
+    """Raise DomainError unless the two rays designate the same hyperbola
+    component. For bplus = 1 and rays of length b2 with positive square,
+    they do iff their component-signed pairing is positive (never 0)."""
+    signs = psc_ray.component_sign * kahler_ray.component_sign
+    if signs * pairing_sign(m, psc_ray.h, kahler_ray.h) < 0:
+        raise DomainError(
+            "the PSC ray and the Kahler ray designate different hyperbola "
+            "components; the two pipelines would use different orientation data"
+        )
+
+
 def _wall_sign(
     m: ManifoldTopology, c: Sequence[int], ray: PeriodRay, b: Sequence[Scalar]
 ) -> int:

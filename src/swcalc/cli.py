@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chambers import PeriodRay, classify_chamber_oriented, is_c_good
+from .chambers import PeriodRay, classify_chamber_oriented, is_c_good, require_same_component
 from .errors import DomainError, ManifoldFileError
 from .kahler import sw_table, validate_kahler_facts
 from .linalg import quadratic
@@ -101,14 +101,21 @@ def _load(path) -> ManifoldData:
 
 def cmd_validate(args) -> int:
     data = load_manifold_file(args.file)
-    violations = validate_topology(data.topology)
+    m = data.topology
+    violations = validate_topology(m)
     if data.kahler is not None:
-        violations.extend(validate_kahler_facts(data.topology, data.kahler))
+        violations.extend(validate_kahler_facts(m, data.kahler))
     if data.psc_ray is not None:
-        if len(data.psc_ray.h) != data.topology.b2:
+        if len(data.psc_ray.h) != m.b2:
             violations.append("psc_ray length does not match b2")
-        elif quadratic(data.topology.intersection_form, data.psc_ray.h) <= 0:
+        elif quadratic(m.intersection_form, data.psc_ray.h) <= 0:
             violations.append("psc_ray must have positive square")
+        elif not violations and m.bplus == 1 and data.kahler is not None:
+            # Hyperbola components exist: a valid bplus = 1 form and valid rays.
+            try:
+                require_same_component(m, data.psc_ray, data.kahler.kahler_ray)
+            except DomainError as err:
+                violations.append(str(err))
     ok = not violations
     if ok and args.echo:
         sys.stdout.write(emit_manifold_text(data))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chambers import PeriodRay, pairing_sign, require_positive_square
+from .chambers import PeriodRay, pairing_sign, require_positive_square, require_same_component
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
 from .extalg import ExtForm, wall_crossing_jump
 from .linalg import Scalar, cone_contains, integer_combination, quadratic, rank
@@ -296,19 +296,7 @@ def sw_table(
     if kahler_facts is not None:
         _require_pg_zero_facts(m, kahler_facts)
     if psc_ray is not None and kahler_facts is not None:
-        # Both pipelines must use the same hyperbola component: two rays
-        # designate the same one iff their component-signed pairing is
-        # positive (it cannot vanish when bplus = 1).
-        agree = (
-            psc_ray.component_sign
-            * kahler_facts.kahler_ray.component_sign
-            * pairing_sign(m, psc_ray.h, kahler_facts.kahler_ray.h)
-        )
-        if agree < 0:
-            raise DomainError(
-                "the PSC ray and the Kahler ray designate different hyperbola "
-                "components; the two pipelines would use different orientation data"
-            )
+        require_same_component(m, psc_ray, kahler_facts.kahler_ray)
     unit = ExtForm.scalar(0, 1)
     rows = []
     for c in sorted(set(tuple(int(v) for v in c) for c in c_list)):

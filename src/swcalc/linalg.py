@@ -2,16 +2,16 @@
 
 Everything here is exact: vectors and matrices carry ``int`` or
 ``fractions.Fraction`` entries and no floating point is ever
-introduced. Determinant and rank use one fraction-free (Bareiss)
-elimination and cone membership a fraction-free simplex with Bland's
-rule, so integer entries grow only as minors of the input do; inertia
-is congruence diagonalization over ``Fraction``.
+introduced. Determinant, rank, inertia (pivoting on the diagonal only)
+and the simplex of cone membership share one fraction-free
+Gauss-Jordan pivot step on input scaled to integers, so entries grow
+only as minors of the input do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError
@@ -43,22 +43,39 @@ def quadratic(q: Matrix, x: Vector) -> Scalar:
     return pairing(q, x, x)
 
 
-def _integer_rows(q: Matrix) -> tuple[list[list[int]], int]:
-    """Rows of q scaled to integers by their denominators' lcm, and the scales' product."""
-    rows, scale = [], 1
+def _require_square(q: Matrix) -> None:
+    if any(len(row) != len(q) for row in q):
+        raise DimensionMismatchError(f"matrix with {len(q)} rows is not square")
+
+
+def _integer_rows(q: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Rows of q scaled to integers by their denominators' lcm, and those scales."""
+    rows, scales = [], []
     for row in q:
         d = lcm(*(v.denominator for v in row))
         rows.append([v.numerator * (d // v.denominator) for v in row])
-        scale *= d
-    return rows, scale
+        scales.append(d)
+    return rows, scales
+
+
+def _pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
+    """Clear column col in every row but r, in place, and return the pivot
+    rows[r][col]. Entries stay integer minors of the starting matrix, so
+    dividing by the previous step's pivot prev (first 1) is exact."""
+    top = rows[r]
+    p = top[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+    return p
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free row echelon form (Bareiss 1968), in place.
+    """Fraction-free reduced row echelon form (after Bareiss 1968), in place.
 
-    Every entry stays an integer minor of the input, so each division
-    is exact. Returns the rank and the last pivot times the sign of the
-    row swaps; for a nonsingular square matrix that is its determinant.
+    Returns the rank and the last pivot times the sign of the row swaps;
+    for a nonsingular square matrix that is its determinant.
     """
     sign, prev, r = 1, 1, 0
     for col in range(len(rows[0]) if rows else 0):
@@ -68,22 +85,17 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
             sign = -sign
-        top = rows[r]
-        p = top[col]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            f = row[col]
-            rows[i] = row[:col] + [(p * x - f * y) // prev for x, y in zip(row[col:], top[col:])]
-        prev = p
+        prev = _pivot(rows, r, col, prev)
         r += 1
     return r, sign * prev
 
 
 def determinant(q: Matrix) -> Fraction:
     """Exact determinant of a square matrix by fraction-free elimination."""
-    rows, scale = _integer_rows(q)
+    _require_square(q)
+    rows, scales = _integer_rows(q)
     r, last = _bareiss(rows)
-    return Fraction(last if r == len(rows) else 0, scale)
+    return Fraction(last if r == len(rows) else 0, prod(scales))
 
 
 def rank(q: Matrix) -> int:
@@ -91,59 +103,45 @@ def rank(q: Matrix) -> int:
     return _bareiss(_integer_rows(q)[0])[0]
 
 
-def _swap_symmetric(a: list[list[Fraction]], i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_symmetric(a: list[list[Fraction]], k: int, j: int) -> None:
-    n = len(a)
-    for col in range(n):
-        a[k][col] += a[j][col]
-    for row in range(n):
-        a[row][k] += a[row][j]
-
-
 def inertia(q: Matrix) -> tuple[int, int, int]:
     """Counts (positive, negative, zero) of eigenvalue signs of a
     symmetric rational matrix.
 
-    Computed by exact congruence diagonalization, which preserves the
-    signs by Sylvester's law of inertia. No floating point is used, so
-    the counts are always correct.
+    Fraction-free pivots on the diagonal of the congruent integer matrix
+    D q D (D the row scales); a zero pivot is first fixed by a symmetric
+    swap or row-and-column addition. Each pivot times the previous one
+    has the sign of a diagonal entry of LDL^T, so by Sylvester's law of
+    inertia the counts are exact.
     """
-    n = len(q)
-    a = [[Fraction(q[i][j]) for j in range(n)] for i in range(n)]
-    pos = neg = zero = 0
+    _require_square(q)
+    rows, scales = _integer_rows(q)
+    rows = [[v * d for v, d in zip(row, scales)] for row in rows]
+    n = len(rows)
+    pos = neg = 0
+    prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            j = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+        if rows[k][k] == 0:
+            j = next((i for i in range(k + 1, n) if rows[i][i]), None)
             if j is not None:
-                _swap_symmetric(a, k, j)
+                rows[k], rows[j] = rows[j], rows[k]
+                for row in rows:
+                    row[k], row[j] = row[j], row[k]
             else:
-                j = next((i for i in range(k + 1, n) if a[k][i] != 0), None)
+                j = next((i for i in range(k + 1, n) if rows[k][i]), None)
                 if j is None:
                     # Row k pairs to zero with the whole trailing block.
-                    zero += 1
                     continue
                 # Every trailing diagonal entry vanishes here, so the
-                # congruence row/column addition makes a[k][k] = 2*a[k][j].
-                _add_symmetric(a, k, j)
-        d = a[k][k]
-        if d > 0:
+                # congruence row/column addition makes (k, k) twice (k, j).
+                rows[k] = [x + y for x, y in zip(rows[k], rows[j])]
+                for row in rows:
+                    row[k] += row[j]
+        if rows[k][k] * prev > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / d
-            for col in range(n):
-                a[i][col] -= f * a[k][col]
-            for row in range(n):
-                a[row][i] -= f * a[row][k]
-    return pos, neg, zero
+        prev = _pivot(rows, k, k, prev)
+    return pos, neg, n - pos - neg
 
 
 def _row_sub(a: list[list[int]], u: list[list[int]], i: int, base: int, f: int) -> None:
@@ -218,13 +216,12 @@ def cone_contains(generators: Sequence[Vector], target: Vector) -> bool:
     gets an artificial variable, and the sum of the artificials is
     minimised. The target is in the cone iff that minimum is 0.
 
-    The tableau is kept fraction-free (integer pivoting): every entry is
-    the current basis determinant times the rational entry, so each
-    update divides exactly by the previous pivot. Pivots follow Bland's
-    rule (Bland 1977): the lowest-index column with negative reduced
-    cost enters, and ratio-test ties leave by the lowest basic index,
-    the artificials numbered after the generators. Bland's rule cannot
-    cycle, so the method ends after finitely many pivots even on
+    Every tableau entry is the current basis determinant times the
+    rational entry (integer pivoting by :func:`_pivot`). Pivots follow
+    Bland's rule (Bland 1977): the lowest-index column with negative
+    reduced cost enters, and ratio-test ties leave by the lowest basic
+    index, the artificials numbered after the generators. Bland's rule
+    cannot cycle, so the method ends after finitely many pivots even on
     degenerate cones, where many targets lie on faces. An artificial
     that leaves the basis is not re-entered, which only fixes it to 0.
     """
@@ -251,12 +248,6 @@ def cone_contains(generators: Sequence[Vector], target: Vector) -> bool:
             (i for i in range(n) if tableau[i][s] > 0),
             key=lambda i: (Fraction(tableau[i][-1], tableau[i][s]), basis[i]),
         )
-        top = tableau[r]
-        p = top[s]
-        for i, row in enumerate(tableau):
-            if i != r:
-                f = row[s]
-                tableau[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = _pivot(tableau, r, s, prev)
         basis[r] = s
-        prev = p
     return True

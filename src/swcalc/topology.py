@@ -133,8 +133,8 @@ def validate_topology(m: ManifoldTopology) -> list[str]:
     """Return every violated invariant of the data set, empty iff valid.
 
     Each entry names the violated identity and a witness. The checks are
-    purely arithmetic (exact determinant and congruence-diagonalization
-    signature); no realizability question is decided.
+    purely arithmetic (exact determinant and inertia by fraction-free
+    elimination); no realizability question is decided.
     """
     violations: list[str] = []
     q = m.intersection_form

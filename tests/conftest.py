@@ -274,3 +274,39 @@ def fm_cone_contains(generators, target) -> bool:
             if all(c == 0 for c in coeffs_i) and rhs_i < 0:
                 return False
     return all(rhs_i >= 0 for (_, rhs_i) in ineqs)
+
+
+def charpoly_inertia(a) -> tuple[int, int, int]:
+    """Counts (positive, negative, zero) of the eigenvalues of a symmetric
+    rational matrix, from its characteristic polynomial.
+
+    The coefficients come from the Faddeev-LeVerrier recursion over
+    Fraction (M_k = A M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(A M_k) / k).
+    Every eigenvalue of a symmetric matrix is real, so Descartes' rule of
+    signs counts the positive roots exactly, and the negative ones on
+    p(-x); the trailing zero coefficients give the multiplicity of 0.
+    """
+    n = len(a)
+    a = [[Fraction(v) for v in row] for row in a]
+    coeffs = [Fraction(1)]  # c_n, c_(n-1), ..., c_0
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [
+            [sum(a[i][t] * m[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(a[i][t] * m[t][i] for i in range(n) for t in range(n))
+        coeffs.append(-trace / k)
+    zero = 0
+    while zero < n and coeffs[n - zero] == 0:
+        zero += 1
+
+    def sign_changes(values):
+        signs = [v > 0 for v in values if v != 0]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    pos = sign_changes(coeffs)
+    # Coefficient c_d of x^d sits at index n - d; p(-x) flips odd degrees.
+    neg = sign_changes([c if (n - i) % 2 == 0 else -c for i, c in enumerate(coeffs)])
+    return pos, neg, zero

@@ -40,6 +40,22 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "euler" in out
 
 
+def test_validate_reports_rays_on_different_components(tmp_path, capsys):
+    # sw-table refuses this file, so validate must not call it valid.
+    path = tmp_path / "flipped.manifold"
+    text = (ROOT / "demos" / "p2.manifold").read_text(encoding="utf-8")
+    assert "\npsc_ray = 1\n" in text
+    path.write_text(text.replace("\npsc_ray = 1\n", "\npsc_ray = -1\n"), encoding="utf-8")
+    code, out, _ = run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert out == (
+        "violation: the PSC ray and the Kahler ray designate different hyperbola "
+        "components; the two pipelines would use different orientation data\n"
+    )
+    code, out, err = run(capsys, ["sw-table", str(path), "--cmin=-3", "--cmax=3"])
+    assert code == 2 and out == "" and "different hyperbola components" in err
+
+
 def test_validate_json(p2_file, tmp_path, capsys):
     code, out, _ = run(capsys, ["validate", str(p2_file), "--format", "json"])
     assert code == 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from conftest import fm_cone_contains
+from conftest import charpoly_inertia, fm_cone_contains
 from swcalc.errors import DimensionMismatchError
 from swcalc.linalg import (
     cone_contains,
@@ -35,6 +35,7 @@ E8 = (
 )
 
 HYPERBOLIC = ((0, 1), (1, 0))
+F = Fraction
 
 
 def test_determinant_basics():
@@ -54,6 +55,16 @@ def test_inertia_diagonal_and_hyperbolic():
     assert inertia(neg_e8) == (0, 8, 0)
     assert inertia(((0, 0), (0, 0))) == (0, 0, 2)
     assert inertia(((1, 1), (1, 1))) == (1, 0, 1)
+    # Zero pivots fixed by row-and-column additions between rows of
+    # different denominators: scaling each row alone is no congruence.
+    a = (
+        (0, 0, F(1, 3), F(1, 3), -2),
+        (0, 0, F(-3, 2), F(-3, 2), 2),
+        (F(1, 3), F(-3, 2), 0, 0, F(1, 3)),
+        (F(1, 3), F(-3, 2), 0, 0, F(-1, 2)),
+        (-2, 2, F(1, 3), F(-1, 2), 0),
+    )
+    assert inertia(a) == charpoly_inertia(a) == (2, 2, 1)
 
 
 def test_inertia_matches_eigen_signs_on_random_symmetric():
@@ -68,6 +79,51 @@ def test_inertia_matches_eigen_signs_on_random_symmetric():
         assert pos + neg + zero == n
         # Rank from elimination must agree with the nonzero count.
         assert rank(a) == pos + neg
+        assert (pos, neg, zero) == charpoly_inertia(a)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices up to 7x7 with int and Fraction entries. Zero
+    diagonals and low rank are drawn often, so that elimination meets
+    zero pivots fixed by a symmetric swap and by a row-and-column
+    addition, on rows of different denominators too."""
+    n = draw(st.integers(0, 7))
+    entry = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    kind = draw(st.sampled_from(["full", "zero diagonal", "low rank"]))
+    event(kind)
+    if kind == "low rank":
+        r = draw(st.integers(0, n))
+        b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+        d = draw(st.lists(st.sampled_from([-2, -1, F(1, 3), 1]), min_size=r, max_size=r))
+        return [
+            [sum(d[t] * b[t][i] * b[t][j] for t in range(r)) for j in range(n)]
+            for i in range(n)
+        ]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(entry)
+    if kind == "zero diagonal":
+        for i in range(n):
+            if draw(st.integers(0, 3)):
+                a[i][i] = 0
+    return a
+
+
+@given(symmetric_matrices())
+def test_inertia_agrees_with_characteristic_polynomial(a):
+    pos, neg, zero = inertia(a)
+    assert (pos, neg, zero) == charpoly_inertia(a)
+    assert rank(a) == pos + neg
+
+
+def test_determinant_and_inertia_reject_non_square():
+    for q in ([[1, 2]], [[0, 0, 1], [1, 0, 0]], [[1], [2]], [[1, 2], [3]]):
+        with pytest.raises(DimensionMismatchError):
+            determinant(q)
+        with pytest.raises(DimensionMismatchError):
+            inertia(q)
 
 
 def test_pairing_and_quadratic():
@@ -145,7 +201,6 @@ def test_cone_contains_random_memberships():
         assert cone_contains(gens, target)
 
 
-F = Fraction
 # The cone over a square: |x| + |y| <= z.
 SQUARE = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
 

@@ -23,7 +23,7 @@ from swcalc import (
     uhlenbeck_strata,
     validate_topology,
 )
-from swcalc.linalg import quadratic
+from swcalc.linalg import inertia, quadratic
 
 from conftest import random_block_topology, random_characteristic
 
@@ -256,6 +256,43 @@ def test_k3_lattice_validates_and_has_zero_dimensional_core():
     assert c2_spinor_bundle(k3, zero, -1) == 24
     assert spin_sp1_admissible(k3, -4)
     assert not spin_sp1_admissible(k3, 2)
+
+
+def _dense_blowup(k: int) -> ManifoldTopology:
+    """P2#k(-P2), diag(1, -1, ..., -1), in a fixed dense basis: 3(k + 1)
+    seeded basis changes e_i -> e_i + s e_j (s = +-1), each applied to the
+    form as a row and column operation and to w2 by the inverse change."""
+    n = k + 1
+    q = [[(1 if i == 0 else -1) if i == j else 0 for j in range(n)] for i in range(n)]
+    w2 = [1] * n
+    rng = random.Random(f"dense-blowup:{k}")
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((-1, 1))
+        q[i] = [x + s * y for x, y in zip(q[i], q[j])]
+        for row in q:
+            row[i] += s * row[j]
+        w2[j] = (w2[j] + w2[i]) % 2
+    return ManifoldTopology(
+        name=f"P2#{k}-P2 dense", b1=0, bplus=1, bminus=k, euler=3 + k,
+        signature=1 - k, intersection_form=q, w2=w2,
+    )
+
+
+@pytest.mark.parametrize("k", [21, 39])
+def test_validate_dense_blowups_at_benchmark_rank(k):
+    m = _dense_blowup(k)
+    q = [list(row) for row in m.intersection_form]
+    assert sum(1 for row in q for v in row if v) > len(q) ** 2 // 2
+    assert validate_topology(m) == []
+    assert inertia(q) == (1, k, 0)
+    q[0][1] += 1
+    q[1][0] += 1
+    bad = ManifoldTopology(
+        name=m.name, b1=0, bplus=1, bminus=k, euler=m.euler,
+        signature=m.signature, intersection_form=q, w2=m.w2,
+    )
+    assert any("not unimodular" in v for v in validate_topology(bad))
 
 
 def test_construction_rejects_malformed_shapes():
