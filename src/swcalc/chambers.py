@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError
 from .linalg import Scalar, pairing, quadratic
@@ -82,16 +82,18 @@ def _require_bplus_one(m: ManifoldTopology) -> None:
         )
 
 
-def require_positive_square(m: ManifoldTopology, ray: PeriodRay) -> None:
+def ray_violation(m: ManifoldTopology, ray: PeriodRay) -> Optional[DomainError]:
+    """Why ray is no period ray of m (length b2, positive square), or None."""
     if len(ray.h) != m.b2:
-        raise DimensionMismatchError(
+        return DimensionMismatchError(
             f"period ray has length {len(ray.h)}, expected b2 = {m.b2}"
         )
     square = quadratic(m.intersection_form, ray.h)
     if square <= 0:
-        raise DomainError(
+        return DomainError(
             f"period ray must have positive square, got h.h = {square}"
         )
+    return None
 
 
 def pairing_sign(m: ManifoldTopology, x: Sequence[Scalar], h: Sequence[Scalar]) -> int:
@@ -124,7 +126,9 @@ def _wall_sign(
         raise DimensionMismatchError(
             f"twisting class has length {len(b)}, expected b2 = {m.b2}"
         )
-    require_positive_square(m, ray)
+    problem = ray_violation(m, ray)
+    if problem is not None:
+        raise problem
     return pairing_sign(m, [ci - Fraction(bi) for ci, bi in zip(c, b)], ray.h)
 
 

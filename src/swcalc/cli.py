@@ -17,10 +17,15 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chambers import PeriodRay, classify_chamber_oriented, is_c_good, require_same_component
+from .chambers import (
+    Chamber,
+    PeriodRay,
+    classify_chamber_oriented,
+    ray_violation,
+    require_same_component,
+)
 from .errors import DomainError, ManifoldFileError
 from .kahler import sw_table, validate_kahler_facts
-from .linalg import quadratic
 from .manifoldfile import (
     ManifoldData,
     emit_manifold_text,
@@ -106,10 +111,9 @@ def cmd_validate(args) -> int:
     if data.kahler is not None:
         violations.extend(validate_kahler_facts(m, data.kahler))
     if data.psc_ray is not None:
-        if len(data.psc_ray.h) != m.b2:
-            violations.append("psc_ray length does not match b2")
-        elif quadratic(m.intersection_form, data.psc_ray.h) <= 0:
-            violations.append("psc_ray must have positive square")
+        problem = ray_violation(m, data.psc_ray)
+        if problem is not None:
+            violations.append(f"psc_ray: {problem}")
         elif not violations and m.bplus == 1 and data.kahler is not None:
             # Hyperbola components exist: a valid bplus = 1 form and valid rays.
             try:
@@ -213,7 +217,7 @@ def cmd_chamber(args) -> int:
         raise DomainError("--component-sign must be 1 or -1")
     ray = PeriodRay(h, args.component_sign)
     chamber = classify_chamber_oriented(m, c, ray, b)
-    good = is_c_good(m, c, ray, b)
+    good = chamber is not Chamber.ON_WALL
     _emit(
         args,
         {"command": "chamber", "chamber": chamber.value, "c_good": good},

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chambers import PeriodRay, pairing_sign, require_positive_square, require_same_component
+from .chambers import PeriodRay, pairing_sign, ray_violation, require_same_component
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
 from .extalg import ExtForm, wall_crossing_jump
-from .linalg import Scalar, cone_contains, integer_combination, quadratic, rank
+from .linalg import Scalar, cone_contains, integer_combination, rank
 from .topology import (
     IntVector,
     ManifoldTopology,
@@ -92,23 +92,20 @@ def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:
             f"canonical class has length {len(facts.canonical_class)}, "
             f"expected b2 = {m.b2}"
         )
-        return violations
-    if not is_characteristic(m, facts.canonical_class):
+    elif not is_characteristic(m, facts.canonical_class):
         violations.append("canonical class is not characteristic (K != w2 mod 2)")
     if any(len(row) != m.b2 for row in facts.ns_basis):
         violations.append("every ns_basis row must have length b2")
-        return violations
-    if facts.ns_basis and rank(facts.ns_basis) != len(facts.ns_basis):
+    elif facts.ns_basis and rank(facts.ns_basis) != len(facts.ns_basis):
         violations.append("ns_basis rows are linearly dependent; a basis is required")
     if any(len(gen) != len(facts.ns_basis) for gen in facts.effective_cone):
         violations.append(
             "effective cone generators must be given in ns_basis coordinates "
             f"(length {len(facts.ns_basis)})"
         )
-    if len(facts.kahler_ray.h) != m.b2:
-        violations.append(f"kahler_ray has length {len(facts.kahler_ray.h)}, expected {m.b2}")
-    elif quadratic(m.intersection_form, facts.kahler_ray.h) <= 0:
-        violations.append("kahler_ray must have positive square")
+    problem = ray_violation(m, facts.kahler_ray)
+    if problem is not None:
+        violations.append(f"kahler_ray: {problem}")
     if facts.kahler_ray.component_sign != 1:
         violations.append(
             "kahler_ray must designate the component containing Kahler classes "
@@ -291,8 +288,9 @@ def sw_table(
             "insufficient facts: supply a positive-scalar-curvature period ray "
             "or Kahler facts"
         )
-    if psc_ray is not None:
-        require_positive_square(m, psc_ray)
+    problem = ray_violation(m, psc_ray) if psc_ray is not None else None
+    if problem is not None:
+        raise problem
     if kahler_facts is not None:
         _require_pg_zero_facts(m, kahler_facts)
     if psc_ray is not None and kahler_facts is not None:

@@ -104,14 +104,20 @@ def rank(q: Matrix) -> int:
 
 
 def inertia(q: Matrix) -> tuple[int, int, int]:
+    """The first three values of :func:`inertia_and_determinant`."""
+    return inertia_and_determinant(q)[:3]
+
+
+def inertia_and_determinant(q: Matrix) -> tuple[int, int, int, Fraction]:
     """Counts (positive, negative, zero) of eigenvalue signs of a
-    symmetric rational matrix.
+    symmetric rational matrix, and its determinant, from one elimination.
 
     Fraction-free pivots on the diagonal of the congruent integer matrix
     D q D (D the row scales); a zero pivot is first fixed by a symmetric
     swap or row-and-column addition. Each pivot times the previous one
     has the sign of a diagonal entry of LDL^T, so by Sylvester's law of
-    inertia the counts are exact.
+    inertia the counts are exact. The swaps and additions are unimodular,
+    so the n-th pivot is det(D q D); a skipped row means det(q) = 0.
     """
     _require_square(q)
     rows, scales = _integer_rows(q)
@@ -141,7 +147,8 @@ def inertia(q: Matrix) -> tuple[int, int, int]:
         else:
             neg += 1
         prev = _pivot(rows, k, k, prev)
-    return pos, neg, n - pos - neg
+    zero = n - pos - neg
+    return pos, neg, zero, Fraction(0 if zero else prev, prod(scales) ** 2)
 
 
 def _row_sub(a: list[list[int]], u: list[list[int]], i: int, base: int, f: int) -> None:

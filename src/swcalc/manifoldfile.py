@@ -269,35 +269,27 @@ class _Parser:
             for value, line, col in rows.get("effective_cone", [])
         )
         pg_zero = _parse_bool(*self._require("kahler", "pg_zero"))
-        ray = _parse(parse_fraction_vector, *self._require("kahler", "kahler_ray"))
-        sign = 1
-        if "kahler_component_sign" in self.kv.get("kahler", {}):
-            sign = _parse(parse_int, *self.kv["kahler"]["kahler_component_sign"])
-        try:
-            kahler_ray = PeriodRay(ray, sign)
-        except ValueError as exc:
-            line, col = self.kv["kahler"]["kahler_component_sign"][1:]
-            raise ManifoldFileError(str(exc), line, col)
         return KahlerFacts(
             canonical_class=canonical,
             ns_basis=ns_rows,
             effective_cone=cone_rows,
             pg_zero=pg_zero,
-            kahler_ray=kahler_ray,
+            kahler_ray=self._ray("kahler", "kahler_ray", "kahler_component_sign"),
         )
 
     def _build_psc(self) -> Optional[PeriodRay]:
         if "psc" not in self.sections_seen:
             return None
-        ray = _parse(parse_fraction_vector, *self._require("psc", "psc_ray"))
-        sign = 1
-        if "psc_component_sign" in self.kv.get("psc", {}):
-            sign = _parse(parse_int, *self.kv["psc"]["psc_component_sign"])
+        return self._ray("psc", "psc_ray", "psc_component_sign")
+
+    def _ray(self, section: str, ray_key: str, sign_key: str) -> PeriodRay:
+        h = _parse(parse_fraction_vector, *self._require(section, ray_key))
+        sign_entry = self.kv[section].get(sign_key)
+        sign = _parse(parse_int, *sign_entry) if sign_entry else 1
         try:
-            return PeriodRay(ray, sign)
+            return PeriodRay(h, sign)
         except ValueError as exc:
-            line, col = self.kv["psc"]["psc_component_sign"][1:]
-            raise ManifoldFileError(str(exc), line, col)
+            raise ManifoldFileError(str(exc), *sign_entry[1:])
 
 
 def parse_manifold_text(text: str) -> ManifoldData:
@@ -311,6 +303,13 @@ def load_manifold_file(path) -> ManifoldData:
 
 def _fmt_vec(values) -> str:
     return ",".join(str(v) for v in values)
+
+
+def _ray_lines(ray: PeriodRay, ray_key: str, sign_key: str) -> list[str]:
+    lines = [f"{ray_key} = {_fmt_vec(ray.h)}"]
+    if ray.component_sign != 1:
+        lines.append(f"{sign_key} = {ray.component_sign}")
+    return lines
 
 
 def emit_manifold_text(data: ManifoldData) -> str:
@@ -354,13 +353,9 @@ def emit_manifold_text(data: ManifoldData) -> str:
         for row in facts.effective_cone:
             out.append(f"effective_cone = {_fmt_vec(row)}")
         out.append(f"pg_zero = {'true' if facts.pg_zero else 'false'}")
-        out.append(f"kahler_ray = {_fmt_vec(facts.kahler_ray.h)}")
-        if facts.kahler_ray.component_sign != 1:
-            out.append(f"kahler_component_sign = {facts.kahler_ray.component_sign}")
+        out.extend(_ray_lines(facts.kahler_ray, "kahler_ray", "kahler_component_sign"))
     if data.psc_ray is not None:
         out.append("")
         out.append("[psc]")
-        out.append(f"psc_ray = {_fmt_vec(data.psc_ray.h)}")
-        if data.psc_ray.component_sign != 1:
-            out.append(f"psc_component_sign = {data.psc_ray.component_sign}")
+        out.extend(_ray_lines(data.psc_ray, "psc_ray", "psc_component_sign"))
     return "\n".join(out) + "\n"

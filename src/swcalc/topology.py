@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
-from .linalg import Scalar, determinant, inertia, quadratic
+from .linalg import Scalar, determinant, inertia_and_determinant, quadratic
 
 IntVector = tuple[int, ...]
 CupTensor = tuple[tuple[tuple[int, ...], ...], ...]
@@ -133,8 +133,9 @@ def validate_topology(m: ManifoldTopology) -> list[str]:
     """Return every violated invariant of the data set, empty iff valid.
 
     Each entry names the violated identity and a witness. The checks are
-    purely arithmetic (exact determinant and inertia by fraction-free
-    elimination); no realizability question is decided.
+    purely arithmetic: one fraction-free elimination of a symmetric form
+    gives its inertia and its determinant; no realizability question is
+    decided.
     """
     violations: list[str] = []
     q = m.intersection_form
@@ -145,22 +146,21 @@ def validate_topology(m: ManifoldTopology) -> list[str]:
             f"intersection form size b2 = {n}"
         )
     symmetric = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if q[i][j] != q[j][i]:
-                symmetric = False
-                violations.append(
-                    f"intersection form not symmetric at ({i + 1},{j + 1}): "
-                    f"{q[i][j]} vs {q[j][i]}"
-                )
-                break
-        if not symmetric:
+    for i, j in itertools.combinations(range(n), 2):
+        if q[i][j] != q[j][i]:
+            symmetric = False
+            violations.append(
+                f"intersection form not symmetric at ({i + 1},{j + 1}): "
+                f"{q[i][j]} vs {q[j][i]}"
+            )
             break
-    det = determinant(q)
+    if symmetric:
+        pos, neg, _, det = inertia_and_determinant(q)
+    else:
+        det = determinant(q)
     if abs(det) != 1:
         violations.append(f"intersection form not unimodular: det = {det}")
     if symmetric:
-        pos, neg, zero = inertia(q)
         if (pos, neg) != (m.bplus, m.bminus):
             violations.append(
                 f"intersection form has {pos} positive and {neg} negative "
@@ -176,15 +176,12 @@ def validate_topology(m: ManifoldTopology) -> list[str]:
         violations.append(
             f"euler = {m.euler} violates euler = 2 - 2*b1 + b2 = {expected_euler}"
         )
-    for i in range(m.b1):
-        for j in range(m.b1):
-            for k in range(n):
-                if m.triple_cup[i][j][k] != -m.triple_cup[j][i][k]:
-                    violations.append(
-                        f"triple cup tensor not antisymmetric at "
-                        f"({i + 1},{j + 1},{k + 1})"
-                    )
-                    return violations + _characteristic_violations(m)
+    for i, j, k in itertools.product(range(m.b1), range(m.b1), range(n)):
+        if m.triple_cup[i][j][k] != -m.triple_cup[j][i][k]:
+            violations.append(
+                f"triple cup tensor not antisymmetric at ({i + 1},{j + 1},{k + 1})"
+            )
+            break
     violations.extend(_characteristic_violations(m))
     return violations
 

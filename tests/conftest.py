@@ -276,19 +276,13 @@ def fm_cone_contains(generators, target) -> bool:
     return all(rhs_i >= 0 for (_, rhs_i) in ineqs)
 
 
-def charpoly_inertia(a) -> tuple[int, int, int]:
-    """Counts (positive, negative, zero) of the eigenvalues of a symmetric
-    rational matrix, from its characteristic polynomial.
-
-    The coefficients come from the Faddeev-LeVerrier recursion over
-    Fraction (M_k = A M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(A M_k) / k).
-    Every eigenvalue of a symmetric matrix is real, so Descartes' rule of
-    signs counts the positive roots exactly, and the negative ones on
-    p(-x); the trailing zero coefficients give the multiplicity of 0.
-    """
+def charpoly(a) -> list[Fraction]:
+    """Coefficients [1, c_(n-1), ..., c_0] of det(x I - A) for a square
+    rational matrix, by the Faddeev-LeVerrier recursion over Fraction
+    (M_k = A M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(A M_k) / k)."""
     n = len(a)
     a = [[Fraction(v) for v in row] for row in a]
-    coeffs = [Fraction(1)]  # c_n, c_(n-1), ..., c_0
+    coeffs = [Fraction(1)]
     m = [[Fraction(0)] * n for _ in range(n)]
     for k in range(1, n + 1):
         m = [
@@ -298,6 +292,19 @@ def charpoly_inertia(a) -> tuple[int, int, int]:
         ]
         trace = sum(a[i][t] * m[t][i] for i in range(n) for t in range(n))
         coeffs.append(-trace / k)
+    return coeffs
+
+
+def charpoly_inertia(a) -> tuple[int, int, int]:
+    """Counts (positive, negative, zero) of the eigenvalues of a symmetric
+    rational matrix, from its characteristic polynomial (:func:`charpoly`).
+
+    Every eigenvalue of a symmetric matrix is real, so Descartes' rule of
+    signs counts the positive roots exactly, and the negative ones on
+    p(-x); the trailing zero coefficients give the multiplicity of 0.
+    """
+    n = len(a)
+    coeffs = charpoly(a)  # c_n, c_(n-1), ..., c_0
     zero = 0
     while zero < n and coeffs[n - zero] == 0:
         zero += 1

@@ -56,6 +56,37 @@ def test_validate_reports_rays_on_different_components(tmp_path, capsys):
     assert code == 2 and out == "" and "different hyperbola components" in err
 
 
+def _demo_p2_with(tmp_path, **values):
+    """demos/p2.manifold with the given keys' values replaced."""
+    text = (ROOT / "demos" / "p2.manifold").read_text(encoding="utf-8")
+    for key, value in values.items():
+        old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+        text = text.replace(old, f"{key} = {value}")
+    path = tmp_path / "edited.manifold"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_validate_lists_every_kahler_violation(tmp_path, capsys):
+    path = _demo_p2_with(tmp_path, canonical_class="-3,1", kahler_ray="1,2")
+    code, out, _ = run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert out == (
+        "violation: canonical class has length 2, expected b2 = 1\n"
+        "violation: kahler_ray: period ray has length 2, expected b2 = 1\n"
+    )
+
+
+def test_wrong_length_ray_is_worded_alike(tmp_path, capsys):
+    expected = "period ray has length 2, expected b2 = 1"
+    for key in ("psc_ray", "kahler_ray"):
+        path = _demo_p2_with(tmp_path, **{key: "1,2"})
+        code, out, _ = run(capsys, ["validate", str(path)])
+        assert (code, out) == (2, f"violation: {key}: {expected}\n")
+        code, out, err = run(capsys, ["sw-table", str(path), "--cmin=-3", "--cmax=3"])
+        assert code == 2 and out == "" and expected in err
+
+
 def test_validate_json(p2_file, tmp_path, capsys):
     code, out, _ = run(capsys, ["validate", str(p2_file), "--format", "json"])
     assert code == 0

@@ -101,6 +101,28 @@ def test_validate_kahler_facts_catches_bad_data(p2):
     assert any("component" in v for v in violations)
 
 
+def test_validate_kahler_facts_reports_past_length_errors(p2):
+    # A bad length skips only the check that needs the field.
+    bad = KahlerFacts(
+        canonical_class=(-3, 1),
+        ns_basis=((1, 0),),
+        effective_cone=((Fraction(1),),),
+        pg_zero=True,
+        kahler_ray=PeriodRay((Fraction(1), Fraction(2)), -1),
+    )
+    assert validate_kahler_facts(p2, bad) == [
+        "canonical class has length 2, expected b2 = 1",
+        "every ns_basis row must have length b2",
+        "kahler_ray: period ray has length 2, expected b2 = 1",
+        "kahler_ray must designate the component containing Kahler classes "
+        "(component_sign = +1)",
+    ]
+    flat = KahlerFacts((-3,), ((1,),), ((Fraction(1),),), True, PeriodRay((Fraction(0),)))
+    assert validate_kahler_facts(p2, flat) == [
+        "kahler_ray: period ray must have positive square, got h.h = 0"
+    ]
+
+
 def test_solvability_side_p2(p2, p2_kahler):
     # (2m - K) . h = 7 > 0 for m = 2h, so the moduli sit on the K - m side.
     assert (

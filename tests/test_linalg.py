@@ -10,12 +10,13 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from conftest import charpoly_inertia, fm_cone_contains
+from conftest import charpoly, charpoly_inertia, fm_cone_contains
 from swcalc.errors import DimensionMismatchError
 from swcalc.linalg import (
     cone_contains,
     determinant,
     inertia,
+    inertia_and_determinant,
     integer_combination,
     pairing,
     quadratic,
@@ -116,6 +117,10 @@ def test_inertia_agrees_with_characteristic_polynomial(a):
     pos, neg, zero = inertia(a)
     assert (pos, neg, zero) == charpoly_inertia(a)
     assert rank(a) == pos + neg
+    # det A = (-1)^n c_0, from det(x I - A) at x = 0.
+    det = (-1) ** len(a) * charpoly(a)[-1]
+    assert inertia_and_determinant(a) == (pos, neg, zero, det)
+    assert det == determinant(a)
 
 
 def test_determinant_and_inertia_reject_non_square():

@@ -50,6 +50,21 @@ def test_validate_catches_non_unimodular():
     assert any("unimodular" in v for v in violations)
 
 
+def test_validate_reports_det_of_non_symmetric_and_singular_forms():
+    skew = ManifoldTopology(
+        name="bad", b1=0, bplus=1, bminus=1, euler=4, signature=0,
+        intersection_form=((1, 2), (0, 3)), w2=(1, 1),
+    )
+    violations = validate_topology(skew)
+    assert "intersection form not symmetric at (1,2): 2 vs 0" in violations
+    assert "intersection form not unimodular: det = 3" in violations
+    singular = ManifoldTopology(
+        name="bad", b1=0, bplus=1, bminus=1, euler=4, signature=0,
+        intersection_form=((1, 1), (1, 1)), w2=(0, 0),
+    )
+    assert "intersection form not unimodular: det = 0" in validate_topology(singular)
+
+
 def test_validate_catches_signature_and_w2(s2xs2):
     bad = ManifoldTopology(
         name="bad", b1=0, bplus=2, bminus=0, euler=4, signature=2,
@@ -293,6 +308,14 @@ def test_validate_dense_blowups_at_benchmark_rank(k):
         signature=m.signature, intersection_form=q, w2=m.w2,
     )
     assert any("not unimodular" in v for v in validate_topology(bad))
+
+
+def test_validate_symmetric_form_needs_no_separate_determinant(monkeypatch):
+    def no_determinant(q):
+        raise AssertionError("determinant called on a symmetric form")
+
+    monkeypatch.setattr("swcalc.topology.determinant", no_determinant)
+    assert validate_topology(_dense_blowup(21)) == []
 
 
 def test_construction_rejects_malformed_shapes():
