@@ -30,6 +30,7 @@ from .linalg import Scalar, cone_contains, integer_combination, rank
 from .topology import (
     IntVector,
     ManifoldTopology,
+    _as_int_vector,
     characteristic_square,
     expected_dim_abelian,
     is_characteristic,
@@ -71,12 +72,10 @@ class KahlerFacts:
     kahler_ray: PeriodRay
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "canonical_class", tuple(int(v) for v in self.canonical_class)
-        )
-        object.__setattr__(
-            self, "ns_basis", tuple(tuple(int(v) for v in row) for row in self.ns_basis)
-        )
+        canonical = _as_int_vector(self.canonical_class, "canonical class entry")
+        object.__setattr__(self, "canonical_class", canonical)
+        ns_basis = tuple(_as_int_vector(row, "ns_basis entry") for row in self.ns_basis)
+        object.__setattr__(self, "ns_basis", ns_basis)
         object.__setattr__(
             self,
             "effective_cone",
@@ -168,7 +167,7 @@ def douady_nonempty(
         raise DimensionMismatchError(
             f"line class has length {len(line_class)}, expected b2 = {m.b2}"
         )
-    return _douady_nonempty(facts, [int(v) for v in line_class])
+    return _douady_nonempty(facts, _as_int_vector(line_class, "line class entry"))
 
 
 def _douady_nonempty(facts: KahlerFacts, line_class: Sequence[int]) -> bool:
@@ -196,7 +195,7 @@ def sw_pg0_invariants(
         raise DimensionMismatchError(
             f"line class has length {len(line_class)}, expected b2 = {m.b2}"
         )
-    line_class = [int(v) for v in line_class]
+    line_class = _as_int_vector(line_class, "line class entry")
     c = tuple(2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class))
     return _pg0_pair(facts, line_class, expected_dim_abelian(m, c))
 
@@ -297,7 +296,7 @@ def sw_table(
         require_same_component(m, psc_ray, kahler_facts.kahler_ray)
     unit = ExtForm.scalar(0, 1)
     rows = []
-    for c in sorted(set(tuple(int(v) for v in c) for c in c_list)):
+    for c in sorted(set(_as_int_vector(c, "characteristic vector entry") for c in c_list)):
         w = spinor_c2(m, characteristic_square(m, c), 1)
         delta = wall_crossing_jump(m, c, w, unit, 1)
         pairs = []

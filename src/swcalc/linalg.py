@@ -5,7 +5,9 @@ Everything here is exact: vectors and matrices carry ``int`` or
 introduced. Determinant, rank, inertia (pivoting on the diagonal only)
 and the simplex of cone membership share one fraction-free
 Gauss-Jordan pivot step on input scaled to integers, so entries grow
-only as minors of the input do.
+only as minors of the input do. The Pfaffian has its own step: it
+clears two rows and columns at once by a congruence, and a one-sided
+row step would find only det = Pf^2, losing the sign.
 """
 
 from __future__ import annotations
@@ -69,6 +71,38 @@ def _pivot(rows: list[list[int]], r: int, col: int, prev: int) -> int:
             f = row[col]
             rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
     return p
+
+
+def _pfaffian(a: list[list[int]]) -> int:
+    """Pfaffian of a skew-symmetric integer matrix by fraction-free
+    elimination, in place. Step k pivots on p = a[k][k+1] after a
+    symmetric swap (a sign flip) and turns the trailing block into the
+    congruent Schur complement times p / prev. Entries stay Pfaffians of
+    principal minors, so dividing by the previous pivot prev is exact and
+    the last pivot is the Pfaffian up to sign. A row with no pivot makes
+    the matrix singular, so the Pfaffian is 0."""
+    n = len(a)
+    if n % 2:
+        return 0
+    sign, prev = 1, 1
+    for k in range(0, n, 2):
+        j = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if j is None:
+            return 0
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            sign = -sign
+        p = a[k][k + 1]
+        top, nxt = a[k][k + 2:], a[k + 1][k + 2:]
+        for i in range(k + 2, n):
+            row, f, g = a[i], a[k + 1][i], a[k][i]
+            row[k + 2:] = [
+                (p * x + f * y - g * z) // prev for x, y, z in zip(row[k + 2:], top, nxt)
+            ]
+        prev = p
+    return sign * prev
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:

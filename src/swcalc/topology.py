@@ -30,13 +30,23 @@ IntVector = tuple[int, ...]
 CupTensor = tuple[tuple[tuple[int, ...], ...], ...]
 
 
+def _as_integer(value, what: str) -> int:
+    """value as an int; a non-integral value raises DomainError instead
+    of being truncated. Integral rationals such as Fraction(4, 2) pass."""
+    if type(value) is int:
+        return value
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 def _as_int_vector(values: Iterable, what: str) -> IntVector:
-    out = []
-    for v in values:
-        if not isinstance(v, int):
-            raise ValueError(f"{what} entries must be integers, got {v!r}")
-        out.append(v)
-    return tuple(out)
+    """:func:`_as_integer` on every entry; what names one entry."""
+    return tuple(_as_integer(v, what) for v in values)
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,9 @@ class ManifoldTopology:
     triple_cup: CupTensor = ()
 
     def __post_init__(self):
-        q = tuple(_as_int_vector(row, "intersection form") for row in self.intersection_form)
+        q = tuple(
+            _as_int_vector(row, "intersection form entry") for row in self.intersection_form
+        )
         object.__setattr__(self, "intersection_form", q)
         n = len(q)
         if any(len(row) != n for row in q):
@@ -80,7 +92,7 @@ class ManifoldTopology:
             raise ValueError("Betti numbers must be nonnegative")
         if self.tors2_order < 1:
             raise ValueError("tors2_order must be a positive integer")
-        w2 = _as_int_vector(self.w2, "w2")
+        w2 = _as_int_vector(self.w2, "w2 entry")
         if len(w2) != n:
             raise ValueError(f"w2 has length {len(w2)}, expected b2 = {n}")
         if any(v not in (0, 1) for v in w2):
@@ -92,7 +104,7 @@ class ManifoldTopology:
             cup = tuple(tuple(zero_row for _ in range(self.b1)) for _ in range(self.b1))
         else:
             cup = tuple(
-                tuple(_as_int_vector(v, "triple cup tensor") for v in plane) for plane in cup
+                tuple(_as_int_vector(v, "triple cup entry") for v in plane) for plane in cup
             )
         if len(cup) != self.b1 or any(len(plane) != self.b1 for plane in cup):
             raise ValueError("triple cup tensor must have shape b1 x b1 x b2")
@@ -229,7 +241,7 @@ def require_characteristic(m: ManifoldTopology, c: Sequence[int]) -> IntVector:
     c^2 == signature (mod 8) is checked; it holds automatically on any
     unimodular lattice, so a failure exposes inconsistent input data.
     """
-    c = tuple(int(v) for v in c)
+    c = _as_int_vector(c, "characteristic vector entry")
     characteristic_square(m, c)
     return c
 
@@ -263,7 +275,8 @@ def c2_spinor_bundle(m: ManifoldTopology, c: Sequence[int], sign: int) -> int:
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    return spinor_c2(m, characteristic_square(m, tuple(int(v) for v in c)), sign)
+    c = _as_int_vector(c, "characteristic vector entry")
+    return spinor_c2(m, characteristic_square(m, c), sign)
 
 
 def spinc_count_per_chern(m: ManifoldTopology) -> int:

@@ -5,18 +5,24 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 import pytest
 from hypothesis import settings
 
 from swcalc import (
+    DomainError,
     ExtForm,
+    InvalidTopologyError,
     KahlerFacts,
     ManifoldTopology,
     PeriodRay,
+    cup_form,
+    expected_dim_abelian,
     triple_cup_from_entries,
+    wedge,
+    wedge_power,
 )
 
 # Property tests draw the same examples on every run, and a slow host
@@ -218,6 +224,91 @@ def oracle_wedge(x: ExtForm, y: ExtForm) -> ExtForm:
             key = tuple(arr)
             out[key] = out.get(key, 0) + sign * va * vb
     return ExtForm(x.b1, out)
+
+
+def oracle_wall_jump(m: ManifoldTopology, c, test_form: ExtForm, o1_sign: int) -> int:
+    """The wall-crossing jump by sparse wedge powers: the top coefficient
+    of test_form ^ cup_form^k, times (-1)^k * o1_sign, divided by k!
+    exactly (k = (b1 - r) / 2). It runs the same degree and parity checks
+    as the library and raises InvalidTopologyError on a remainder."""
+    if test_form.is_zero:
+        return 0
+    w = expected_dim_abelian(m, c)
+    r = test_form.degree()
+    if (r - w) % 2:
+        raise DomainError(f"test form degree {r} and w = {w} differ in parity")
+    if r > min(m.b1, w):
+        return 0
+    if (m.b1 - r) % 2:
+        raise InvalidTopologyError(f"b1 - r = {m.b1 - r} is odd")
+    k = (m.b1 - r) // 2
+    product = wedge(test_form, wedge_power(cup_form(m, c), k))
+    top = product.coefficient(tuple(range(1, m.b1 + 1)))
+    value = Fraction((-1) ** k * o1_sign * top, factorial(k))
+    if value.denominator != 1:
+        raise InvalidTopologyError(f"wall crossing value {value} is not an integer")
+    return int(value)
+
+
+def oracle_pfaffian(a) -> int:
+    """Pfaffian by expansion along the first row:
+    Pf(A) = sum_j (-1)^(j-1) a_0j Pf(A without rows and columns 0, j)."""
+    n = len(a)
+    if n % 2:
+        return 0
+    if not n:
+        return 1
+    total = 0
+    for j in range(1, n):
+        if a[0][j]:
+            rest = [i for i in range(1, n) if i != j]
+            sub = [[a[x][y] for y in rest] for x in rest]
+            total += (-1) ** (j - 1) * a[0][j] * oracle_pfaffian(sub)
+    return total
+
+
+def symplectic_form(g: int) -> list[list[int]]:
+    """The standard symplectic form J on Z^2g: J[2i][2i+1] = 1."""
+    j = [[0] * (2 * g) for _ in range(2 * g)]
+    for i in range(g):
+        j[2 * i][2 * i + 1], j[2 * i + 1][2 * i] = 1, -1
+    return j
+
+
+def dense_unimodular(n: int, rng: random.Random, det_sign: int = 1) -> list[list[int]]:
+    """A dense integer matrix of determinant det_sign: 3n seeded column
+    operations col_i += s * col_j (s = +-1) on the identity, then the
+    first column negated when det_sign is -1."""
+    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((-1, 1))
+        for row in p:
+            row[i] += s * row[j]
+    if det_sign < 0:
+        for row in p:
+            row[0] = -row[0]
+    return p
+
+
+def congruent(p, a) -> list[list[int]]:
+    """P^T A P."""
+    n = len(p)
+    ap = [[sum(a[i][t] * p[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(p[t][i] * ap[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+
+def hyperbolic_topology(cup, name: str = "hyperbolic") -> ManifoldTopology:
+    """b1 = len(cup) over the hyperbolic H^2 = (u, v), u.v = 1, of the
+    t2xs2 fixture, with cup numbers (<a_i u a_j u u>, <a_i u a_j u v>) =
+    cup[i][j], an antisymmetric array of integer pairs. With cup numbers
+    against v only it is Sigma_g x S^2 in some basis of H^1."""
+    b1 = len(cup)
+    return ManifoldTopology(
+        name=name, b1=b1, bplus=1, bminus=1, euler=4 - 2 * b1, signature=0,
+        intersection_form=((0, 1), (1, 0)), w2=(0, 0),
+        triple_cup=tuple(tuple(tuple(pair) for pair in row) for row in cup),
+    )
 
 
 def _canon_ineq(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from swcalc import (
     DimensionMismatchError,
@@ -20,7 +23,15 @@ from swcalc import (
     wedge_power,
 )
 
-from conftest import oracle_wedge, random_sparse_form
+from conftest import (
+    congruent,
+    dense_unimodular,
+    hyperbolic_topology,
+    oracle_wall_jump,
+    oracle_wedge,
+    random_sparse_form,
+    symplectic_form,
+)
 
 
 def test_wedge_basis_products():
@@ -188,3 +199,71 @@ def test_ext_form_validation():
     assert ExtForm(2, {(1,): 0}).is_zero
     with pytest.raises(DomainError):
         ExtForm(2, {(): 1, (1,): 1}).degree()
+
+
+def test_ext_form_refuses_to_truncate():
+    with pytest.raises(DomainError):
+        ExtForm(2, {(1, 2): Fraction(3, 2)})
+    with pytest.raises(DomainError):
+        Fraction(1, 2) * ExtForm.term(2, (1, 2), 3)
+    with pytest.raises(DomainError):
+        ExtForm(2, {(1, Fraction(5, 2)): 1})
+    integral = ExtForm(2, {(1, Fraction(4, 2)): Fraction(6, 2)})
+    assert integral == ExtForm.term(2, (1, 2), 3)
+    assert all(type(v) is int for key in integral.coeffs for v in key + (integral.coeffs[key],))
+
+
+@st.composite
+def wall_cases(draw):
+    """b1 <= 10 over the hyperbolic H^2 of the t2xs2 fixture with a random
+    integer cup tensor, dense or mostly zero; an even c = (2a, 2b), so
+    w = 2ab - 2 + b1; a test form of any degree 0..b1 with 1-4 terms; and
+    either orientation sign."""
+    b1 = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["dense", "sparse"]))
+    entry = st.integers(-3, 3) if kind == "dense" else st.sampled_from((0, 0, 0, 1, -2))
+    cup = [[(0, 0)] * b1 for _ in range(b1)]
+    for i in range(b1):
+        for j in range(i + 1, b1):
+            x, y = draw(entry), draw(entry)
+            cup[i][j], cup[j][i] = (x, y), (-x, -y)
+    c = (2 * draw(st.integers(-2, 3)), 2 * draw(st.integers(-2, 3)))
+    # w has the parity of b1; every other draw keeps that parity for r.
+    r = draw(st.sampled_from(range(b1 % 2, b1 + 1, 2)) | st.integers(0, b1))
+    index = st.integers(1, max(b1, 1))
+    index_set = st.lists(index, min_size=r, max_size=r, unique=True).map(sorted).map(tuple)
+    coeffs: dict = {}
+    terms = st.lists(st.tuples(index_set, st.integers(-5, 5)), min_size=1, max_size=4)
+    for key, value in draw(terms):
+        coeffs[key] = coeffs.get(key, 0) + value
+    return hyperbolic_topology(cup), c, ExtForm(b1, coeffs), draw(st.sampled_from((1, -1)))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except DomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300)
+@given(wall_cases())
+def test_wall_crossing_matches_sparse_oracle(case):
+    m, c, form, o1_sign = case
+    got = _outcome(lambda: wall_crossing_delta(m, c, form, OrientationData(o1_sign=o1_sign)))
+    assert got == _outcome(lambda: oracle_wall_jump(m, c, form, o1_sign))
+    event(got.__name__ if isinstance(got, type) else "nonzero" if got else "zero")
+
+
+@pytest.mark.parametrize("g", [5, 8, 10])
+def test_wall_crossing_closed_form_on_dense_ruled_surfaces(g):
+    # In a basis P of H^1 of Sigma_g x S^2 the cup form is (c_2/2) P^T J P,
+    # so the scalar jump is (-1)^g Pf((c_2/2) P^T J P) = (-1)^g (c_2/2)^g det P.
+    rng = random.Random(f"ruled:{g}")
+    for det_p in (1, -1):
+        cup = congruent(dense_unimodular(2 * g, rng, det_p), symplectic_form(g))
+        assert sum(1 for row in cup for v in row if v) > len(cup) ** 2 // 2
+        m = hyperbolic_topology([[(0, v) for v in row] for row in cup])
+        for c in ((2, 2), (2, 6)):
+            want = (-1) ** g * (c[1] // 2) ** g * det_p
+            assert wall_crossing_delta(m, c, ExtForm.scalar(2 * g, 1)) == want

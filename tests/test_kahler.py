@@ -145,6 +145,23 @@ def test_douady_nonempty_p2(p2, p2_kahler):
     assert not douady_nonempty(p2, p2_kahler, (-1,))
 
 
+def test_kahler_inputs_refuse_to_truncate(p2, p2_kahler, p2_ray):
+    half = (Fraction(5, 2),)
+    for call in (
+        lambda: douady_nonempty(p2, p2_kahler, half),
+        lambda: sw_pg0_invariants(p2, p2_kahler, half),
+        lambda: sw_table(p2, [(Fraction(7, 2),)], psc_ray=p2_ray),
+        lambda: KahlerFacts(half, ((1,),), ((Fraction(1),),), True, p2_ray),
+        lambda: KahlerFacts((-3,), (half,), ((Fraction(1),),), True, p2_ray),
+    ):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+    whole = (Fraction(4, 2),)
+    assert douady_nonempty(p2, p2_kahler, whole) == douady_nonempty(p2, p2_kahler, (2,))
+    rows = sw_table(p2, [(Fraction(10, 2),)], psc_ray=p2_ray)
+    assert rows == sw_table(p2, [(5,)], psc_ray=p2_ray)
+
+
 def test_douady_requires_ns_membership(s2xs2):
     facts = KahlerFacts(
         canonical_class=(-2, -2),

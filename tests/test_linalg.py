@@ -10,9 +10,18 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from conftest import charpoly, charpoly_inertia, fm_cone_contains
+from conftest import (
+    charpoly,
+    charpoly_inertia,
+    congruent,
+    dense_unimodular,
+    fm_cone_contains,
+    oracle_pfaffian,
+    symplectic_form,
+)
 from swcalc.errors import DimensionMismatchError
 from swcalc.linalg import (
+    _pfaffian,
     cone_contains,
     determinant,
     inertia,
@@ -341,3 +350,48 @@ def test_determinant_and_rank_against_laplace_oracle():
     assert singular > 40
     assert rank(E8) == 8 and rank(HYPERBOLIC) == 2
     assert rank(((0, 0), (0, 0))) == 0 and rank(()) == 0
+
+
+def random_skew(rng, n):
+    """A skew integer matrix of a random density. Every third one has a
+    zero (0, 1) entry, so the first step must swap; every fourth is
+    P^T B P for a skew B of smaller even size, so it is singular."""
+    size = n - 2 if n >= 2 and rng.random() < 0.25 else n
+    density = rng.choice((0.3, 0.7, 1.0))
+    b = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < density:
+                b[i][j] = rng.randint(-4, 4)
+                b[j][i] = -b[i][j]
+    if size < n:
+        p = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(size)]
+        return [[sum(p[s][i] * b[s][t] * p[t][j] for s in range(size) for t in range(size))
+                 for j in range(n)] for i in range(n)]
+    if n >= 2 and rng.random() < 1 / 3:
+        b[0][1] = b[1][0] = 0
+    return b
+
+
+def test_pfaffian_squares_to_determinant_and_matches_expansion():
+    rng = random.Random(53)
+    swapped = singular = 0
+    for _ in range(400):
+        a = random_skew(rng, rng.randint(0, 10))
+        pf = _pfaffian([row[:] for row in a])
+        assert pf * pf == determinant(a)
+        assert pf == oracle_pfaffian(a)
+        swapped += len(a) >= 2 and a[0][1] == 0 and any(a[0])
+        singular += pf == 0 and len(a) % 2 == 0
+    assert swapped > 40 and singular > 40
+
+
+def test_pfaffian_of_a_dense_symplectic_basis_is_its_determinant():
+    # Pf(P^T J P) = det P * Pf(J), and Pf(J) = 1.
+    rng = random.Random(59)
+    for g in range(1, 11):
+        for det_p in (1, -1):
+            p = dense_unimodular(2 * g, rng, det_p)
+            assert determinant(p) == det_p
+            assert _pfaffian(congruent(p, symplectic_form(g))) == det_p
+    assert _pfaffian([]) == 1 and _pfaffian([[0]]) == 0

@@ -16,6 +16,7 @@ from swcalc import (
     expected_dim_abelian,
     expected_dim_pu2,
     is_characteristic,
+    require_characteristic,
     spin_sp1_admissible,
     spin_u2_admissible,
     spinc_count_per_chern,
@@ -102,6 +103,22 @@ def test_expected_dim_abelian_p2(p2):
     assert expected_dim_abelian(p2, (7,)) == 10
     with pytest.raises(DomainError):
         expected_dim_abelian(p2, (2,))
+
+
+def test_characteristic_vectors_refuse_to_truncate(p2):
+    # 7/2 used to become 3, a characteristic class with w = 0.
+    half = (Fraction(7, 2),)
+    for call in (
+        lambda: require_characteristic(p2, half),
+        lambda: expected_dim_abelian(p2, half),
+        lambda: c2_spinor_bundle(p2, half, -1),
+    ):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+    assert require_characteristic(p2, (Fraction(6, 2),)) == (3,)
+    assert type(require_characteristic(p2, (Fraction(6, 2),))[0]) is int
+    assert expected_dim_abelian(p2, (Fraction(6, 2),)) == 0
+    assert c2_spinor_bundle(p2, (Fraction(6, 2),), -1) == 3
 
 
 def test_c2_spinor_bundle_examples(p2):
