@@ -78,16 +78,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
-    return str(value)
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if getattr(args, "format", "text") == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -148,7 +138,7 @@ def cmd_dim(args) -> int:
         chi = expected_dim_pu2(m, args.p1, c1)
         _emit(
             args,
-            {"command": "dim", "p1": args.p1, "c1": _json_value(c1), "chi": chi},
+            {"command": "dim", "p1": args.p1, "c1": _fmt(c1), "chi": chi},
             [f"p1 = {args.p1}", f"c1 = {_fmt(c1)}", f"chi = {chi}"],
         )
     else:
@@ -158,7 +148,7 @@ def cmd_dim(args) -> int:
         w = expected_dim_abelian(m, c)
         _emit(
             args,
-            {"command": "dim", "c": _json_value(c), "w_c": w},
+            {"command": "dim", "c": _fmt(c), "w_c": w},
             [f"c = {_fmt(c)}", f"w_c = {w}"],
         )
     return 0
@@ -175,7 +165,7 @@ def cmd_sw_table(args) -> int:
     rows = sw_table(m, c_list, psc_ray=data.psc_ray, kahler_facts=data.kahler)
     payload_rows = [
         {
-            "c": _json_value(row.c),
+            "c": _fmt(row.c),
             "sw_plus": row.sw_plus,
             "sw_minus": row.sw_minus,
         }
@@ -228,7 +218,7 @@ def cmd_chamber(args) -> int:
 
 def cmd_stability_slope(args) -> int:
     value = slope(parse_fraction(args.degree), args.rank)
-    _emit(args, {"command": "slope", "slope": _json_value(value)}, [f"slope = {value}"])
+    _emit(args, {"command": "slope", "slope": _fmt(value)}, [f"slope = {value}"])
     return 0
 
 

@@ -152,6 +152,14 @@ def abelian_solvability_side(
     return _SIDE_SOLVABILITY[pairing_sign(m, diff, facts.kahler_ray.h)]
 
 
+def _require_line_class(m: ManifoldTopology, line_class: Sequence[int]) -> IntVector:
+    if len(line_class) != m.b2:
+        raise DimensionMismatchError(
+            f"line class has length {len(line_class)}, expected b2 = {m.b2}"
+        )
+    return _as_int_vector(line_class, "line class entry")
+
+
 def douady_nonempty(
     m: ManifoldTopology, facts: KahlerFacts, line_class: Sequence[int]
 ) -> bool:
@@ -163,11 +171,7 @@ def douady_nonempty(
     outside the Neron-Severi lattice give an empty moduli space.
     """
     _require_valid_facts(m, facts)
-    if len(line_class) != m.b2:
-        raise DimensionMismatchError(
-            f"line class has length {len(line_class)}, expected b2 = {m.b2}"
-        )
-    return _douady_nonempty(facts, _as_int_vector(line_class, "line class entry"))
+    return _douady_nonempty(facts, _require_line_class(m, line_class))
 
 
 def _douady_nonempty(facts: KahlerFacts, line_class: Sequence[int]) -> bool:
@@ -191,11 +195,7 @@ def sw_pg0_invariants(
     if m.bplus != 1:
         raise DomainError(f"the p_g = 0 rule requires bplus = 1, got {m.bplus}")
     _require_pg_zero_facts(m, facts)
-    if len(line_class) != m.b2:
-        raise DimensionMismatchError(
-            f"line class has length {len(line_class)}, expected b2 = {m.b2}"
-        )
-    line_class = _as_int_vector(line_class, "line class entry")
+    line_class = _require_line_class(m, line_class)
     c = tuple(2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class))
     return _pg0_pair(facts, line_class, expected_dim_abelian(m, c))
 

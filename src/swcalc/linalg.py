@@ -2,8 +2,9 @@
 
 Everything here is exact: vectors and matrices carry ``int`` or
 ``fractions.Fraction`` entries and no floating point is ever
-introduced. Determinant, rank, inertia (pivoting on the diagonal only)
-and the simplex of cone membership share one fraction-free
+introduced. Determinant, rank, inertia (pivoting on the diagonal only),
+the integer coordinates of a vector in a lattice basis (the Neron-Severi
+solve) and the simplex of cone membership share one fraction-free
 Gauss-Jordan pivot step on input scaled to integers, so entries grow
 only as minors of the input do. The Pfaffian has its own step: it
 clears two rows and columns at once by a congruence, and a one-sided
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, DomainError
 
 Scalar = int | Fraction
 Vector = Sequence[Scalar]
@@ -185,66 +186,34 @@ def inertia_and_determinant(q: Matrix) -> tuple[int, int, int, Fraction]:
     return pos, neg, zero, Fraction(0 if zero else prev, prod(scales) ** 2)
 
 
-def _row_sub(a: list[list[int]], u: list[list[int]], i: int, base: int, f: int) -> None:
-    a[i] = [x - f * y for x, y in zip(a[i], a[base])]
-    u[i] = [x - f * y for x, y in zip(u[i], u[base])]
-
-
-def integer_combination(
-    rows: Sequence[Sequence[int]], target: Sequence[int]
-) -> Optional[list[int]]:
+def integer_combination(rows: Matrix, target: Vector) -> Optional[list[int]]:
     """Integer coefficients x with sum_i x[i]*rows[i] == target, or None.
 
-    Echelonizes the rows over the integers while recording the
-    unimodular transform, then reduces the target greedily against the
-    pivots. Returns None when the target is not an integral combination.
+    The rows must be linearly independent (a basis of the lattice they
+    span, as a Neron-Severi basis is); dependent rows raise DomainError.
+    One fraction-free elimination of the columns [rows^T | target],
+    scaled to integers equation by equation: the target is in the
+    rational span iff it adds no pivot, and then row i holds d*x[i] over
+    the common last pivot d, so x is integral iff d divides every entry.
     """
-    k = len(rows)
-    n = len(target)
+    k, n = len(rows), len(target)
     for row in rows:
         if len(row) != n:
             raise DimensionMismatchError(
                 f"row length {len(row)} does not match target length {n}"
             )
-    a = [[int(v) for v in row] for row in rows]
-    u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        if r == k:
-            break
-        nz = [i for i in range(r, k) if a[i][col] != 0]
-        if not nz:
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda i: abs(a[i][col]))
-            base = nz[0]
-            for i in nz[1:]:
-                f = a[i][col] // a[base][col]
-                if f:
-                    _row_sub(a, u, i, base, f)
-            nz = [i for i in nz if a[i][col] != 0]
-        base = nz[0]
-        if a[base][col] < 0:
-            a[base] = [-v for v in a[base]]
-            u[base] = [-v for v in u[base]]
-        if base != r:
-            a[base], a[r] = a[r], a[base]
-            u[base], u[r] = u[r], u[base]
-        pivots.append((r, col))
-        r += 1
-    t = [int(v) for v in target]
-    coeff = [0] * k
-    for (ri, ci) in pivots:
-        if t[ci] % a[ri][ci]:
-            return None
-        f = t[ci] // a[ri][ci]
-        if f:
-            t = [x - f * y for x, y in zip(t, a[ri])]
-        coeff[ri] = f
-    if any(t):
+    a = _integer_rows([[row[j] for row in rows] + [target[j]] for j in range(n)])[0]
+    r = _bareiss(a)[0]
+    # In reduced echelon form a column without a pivot leaves a zero on
+    # the diagonal, so the rows are independent iff a[i][i] != 0, i < k.
+    if k > n or not all(a[i][i] for i in range(k)):
+        raise DomainError(f"the {k} rows are linearly dependent; a basis is required")
+    if r > k:
         return None
-    return [sum(coeff[i] * u[i][j] for i in range(k)) for j in range(k)]
+    d = a[0][0] if k else 1
+    if any(a[i][k] % d for i in range(k)):
+        return None
+    return [a[i][k] // d for i in range(k)]
 
 
 def cone_contains(generators: Sequence[Vector], target: Vector) -> bool:

@@ -6,12 +6,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import settings
 
 from swcalc import (
+    DimensionMismatchError,
     DomainError,
     ExtForm,
     InvalidTopologyError,
@@ -265,6 +266,70 @@ def oracle_pfaffian(a) -> int:
             sub = [[a[x][y] for y in rest] for x in rest]
             total += (-1) ** (j - 1) * a[0][j] * oracle_pfaffian(sub)
     return total
+
+
+def _row_sub(a: list[list[int]], u: list[list[int]], i: int, base: int, f: int) -> None:
+    a[i] = [x - f * y for x, y in zip(a[i], a[base])]
+    u[i] = [x - f * y for x, y in zip(u[i], u[base])]
+
+
+def oracle_integer_combination(
+    rows: Sequence[Sequence[int]], target: Sequence[int]
+) -> Optional[list[int]]:
+    """Integer coefficients x with sum_i x[i]*rows[i] == target, or None.
+
+    Echelonizes the rows over the integers while recording the
+    unimodular transform, then reduces the target greedily against the
+    pivots. Returns None when the target is not an integral combination.
+    Dependent rows are echelonized too; entries go through int(), so
+    only integer input is meaningful.
+    """
+    k = len(rows)
+    n = len(target)
+    for row in rows:
+        if len(row) != n:
+            raise DimensionMismatchError(
+                f"row length {len(row)} does not match target length {n}"
+            )
+    a = [[int(v) for v in row] for row in rows]
+    u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for col in range(n):
+        if r == k:
+            break
+        nz = [i for i in range(r, k) if a[i][col] != 0]
+        if not nz:
+            continue
+        while len(nz) > 1:
+            nz.sort(key=lambda i: abs(a[i][col]))
+            base = nz[0]
+            for i in nz[1:]:
+                f = a[i][col] // a[base][col]
+                if f:
+                    _row_sub(a, u, i, base, f)
+            nz = [i for i in nz if a[i][col] != 0]
+        base = nz[0]
+        if a[base][col] < 0:
+            a[base] = [-v for v in a[base]]
+            u[base] = [-v for v in u[base]]
+        if base != r:
+            a[base], a[r] = a[r], a[base]
+            u[base], u[r] = u[r], u[base]
+        pivots.append((r, col))
+        r += 1
+    t = [int(v) for v in target]
+    coeff = [0] * k
+    for (ri, ci) in pivots:
+        if t[ci] % a[ri][ci]:
+            return None
+        f = t[ci] // a[ri][ci]
+        if f:
+            t = [x - f * y for x, y in zip(t, a[ri])]
+        coeff[ri] = f
+    if any(t):
+        return None
+    return [sum(coeff[i] * u[i][j] for i in range(k)) for j in range(k)]
 
 
 def symplectic_form(g: int) -> list[list[int]]:

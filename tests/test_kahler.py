@@ -173,6 +173,17 @@ def test_douady_requires_ns_membership(s2xs2):
     assert douady_nonempty(s2xs2, facts, (3, 0))
     assert not douady_nonempty(s2xs2, facts, (0, 1))  # outside the NS span
     assert not douady_nonempty(s2xs2, facts, (-1, 0))
+    # A lattice of index 2 in its span: (1, 0) is in the span, off the lattice.
+    facts = KahlerFacts(
+        canonical_class=(-2, -2),
+        ns_basis=((2, 0), (0, 1)),
+        effective_cone=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+        pg_zero=True,
+        kahler_ray=PeriodRay((Fraction(1), Fraction(1))),
+    )
+    assert not douady_nonempty(s2xs2, facts, (1, 0))
+    assert douady_nonempty(s2xs2, facts, (2, 0))
+    assert not douady_nonempty(s2xs2, facts, (-2, 0))
 
 
 def test_douady_monotone_under_adding_effective_generators(p2, p2_kahler):

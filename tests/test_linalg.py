@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import event, given
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -16,10 +16,11 @@ from conftest import (
     congruent,
     dense_unimodular,
     fm_cone_contains,
+    oracle_integer_combination,
     oracle_pfaffian,
     symplectic_form,
 )
-from swcalc.errors import DimensionMismatchError
+from swcalc.errors import DimensionMismatchError, DomainError
 from swcalc.linalg import (
     _pfaffian,
     cone_contains,
@@ -149,14 +150,15 @@ def test_pairing_and_quadratic():
 
 
 def test_integer_combination_solves_and_rejects():
-    rows = ((2, 0), (0, 3))
-    assert integer_combination(rows, (4, -3)) == [2, -1]
-    assert integer_combination(rows, (1, 0)) is None
-    assert integer_combination(((1, 1), (0, 2)), (1, 3)) == [1, 1]
-    assert integer_combination((), (0, 0)) == []
-    assert integer_combination((), (1, 0)) is None
-    # Dependent rows still span correctly.
-    assert integer_combination(((1, 2), (2, 4)), (3, 6)) is not None
+    for solve in (integer_combination, oracle_integer_combination):
+        rows = ((2, 0), (0, 3))
+        assert solve(rows, (4, -3)) == [2, -1]
+        assert solve(rows, (1, 0)) is None
+        assert solve(((1, 1), (0, 2)), (1, 3)) == [1, 1]
+        assert solve((), (0, 0)) == []
+        assert solve((), (1, 0)) is None
+    # Dependent rows still span correctly in the echelon.
+    assert oracle_integer_combination(((1, 2), (2, 4)), (3, 6)) is not None
 
 
 def test_integer_combination_random_roundtrip():
@@ -167,10 +169,61 @@ def test_integer_combination_random_roundtrip():
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
         coeffs = [rng.randint(-3, 3) for _ in range(k)]
         target = [sum(coeffs[i] * rows[i][j] for i in range(k)) for j in range(n)]
-        found = integer_combination(rows, target)
+        found = oracle_integer_combination(rows, target)
         assert found is not None
         rebuilt = [sum(found[i] * rows[i][j] for i in range(k)) for j in range(n)]
         assert rebuilt == target
+
+
+def test_integer_combination_is_exact_and_requires_a_basis():
+    assert integer_combination([[1, 0], [0, 1]], [F(7, 2), 1]) is None
+    assert integer_combination([[F(1, 2)]], [1]) == [2]
+    assert integer_combination([[F(2, 3), 0], [0, 1]], [F(4, 3), F(5, 1)]) == [2, 5]
+    for rows in (((1, 2), (2, 4)), ((1,), (2,)), ((0, 0),), ((),)):
+        with pytest.raises(DomainError):
+            integer_combination(rows, [0] * len(rows[0]))
+    with pytest.raises(DimensionMismatchError):
+        integer_combination(((1, 2),), (3, 6, 1))
+
+
+@st.composite
+def bases_with_targets(draw):
+    """Independent integer bases, k <= n <= 6, entries in [-4, 4]. Row 0
+    is a multiple s * b of a smaller row b, so for s > 1 the lattice is
+    not saturated in its span. The target is an integer combination of
+    the rows, that plus a multiple of b not divisible by s (in the span,
+    off the lattice), or a free vector (mostly outside the span)."""
+    kind = draw(st.sampled_from(["lattice", "span", "free"]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    s = draw(st.integers(2 if kind == "span" else 1, 4))
+    b = draw(st.lists(st.integers(-4 // s, 4 // s), min_size=n, max_size=n))
+    rest = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=max(k - 1, 0), max_size=max(k - 1, 0)))
+    rows = [[s * v for v in b]] + rest if k else []
+    assume(laplace_rank(rows) == k)
+    if kind == "free":
+        return rows, draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    x = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    target = [sum(xi * row[j] for xi, row in zip(x, rows)) for j in range(n)]
+    if kind == "span" and k:
+        extra = draw(st.integers(1, s - 1))
+        target = [t + extra * v for t, v in zip(target, b)]
+    return rows, target
+
+
+@settings(max_examples=400)
+@given(bases_with_targets())
+def test_integer_combination_agrees_with_echelon_oracle(case):
+    rows, target = case
+    found = integer_combination(rows, target)
+    assert found == oracle_integer_combination(rows, target)
+    if found is not None:
+        event("in the lattice")
+    elif laplace_rank(rows + [target]) == len(rows):
+        event("in the span, off the lattice")
+    else:
+        event("outside the span")
 
 
 def test_cone_contains_basics():
