@@ -7,6 +7,10 @@ input: no timestamps, no locale dependence, rationals rendered reduced
 as p/q with positive denominator. Vectors on the command line are
 comma-separated integers or rationals in the fixed H^2 basis; use the
 ``--option=value`` spelling when a vector starts with a minus sign.
+
+Each command states its result once, as a field map, and one renderer
+prints it: as ``key = value`` lines, a tab-separated table, or with
+``--format json`` as a JSON object holding the same values.
 """
 
 from __future__ import annotations
@@ -71,19 +75,35 @@ def _fmt(value) -> str:
         return "undetermined"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, tuple):
         return ",".join(_fmt(v) for v in value)
     return str(value)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+def _json_value(value):
+    return _fmt(value) if isinstance(value, (Fraction, tuple)) else value
+
+
+def _emit(args, command: str, fields: dict, text_lines: Optional[list] = None) -> None:
+    """Print a field map as JSON, or as ``text_lines`` (default: one
+    ``key = value`` line per field)."""
+    if args.format == "json":
+        payload = {key: _json_value(value) for key, value in fields.items()}
+        print(json.dumps({"command": command, **payload}, sort_keys=True, indent=2))
     else:
-        for line in text_lines:
-            print(line)
+        if text_lines is None:
+            text_lines = [f"{key} = {_fmt(value)}" for key, value in fields.items()]
+        print("\n".join(text_lines))
+
+
+def _emit_rows(args, command: str, header: tuple, rows: list) -> None:
+    """Print a table as JSON rows keyed by the header, or as tab-separated text."""
+    if args.format == "json":
+        table = [dict(zip(header, map(_json_value, row))) for row in rows]
+        _emit(args, command, {"rows": table})
+    else:
+        lines = ["\t".join(map(_fmt, row)) for row in rows]
+        print("\n".join(["\t".join(header), *lines]))
 
 
 def _load(path) -> ManifoldData:
@@ -114,17 +134,9 @@ def cmd_validate(args) -> int:
     if ok and args.echo:
         sys.stdout.write(emit_manifold_text(data))
         return 0
-    payload = {
-        "command": "validate",
-        "name": data.topology.name,
-        "ok": ok,
-        "violations": violations,
-    }
-    if ok:
-        lines = [f"ok: {data.topology.name}: all invariants satisfied"]
-    else:
-        lines = [f"violation: {v}" for v in violations]
-    _emit(args, payload, lines)
+    lines = [f"violation: {v}" for v in violations]
+    lines = lines or [f"ok: {m.name}: all invariants satisfied"]
+    _emit(args, "validate", {"name": m.name, "ok": ok, "violations": violations}, lines)
     return 0 if ok else 2
 
 
@@ -135,22 +147,13 @@ def cmd_dim(args) -> int:
         if args.p1 is None or args.c1 is None:
             raise DomainError("--pu2 needs both --p1 and --c1")
         c1 = parse_int_vector(args.c1)
-        chi = expected_dim_pu2(m, args.p1, c1)
-        _emit(
-            args,
-            {"command": "dim", "p1": args.p1, "c1": _fmt(c1), "chi": chi},
-            [f"p1 = {args.p1}", f"c1 = {_fmt(c1)}", f"chi = {chi}"],
-        )
+        fields = {"p1": args.p1, "c1": c1, "chi": expected_dim_pu2(m, args.p1, c1)}
     else:
         if args.c is None:
             raise DomainError("supply --c for the abelian dimension or --pu2")
         c = parse_int_vector(args.c)
-        w = expected_dim_abelian(m, c)
-        _emit(
-            args,
-            {"command": "dim", "c": _fmt(c), "w_c": w},
-            [f"c = {_fmt(c)}", f"w_c = {w}"],
-        )
+        fields = {"c": c, "w_c": expected_dim_abelian(m, c)}
+    _emit(args, "dim", fields)
     return 0
 
 
@@ -162,20 +165,9 @@ def cmd_sw_table(args) -> int:
             "the manifold file provides neither a [psc] nor a [kahler] section"
         )
     c_list = characteristic_range(m, args.cmin, args.cmax)
-    rows = sw_table(m, c_list, psc_ray=data.psc_ray, kahler_facts=data.kahler)
-    payload_rows = [
-        {
-            "c": _fmt(row.c),
-            "sw_plus": row.sw_plus,
-            "sw_minus": row.sw_minus,
-        }
-        for row in rows
-    ]
-    lines = ["c\tsw_plus\tsw_minus"]
-    lines.extend(
-        f"{_fmt(row.c)}\t{_fmt(row.sw_plus)}\t{_fmt(row.sw_minus)}" for row in rows
-    )
-    _emit(args, {"command": "sw_table", "rows": payload_rows}, lines)
+    table = sw_table(m, c_list, psc_ray=data.psc_ray, kahler_facts=data.kahler)
+    rows = [(row.c, row.sw_plus, row.sw_minus) for row in table]
+    _emit_rows(args, "sw_table", ("c", "sw_plus", "sw_minus"), rows)
     return 0
 
 
@@ -183,13 +175,8 @@ def cmd_strata(args) -> int:
     data = _load(args.file)
     c1 = parse_int_vector(args.c1)
     strata = uhlenbeck_strata(data.topology, args.p1, c1, args.max_level)
-    payload = {
-        "command": "strata",
-        "rows": [{"l": s.level, "p1": s.p1, "dim": s.dim} for s in strata],
-    }
-    lines = ["l\tp1\tdim"]
-    lines.extend(f"{s.level}\t{s.p1}\t{s.dim}" for s in strata)
-    _emit(args, payload, lines)
+    rows = [(s.level, s.p1, s.dim) for s in strata]
+    _emit_rows(args, "strata", ("l", "p1", "dim"), rows)
     return 0
 
 
@@ -208,17 +195,12 @@ def cmd_chamber(args) -> int:
     ray = PeriodRay(h, args.component_sign)
     chamber = classify_chamber_oriented(m, c, ray, b)
     good = chamber is not Chamber.ON_WALL
-    _emit(
-        args,
-        {"command": "chamber", "chamber": chamber.value, "c_good": good},
-        [f"chamber = {chamber.value}", f"c_good = {_fmt(good)}"],
-    )
+    _emit(args, "chamber", {"chamber": chamber.value, "c_good": good})
     return 0
 
 
 def cmd_stability_slope(args) -> int:
-    value = slope(parse_fraction(args.degree), args.rank)
-    _emit(args, {"command": "slope", "slope": _fmt(value)}, [f"slope = {value}"])
+    _emit(args, "slope", {"slope": slope(parse_fraction(args.degree), args.rank)})
     return 0
 
 
@@ -228,31 +210,24 @@ def cmd_stability_pair(args) -> int:
     status = oriented_pair_status_rank2(
         phi_zero, Stability(args.e_stability), mu_div, parse_fraction(args.mu_e)
     )
-    _emit(
-        args,
-        {"command": "pair_rank2", "status": status.value},
-        [f"status = {status.value}"],
-    )
+    _emit(args, "pair_rank2", {"status": status.value})
     return 0
 
 
 def cmd_stability_rho(args) -> int:
     interval = rho_interval(parse_fraction(args.m_under), parse_fraction(args.m_over))
     if interval is None:
-        _emit(args, {"command": "rho_interval", "interval": None}, ["interval = empty"])
+        value, text = None, "empty"
     else:
         lo, hi = interval
-        _emit(
-            args,
-            {"command": "rho_interval", "interval": [str(lo), str(hi)]},
-            [f"interval = ({lo}, {hi})"],
-        )
+        value, text = [str(lo), str(hi)], f"({lo}, {hi})"
+    _emit(args, "rho_interval", {"interval": value}, [f"interval = {text}"])
     return 0
 
 
 def cmd_stability_poly_compare(args) -> int:
     order = poly_compare(_parse_poly(args.p), _parse_poly(args.q))
-    _emit(args, {"command": "poly_compare", "order": order.value}, [f"order = {order.value}"])
+    _emit(args, "poly_compare", {"order": order.value})
     return 0
 
 
@@ -260,35 +235,24 @@ def cmd_stability_defect(args) -> int:
     defect = framing_defect(
         _parse_poly(args.p_e), args.rk_e, _parse_poly(args.p_ker), args.rk_ker
     )
-    coeffs = tuple(defect.coeffs)
-    _emit(
-        args,
-        {"command": "framing_defect", "coeffs": [str(v) for v in coeffs]},
-        [f"defect_coeffs = {_fmt(coeffs) if coeffs else '0'}"],
-    )
+    coeffs = [str(v) for v in defect.coeffs]
+    text = ",".join(coeffs) or "0"
+    _emit(args, "framing_defect", {"coeffs": coeffs}, [f"defect_coeffs = {text}"])
     return 0
 
 
 def cmd_stability_semistable(args) -> int:
     kermax = _parse_ranked_poly(args.kermax) if args.kermax is not None else None
     subsheaves = tuple(_parse_ranked_poly(text) for text in args.subsheaf or [])
-    try:
-        profile = PairProfile(
-            rank=args.rk_e,
-            hilbert=_parse_poly(args.p_e),
-            phi_injective=args.phi_injective,
-            epsilon_iso=args.epsilon_iso,
-            kermax=kermax,
-            subsheaves=subsheaves,
-        )
-    except ValueError as exc:
-        raise DomainError(str(exc))
-    verdict = oriented_sheaf_semistable(profile)
-    _emit(
-        args,
-        {"command": "semistable", "semistable": verdict},
-        [f"semistable = {_fmt(verdict)}"],
+    profile = PairProfile(
+        rank=args.rk_e,
+        hilbert=_parse_poly(args.p_e),
+        phi_injective=args.phi_injective,
+        epsilon_iso=args.epsilon_iso,
+        kermax=kermax,
+        subsheaves=subsheaves,
     )
+    _emit(args, "semistable", {"semistable": oriented_sheaf_semistable(profile)})
     return 0
 
 
@@ -428,13 +392,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"parse error: cannot read input: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
+        # DomainError is a ValueError; both are exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

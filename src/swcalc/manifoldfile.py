@@ -8,7 +8,7 @@ row-major, one whitespace-separated row per line; ``[w2]`` holds the
 Optional ``[kahler]`` and ``[psc]`` sections carry the geometric facts;
 ``ns_basis`` and ``effective_cone`` keys repeat, one row each. Vector
 values are comma-separated integers or rationals ``p/q``. Lines
-starting with ``#`` are comments.
+starting with ``#`` are comments. Files are read as UTF-8.
 
 Parsing reports the first offending line and column with exit-code-3
 semantics; the emitter writes a canonical form that re-parses to equal
@@ -29,20 +29,22 @@ from .topology import ManifoldTopology, triple_cup_from_entries
 
 _TOKEN = re.compile(r"\S+")
 
-_KV_SECTIONS = {"manifold", "torsion", "kahler", "psc"}
+# The key = value sections and the keys each allows, in emission order.
+_KEYS = {
+    "manifold": ("name", "b1", "bplus", "bminus", "euler", "signature"),
+    "torsion": ("tors2_order",),
+    "kahler": (
+        "canonical_class",
+        "ns_basis",
+        "effective_cone",
+        "pg_zero",
+        "kahler_ray",
+        "kahler_component_sign",
+    ),
+    "psc": ("psc_ray", "psc_component_sign"),
+}
 _DATA_SECTIONS = {"intersection_form", "w2", "triple_cup"}
 _REQUIRED_SECTIONS = ("manifold", "intersection_form", "w2", "torsion")
-
-_MANIFOLD_KEYS = ("name", "b1", "bplus", "bminus", "euler", "signature")
-_KAHLER_KEYS = (
-    "canonical_class",
-    "ns_basis",
-    "effective_cone",
-    "pg_zero",
-    "kahler_ray",
-    "kahler_component_sign",
-)
-_PSC_KEYS = ("psc_ray", "psc_component_sign")
 _REPEATABLE = {"ns_basis", "effective_cone"}
 
 
@@ -102,7 +104,6 @@ class _Parser:
         self.matrix_rows: list[tuple[list[int], int]] = []
         self.w2_tokens: list[int] = []
         self.cup_entries: list[tuple[int, int, int, int]] = []
-        self.sections_seen: list[str] = []
         self.section_lines: dict[str, int] = {}
 
     def parse(self) -> ManifoldData:
@@ -118,22 +119,21 @@ class _Parser:
                         "unterminated section header", line_no, raw.index("[") + 1
                     )
                 section = stripped[1:-1].strip()
-                if section not in _KV_SECTIONS | _DATA_SECTIONS:
+                if section not in _KEYS and section not in _DATA_SECTIONS:
                     raise ManifoldFileError(
                         f"unknown section [{section}]", line_no, raw.index("[") + 1
                     )
-                if section in self.sections_seen:
+                if section in self.section_lines:
                     raise ManifoldFileError(
                         f"duplicate section [{section}]", line_no, raw.index("[") + 1
                     )
-                self.sections_seen.append(section)
                 self.section_lines[section] = line_no
                 continue
             if section is None:
                 raise ManifoldFileError(
                     "content before the first section header", line_no, 1
                 )
-            if section in _KV_SECTIONS:
+            if section in _KEYS:
                 self._kv_line(section, raw, line, line_no)
             else:
                 self._data_line(section, raw, line, line_no)
@@ -148,13 +148,7 @@ class _Parser:
         key = key.strip()
         value = value.strip()
         col = raw.index("=") + 2
-        allowed = {
-            "manifold": _MANIFOLD_KEYS,
-            "torsion": ("tors2_order",),
-            "kahler": _KAHLER_KEYS,
-            "psc": _PSC_KEYS,
-        }[section]
-        if key not in allowed:
+        if key not in _KEYS[section]:
             raise ManifoldFileError(
                 f"unknown key {key!r} in [{section}]", line_no, 1
             )
@@ -201,17 +195,16 @@ class _Parser:
 
     def _build(self) -> ManifoldData:
         for section in _REQUIRED_SECTIONS:
-            if section not in self.sections_seen:
+            if section not in self.section_lines:
                 raise ManifoldFileError(
                     f"missing required section [{section}]", len(self.lines) or 1, 1
                 )
         name = self._require("manifold", "name")[0]
         ints = {
             key: _parse(parse_int, *self._require("manifold", key))
-            for key in ("b1", "bplus", "bminus", "euler", "signature")
+            for key in _KEYS["manifold"][1:]
         }
-        tors_value, tors_line, tors_col = self._require("torsion", "tors2_order")
-        tors2 = _parse(parse_int, tors_value, tors_line, tors_col)
+        tors2 = _parse(parse_int, *self._require("torsion", "tors2_order"))
         n = len(self.matrix_rows)
         for row, line_no in self.matrix_rows:
             if len(row) != n:
@@ -256,7 +249,7 @@ class _Parser:
         )
 
     def _build_kahler(self) -> Optional[KahlerFacts]:
-        if "kahler" not in self.sections_seen:
+        if "kahler" not in self.section_lines:
             return None
         canonical = _parse(parse_int_vector, *self._require("kahler", "canonical_class"))
         rows = self.kv_rows.get("kahler", {})
@@ -278,7 +271,7 @@ class _Parser:
         )
 
     def _build_psc(self) -> Optional[PeriodRay]:
-        if "psc" not in self.sections_seen:
+        if "psc" not in self.section_lines:
             return None
         return self._ray("psc", "psc_ray", "psc_component_sign")
 
@@ -297,8 +290,14 @@ def parse_manifold_text(text: str) -> ManifoldData:
 
 
 def load_manifold_file(path) -> ManifoldData:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_manifold_text(handle.read())
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ManifoldFileError("input is not valid UTF-8", line) from None
+    return parse_manifold_text(text)
 
 
 def _fmt_vec(values) -> str:
@@ -317,12 +316,7 @@ def emit_manifold_text(data: ManifoldData) -> str:
     m = data.topology
     out = []
     out.append("[manifold]")
-    out.append(f"name = {m.name}")
-    out.append(f"b1 = {m.b1}")
-    out.append(f"bplus = {m.bplus}")
-    out.append(f"bminus = {m.bminus}")
-    out.append(f"euler = {m.euler}")
-    out.append(f"signature = {m.signature}")
+    out.extend(f"{key} = {getattr(m, key)}" for key in _KEYS["manifold"])
     out.append("")
     out.append("[intersection_form]")
     for row in m.intersection_form:

@@ -15,6 +15,7 @@ witnesses supplied.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -74,14 +75,8 @@ class HilbertPoly:
         return self.coeffs[-1]
 
     def __add__(self, other: "HilbertPoly") -> "HilbertPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return HilbertPoly(
-            tuple(
-                (self.coeffs[i] if i < len(self.coeffs) else Fraction(0))
-                + (other.coeffs[i] if i < len(other.coeffs) else Fraction(0))
-                for i in range(n)
-            )
-        )
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return HilbertPoly(tuple(a + b for a, b in pairs))
 
     def __neg__(self) -> "HilbertPoly":
         return HilbertPoly(tuple(-v for v in self.coeffs))
@@ -108,14 +103,13 @@ def poly_compare(p: HilbertPoly, q: HilbertPoly) -> Ordering:
     distinct polynomials it agrees with the sign of p(n) - q(n) for all
     sufficiently large n.
     """
-    n = max(len(p.coeffs), len(q.coeffs))
-    for i in range(n - 1, -1, -1):
-        a = p.coeffs[i] if i < len(p.coeffs) else Fraction(0)
-        b = q.coeffs[i] if i < len(q.coeffs) else Fraction(0)
-        if a < b:
-            return Ordering.LESS
-        if a > b:
-            return Ordering.GREATER
+    # p - q has its trailing zeros stripped, so its leading coefficient
+    # is the highest one where p and q differ.
+    lead = (p - q).leading
+    if lead < 0:
+        return Ordering.LESS
+    if lead > 0:
+        return Ordering.GREATER
     return Ordering.EQUAL
 
 
@@ -144,11 +138,7 @@ def oriented_pair_status_rank2(
     if phi_zero:
         if mu_div is not None:
             raise DomainError("mu_div must be omitted when the section vanishes")
-        if e_stability is Stability.STABLE:
-            return Stability.STABLE
-        if e_stability is Stability.POLYSTABLE:
-            return Stability.POLYSTABLE
-        return Stability.NEITHER
+        return e_stability
     if mu_div is None:
         raise DomainError("mu_div is required when the section is nonzero")
     if Fraction(mu_div) < Fraction(mu_e):

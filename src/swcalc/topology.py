@@ -19,6 +19,7 @@ rather than a rounding problem.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -374,15 +375,9 @@ def characteristic_range(
     parity w2[i] in the box. Raises DomainError when the enumeration
     would exceed ``limit`` vectors.
     """
-    per_coord: list[list[int]] = []
-    for w in m.w2:
-        vals = [v for v in range(cmin, cmax + 1) if (v - w) % 2 == 0]
-        per_coord.append(vals)
-    count = 1
-    for vals in per_coord:
-        count *= len(vals)
-        if count > limit:
-            raise DomainError(
-                f"characteristic range would enumerate more than {limit} vectors"
-            )
-    return [tuple(c) for c in itertools.product(*per_coord)]
+    per_coord = [range(cmin + (cmin - w) % 2, cmax + 1, 2) for w in m.w2]
+    if math.prod(len(values) for values in per_coord) > limit:
+        raise DomainError(
+            f"characteristic range would enumerate more than {limit} vectors"
+        )
+    return list(itertools.product(*per_coord))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from swcalc.cli import main
+from swcalc.kahler import SWRow
 
 from conftest import P2_FILE_TEXT
 
@@ -121,6 +122,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.manifold"
+    path.write_bytes(b"[manifold]\n\xff\n")
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: line 2")
+
+
 def test_dim_abelian(p2_file, capsys):
     code, out, _ = run(capsys, ["dim", str(p2_file), "--c=3"])
     assert code == 0
@@ -226,6 +235,19 @@ def test_sw_table_json(p2_file, capsys):
     assert payload["command"] == "sw_table"
     assert payload["rows"][0] == {"c": "-3", "sw_plus": 0, "sw_minus": -1}
     assert payload["rows"][-1] == {"c": "3", "sw_plus": 1, "sw_minus": 0}
+
+
+def test_sw_table_undetermined_entries(p2_file, capsys, monkeypatch):
+    # No demo file has an undecidable row, so stand in a table with one.
+    monkeypatch.setattr(
+        "swcalc.cli.sw_table", lambda *args, **kwargs: [SWRow((1,), None, 0)]
+    )
+    code, out, _ = run(capsys, ["sw-table", str(p2_file), "--cmin=1", "--cmax=1"])
+    assert (code, out) == (0, "c\tsw_plus\tsw_minus\n1\tundetermined\t0\n")
+    argv = ["sw-table", str(p2_file), "--cmin=1", "--cmax=1", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"c": "1", "sw_plus": None, "sw_minus": 0}]
 
 
 def test_strata_plantiko(p2_file, capsys):

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from swcalc import ManifoldFileError, emit_manifold_text, parse_manifold_text
+from swcalc import (
+    ManifoldFileError,
+    emit_manifold_text,
+    load_manifold_file,
+    parse_manifold_text,
+)
 
 from conftest import P2_FILE_TEXT
 
@@ -117,6 +122,15 @@ def test_parse_errors_carry_line_and_column():
             assert (info.value.line, info.value.column) == (23, 13)
         else:
             assert parse_manifold_text(text).kahler.kahler_ray.h == ray
+
+
+def test_load_rejects_non_utf8_input(tmp_path):
+    path = tmp_path / "latin1.manifold"
+    path.write_bytes(b"[manifold]\n\xff\n")
+    with pytest.raises(ManifoldFileError) as info:
+        load_manifold_file(path)
+    assert info.value.line == 2
+    assert str(info.value) == "line 2: input is not valid UTF-8"
 
 
 def test_parse_rejects_duplicate_cup_entries():

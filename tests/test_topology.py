@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -246,6 +247,30 @@ def test_characteristic_range(p2, s2xs2):
     assert all(is_characteristic(s2xs2, c) for c in values)
     with pytest.raises(DomainError):
         characteristic_range(s2xs2, -2, 2, limit=3)
+
+
+def test_characteristic_range_matches_filtered_box():
+    # Oracle: every vector of the box, kept when each entry has the
+    # parity of its w2 entry; empty boxes (cmin > cmax) included.
+    for n in range(4):
+        form = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        for w2 in itertools.product((0, 1), repeat=n):
+            m = ManifoldTopology(
+                name="box", b1=0, bplus=n, bminus=0, euler=n + 2, signature=n,
+                intersection_form=form, w2=w2,
+            )
+            for cmin, cmax in itertools.product(range(-4, 5), repeat=2):
+                box = itertools.product(range(cmin, cmax + 1), repeat=n)
+                expected = [
+                    c for c in box if all((v - w) % 2 == 0 for v, w in zip(c, w2))
+                ]
+                assert characteristic_range(m, cmin, cmax) == expected
+                count = len(expected)
+                assert characteristic_range(m, cmin, cmax, limit=count) == expected
+                if count:
+                    # count = limit + 1 vectors is one too many.
+                    with pytest.raises(DomainError):
+                        characteristic_range(m, cmin, cmax, limit=count - 1)
 
 
 def _k3_like() -> ManifoldTopology:
