@@ -88,9 +88,6 @@ class ExtForm:
             raise DomainError(f"form is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def homogeneous_part(self, r: int) -> "ExtForm":
-        return ExtForm(self.b1, {k: v for k, v in self.coeffs.items() if len(k) == r})
-
     def _check_compatible(self, other: "ExtForm") -> None:
         if self.b1 != other.b1:
             raise DimensionMismatchError(

@@ -24,9 +24,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .chambers import PeriodRay, pairing_sign, ray_violation, require_same_component
-from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
-from .extalg import ExtForm, wall_crossing_jump
-from .linalg import Scalar, cone_contains, integer_combination, rank
+from .errors import DimensionMismatchError, DomainError
+from .linalg import Scalar, _integer_rows, cone_contains, dot, integer_combination, matvec, rank
 from .topology import (
     IntVector,
     ManifoldTopology,
@@ -197,15 +196,9 @@ def sw_pg0_invariants(
     _require_pg_zero_facts(m, facts)
     line_class = _require_line_class(m, line_class)
     c = tuple(2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class))
-    return _pg0_pair(facts, line_class, expected_dim_abelian(m, c))
-
-
-def _pg0_pair(facts: KahlerFacts, line_class: Sequence[int], w: int) -> tuple[int, int]:
-    if w < 0:
+    if expected_dim_abelian(m, c) < 0:
         return (0, 0)
-    if _douady_nonempty(facts, line_class):
-        return (1, 0)
-    return (0, -1)
+    return (1, 0) if _douady_nonempty(facts, line_class) else (0, -1)
 
 
 @dataclass(frozen=True)
@@ -221,40 +214,6 @@ class SWRow:
     sw_minus: Optional[int]
 
 
-def _psc_pair(
-    m: ManifoldTopology, c: IntVector, psc_ray: PeriodRay, w: int, delta: int
-) -> tuple[Optional[int], Optional[int]]:
-    # A positive-scalar-curvature metric has empty untwisted moduli, so
-    # the invariant computed in the chamber containing (ray, 0) is 0 and
-    # the opposite chamber follows from the wall-crossing jump.
-    if w < 0:
-        return (0, 0)
-    s = psc_ray.component_sign * pairing_sign(m, c, psc_ray.h)
-    if s == 0:
-        return (None, None)
-    if s > 0:
-        return (delta, 0)
-    return (0, -delta)
-
-
-def _merge_pairs(
-    c: IntVector,
-    pairs: list[tuple[Optional[int], Optional[int]]],
-) -> tuple[Optional[int], Optional[int]]:
-    merged: list[Optional[int]] = [None, None]
-    for pair in pairs:
-        for i, value in enumerate(pair):
-            if value is None:
-                continue
-            if merged[i] is not None and merged[i] != value:
-                raise DomainError(
-                    f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
-                    f"SW{'+-'[i]} = {merged[i]} vs {value}; the supplied facts are inconsistent"
-                )
-            merged[i] = value
-    return merged[0], merged[1]
-
-
 def sw_table(
     m: ManifoldTopology,
     c_list: Sequence[Sequence[int]],
@@ -266,17 +225,19 @@ def sw_table(
 
     Three arguments fill a row: negative expected dimension forces
     (0, 0); a positive-scalar-curvature ray zeroes the chamber
-    containing (ray, 0) and the wall-crossing jump fills the other; the
-    p_g = 0 Douady rule decides both values at once. Rows are emitted in
-    lexicographically sorted c order (they are independent, so a caller
-    may well compute them concurrently, but the output order is fixed),
-    and every determined row is checked against the wall-crossing jump.
+    containing (ray, 0) and the wall-crossing jump fills the other,
+    which for b1 = 0 is 1 when w_c >= 0; the p_g = 0 Douady rule decides
+    both values at once. Rows are emitted in lexicographically sorted c
+    order (they are independent, so a caller may well compute them
+    concurrently, but the output order is fixed).
 
     The manifold (b1 = 0, bplus = 1), the rays (length b2, positive
     square, one hyperbola component for both) and the Kahler facts
     (:func:`validate_kahler_facts`, p_g = 0) are checked once, before
-    any row. Each row then checks only its own c: length b2, c == w2
-    (mod 2) and c^2 == signature (mod 8).
+    any row. Each row then checks only its own c (length b2, c == w2
+    mod 2, c^2 == signature mod 8), that w_c is even (an odd w_c means
+    inconsistent Betti data) and, where both pipelines decide the row,
+    that they agree.
     """
     if m.b1 != 0:
         raise DomainError(f"the table synthesis requires b1 = 0, got {m.b1}")
@@ -294,23 +255,38 @@ def sw_table(
         _require_pg_zero_facts(m, kahler_facts)
     if psc_ray is not None and kahler_facts is not None:
         require_same_component(m, psc_ray, kahler_facts.kahler_ray)
-    unit = ExtForm.scalar(0, 1)
+    if psc_ray is not None:
+        # The wall sign of c is the sign of c . u, u = q h scaled to
+        # integers (by a positive factor) and signed by the component.
+        (u,), _ = _integer_rows([matvec(m.intersection_form, psc_ray.h)])
+        u = [psc_ray.component_sign * v for v in u]
     rows = []
     for c in sorted(set(_as_int_vector(c, "characteristic vector entry") for c in c_list)):
         w = spinor_c2(m, characteristic_square(m, c), 1)
-        delta = wall_crossing_jump(m, c, w, unit, 1)
-        pairs = []
+        if w % 2:  # wall_crossing_jump's refusal on the unit test form
+            raise DomainError(
+                "test form degree r = 0 must have the parity of the expected "
+                f"dimension w = {w}"
+            )
+        if w < 0:
+            rows.append(SWRow(c, 0, 0))
+            continue
+        pair: tuple[Optional[int], Optional[int]] = (None, None)
         if psc_ray is not None:
-            pairs.append(_psc_pair(m, c, psc_ray, w, delta))
+            # A positive-scalar-curvature metric has empty untwisted moduli,
+            # so the chamber containing (ray, 0) carries 0 and the other one
+            # the jump 1.
+            s = dot(c, u)
+            pair = (1, 0) if s > 0 else (0, -1) if s < 0 else (None, None)
         if kahler_facts is not None:
             # c and K are both characteristic, so c + K is even.
             line_class = [(cv + kv) // 2 for cv, kv in zip(c, kahler_facts.canonical_class)]
-            pairs.append(_pg0_pair(kahler_facts, line_class, w))
-        plus, minus = _merge_pairs(c, pairs)
-        if plus is not None and minus is not None and plus - minus != delta:
-            raise InvalidTopologyError(
-                f"table row at c = {list(c)} violates the wall-crossing "
-                f"identity: SW+ - SW- = {plus - minus}, jump = {delta}"
-            )
-        rows.append(SWRow(c, plus, minus))
+            kahler = (1, 0) if _douady_nonempty(kahler_facts, line_class) else (0, -1)
+            if pair[0] is not None and pair != kahler:
+                raise DomainError(
+                    f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
+                    f"SW+ = {pair[0]} vs {kahler[0]}; the supplied facts are inconsistent"
+                )
+            pair = kahler
+        rows.append(SWRow(c, *pair))
     return rows

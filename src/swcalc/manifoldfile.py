@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chambers import PeriodRay
-from .errors import ManifoldFileError
+from .errors import DomainError, ManifoldFileError
 from .kahler import KahlerFacts
 from .topology import ManifoldTopology, triple_cup_from_entries
 
@@ -312,8 +312,14 @@ def _ray_lines(ray: PeriodRay, ray_key: str, sign_key: str) -> list[str]:
 
 
 def emit_manifold_text(data: ManifoldData) -> str:
-    """Canonical serialization; re-parsing yields equal ManifoldData."""
+    """Canonical serialization; re-parsing yields equal ManifoldData. A
+    name holding '#', a line break or outer whitespace raises DomainError."""
     m = data.topology
+    if "#" in m.name or "".join(m.name.splitlines()) != m.name or m.name != m.name.strip():
+        raise DomainError(
+            f"name {m.name!r} does not re-parse: it must hold no '#' or line "
+            "break and neither start nor end with whitespace"
+        )
     out = []
     out.append("[manifold]")
     out.extend(f"{key} = {getattr(m, key)}" for key in _KEYS["manifold"])

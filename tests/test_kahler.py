@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -49,15 +51,17 @@ U = ((2, 1, 1), (3, 2, 1), (2, 1, 2))
 U_INV = ((3, -1, -1), (-4, 2, 1), (-1, 0, 1))
 
 
+def to_new(v):
+    """Coordinates in the basis of U's columns of a class given in the
+    diagonal basis (H, E1, E2)."""
+    return tuple(sum(U_INV[i][j] * v[j] for j in range(3)) for i in range(3))
+
+
 def p2_blown_up_twice_dense():
     """P2#2(-P2) in the basis given by the columns of U, with both rays
     at -K, the effective cone spanned by the (-1)-curves E1, E2 and
     H - E1 - E2, and the characteristic vectors of the diagonal box
     [-3, 3]^3 written in that basis."""
-
-    def to_new(v):
-        return tuple(sum(U_INV[i][j] * v[j] for j in range(3)) for i in range(3))
-
     diag = (1, -1, -1)
     q = tuple(
         tuple(sum(U[k][i] * diag[k] * U[k][j] for k in range(3)) for j in range(3))
@@ -305,6 +309,32 @@ def test_sw_table_rejects_conflicting_orientations(p2, p2_ray, p2_kahler):
         )
 
 
+def test_sw_table_refuses_disagreeing_facts(p2, p2_ray):
+    # An effective cone spanned by -H contradicts the PSC vanishing on
+    # both sides of the wall.
+    facts = KahlerFacts(
+        canonical_class=(-3,),
+        ns_basis=((1,),),
+        effective_cone=((Fraction(-1),),),
+        pg_zero=True,
+        kahler_ray=p2_ray,
+    )
+    for c, plus_psc, plus_kahler in (((5,), 1, 0), ((-5,), 0, 1)):
+        message = (
+            f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
+            f"SW+ = {plus_psc} vs {plus_kahler}; the supplied facts are inconsistent"
+        )
+        with pytest.raises(DomainError, match=re.escape(message)):
+            sw_table(p2, [c], psc_ray=p2_ray, kahler_facts=facts)
+
+
+def test_sw_table_refuses_odd_dimension(p2, p2_ray):
+    # A wrong euler number makes w_c = (9 - 13) / 4 = -1 odd at c = 3.
+    wrong_euler = dataclasses.replace(p2, euler=5)
+    with pytest.raises(DomainError, match=r"w = -1$"):
+        sw_table(wrong_euler, [(3,)], psc_ray=p2_ray)
+
+
 def test_sw_table_quadric_cross_path(s2xs2):
     # The product metric on the quadric has positive curvature. Both
     # pipelines must fill the whole box.
@@ -370,9 +400,21 @@ def public_row(m, c, psc_ray, facts):
     return SWRow(c, plus[0] if plus else None, minus[0] if minus else None)
 
 
-@pytest.mark.parametrize("mode", ["psc", "kahler", "both"])
-@pytest.mark.parametrize("lattice", ["p2", "quadric", "p2#2 dense"])
+# A ray whose entries have distinct denominators, so that the wall sign
+# runs on the ray scaled to integers.
+FRACTIONAL_RAY = to_new((Fraction(3), Fraction(-1, 2), Fraction(-2, 3)))
+
+
+@pytest.mark.parametrize(
+    "lattice, mode",
+    [
+        *itertools.product(["p2", "quadric", "p2#2 dense"], ["psc", "kahler", "both"]),
+        ("p2#2 dense fractional ray", "psc"),
+        ("p2#2 dense fractional ray flipped", "psc"),
+    ],
+)
 def test_sw_table_rows_match_public_composition(lattice, mode, p2, p2_ray, p2_kahler, s2xs2):
+    dense = p2_blown_up_twice_dense()
     m, ray, facts, c_list = {
         "p2": (p2, p2_ray, p2_kahler, characteristic_range(p2, -9, 9)),
         "quadric": (
@@ -381,7 +423,11 @@ def test_sw_table_rows_match_public_composition(lattice, mode, p2, p2_ray, p2_ka
             quadric_facts(),
             characteristic_range(s2xs2, -4, 4),
         ),
-        "p2#2 dense": p2_blown_up_twice_dense(),
+        "p2#2 dense": dense,
+        "p2#2 dense fractional ray": (dense[0], PeriodRay(FRACTIONAL_RAY), None, dense[3]),
+        "p2#2 dense fractional ray flipped": (
+            dense[0], PeriodRay(FRACTIONAL_RAY, -1), None, dense[3],
+        ),
     }[lattice]
     ray = ray if mode != "kahler" else None
     facts = facts if mode != "psc" else None

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from swcalc import (
+    DomainError,
     ManifoldFileError,
     emit_manifold_text,
     load_manifold_file,
@@ -170,8 +176,79 @@ def test_round_trip_with_cup_and_component_signs():
     assert again == data
 
 
+def _renamed(name):
+    data = parse_manifold_text(P2_FILE_TEXT)
+    return dataclasses.replace(data, topology=dataclasses.replace(data.topology, name=name))
+
+
+@pytest.mark.parametrize(
+    "name", ["P#2", "  ", " P2", "P2 ", "P2\nb1 = 3", "P2\r", "P2\x0bX", "P2\u2028X"]
+)
+def test_emit_refuses_names_that_do_not_parse_back(name):
+    # Written out, each would read back as other data: "P#2" as "P" (the
+    # rest is a comment), blank names as "", "P2\nb1 = 3" as a second b1.
+    with pytest.raises(DomainError, match="does not re-parse"):
+        emit_manifold_text(_renamed(name))
+
+
+@pytest.mark.parametrize("name", ["", "P2 (blown up)", "a=b", "[w2]"])
+def test_emit_round_trips_unusual_names(name):
+    data = _renamed(name)
+    assert parse_manifold_text(emit_manifold_text(data)) == data
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = "# leading comment\n\n" + P2_FILE_TEXT.replace(
         "[torsion]", "# about torsion\n[torsion]"
     )
     assert parse_manifold_text(text).topology.name == "P2"
+
+
+CUBIC_FILE_TEXT = (
+    Path(__file__).resolve().parent.parent / "demos" / "cubic_surface.manifold"
+).read_text(encoding="utf-8")
+# Tokens of the two seed files, whitespace and separators included, plus
+# a few that they lack.
+_FILE_TOKENS = re.compile(r"\s+|[,=#/\[\]]|[^\s,=#/\[\]]+")
+TOKEN_POOL = sorted(
+    set(_FILE_TOKENS.findall(P2_FILE_TEXT + CUBIC_FILE_TEXT))
+    | {"[triple_cup]", "[psc]", "1 2 1 2", "-1", "0", "x", "false", "psc_component_sign"}
+)
+
+
+@st.composite
+def mutated_files(draw):
+    tokens = _FILE_TOKENS.findall(draw(st.sampled_from([P2_FILE_TEXT, CUBIC_FILE_TEXT])))
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        else:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(TOKEN_POOL)))
+    return "".join(tokens)
+
+
+def _declared_b1(text):
+    values = [0]
+    for line in text.splitlines():
+        key, eq, value = line.split("#", 1)[0].partition("=")
+        if eq and key.strip() == "b1":
+            try:
+                values.append(int(value.strip()))
+            except ValueError:
+                pass
+    return max(values)
+
+
+@settings(max_examples=400)
+@given(mutated_files())
+def test_mutated_files_fail_cleanly_or_round_trip(text):
+    # The constructor allocates a zero b1 x b1 x b2 cup tensor, so a
+    # mutation that declares a huge b1 only measures allocation time.
+    assume(_declared_b1(text) < 1000)
+    try:
+        data = parse_manifold_text(text)
+    except ManifoldFileError:
+        event("refused")
+        return
+    event("parsed")
+    assert parse_manifold_text(emit_manifold_text(data)) == data
