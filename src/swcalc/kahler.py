@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .chambers import PeriodRay, pairing_sign, ray_violation, require_same_component
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
 from .linalg import Scalar, _integer_rows, cone_contains, dot, integer_combination, matvec, rank
 from .topology import (
     IntVector,
@@ -234,10 +234,12 @@ def sw_table(
     The manifold (b1 = 0, bplus = 1), the rays (length b2, positive
     square, one hyperbola component for both) and the Kahler facts
     (:func:`validate_kahler_facts`, p_g = 0) are checked once, before
-    any row. Each row then checks only its own c (length b2, c == w2
-    mod 2, c^2 == signature mod 8), that w_c is even (an odd w_c means
-    inconsistent Betti data) and, where both pipelines decide the row,
-    that they agree.
+    any row, and then signature + euler == 0 (mod 4): given the row
+    congruence c^2 == signature (mod 8), that is exactly when every w_c
+    is an even integer, so inconsistent Betti data is refused even for
+    an empty c_list. Each row then checks only its own c (length b2,
+    c == w2 mod 2, c^2 == signature mod 8) and, where both pipelines
+    decide the row, that they agree.
     """
     if m.b1 != 0:
         raise DomainError(f"the table synthesis requires b1 = 0, got {m.b1}")
@@ -255,6 +257,12 @@ def sw_table(
         _require_pg_zero_facts(m, kahler_facts)
     if psc_ray is not None and kahler_facts is not None:
         require_same_component(m, psc_ray, kahler_facts.kahler_ray)
+    if (m.signature + m.euler) % 4:
+        raise InvalidTopologyError(
+            f"signature + euler = {m.signature + m.euler} is not divisible by 4, so "
+            "the expected dimensions are not even integers; the topology data is "
+            "inconsistent"
+        )
     if psc_ray is not None:
         # The wall sign of c is the sign of c . u, u = q h scaled to
         # integers (by a positive factor) and signed by the component.
@@ -262,13 +270,7 @@ def sw_table(
         u = [psc_ray.component_sign * v for v in u]
     rows = []
     for c in sorted(set(_as_int_vector(c, "characteristic vector entry") for c in c_list)):
-        w = spinor_c2(m, characteristic_square(m, c), 1)
-        if w % 2:  # wall_crossing_jump's refusal on the unit test form
-            raise DomainError(
-                "test form degree r = 0 must have the parity of the expected "
-                f"dimension w = {w}"
-            )
-        if w < 0:
+        if spinor_c2(m, characteristic_square(m, c), 1) < 0:
             rows.append(SWRow(c, 0, 0))
             continue
         pair: tuple[Optional[int], Optional[int]] = (None, None)

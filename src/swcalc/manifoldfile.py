@@ -10,9 +10,12 @@ Optional ``[kahler]`` and ``[psc]`` sections carry the geometric facts;
 values are comma-separated integers or rationals ``p/q``. Lines
 starting with ``#`` are comments. Files are read as UTF-8.
 
-Parsing reports the first offending line and column with exit-code-3
-semantics; the emitter writes a canonical form that re-parses to equal
-data.
+Parsing is one pass, one key store: a single pass over the lines files
+every ``key = value`` entry under its key (each key belongs to exactly
+one section) and parses data lines token by token; the data is then
+built from that store. It reports the first offending line and column
+with exit-code-3 semantics; the emitter writes a canonical form that
+re-parses to equal data.
 """
 
 from __future__ import annotations
@@ -88,205 +91,126 @@ def _parse(parse, text: str, line_no: int, col: int):
         raise ManifoldFileError(str(exc), line_no, col) from None
 
 
-def _parse_bool(value: str, line_no: int, col: int) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ManifoldFileError(f"expected true or false, got {value!r}", line_no, col)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.kv: dict[str, dict[str, tuple[str, int, int]]] = {}
-        self.kv_rows: dict[str, dict[str, list[tuple[str, int, int]]]] = {}
-        self.matrix_rows: list[tuple[list[int], int]] = []
-        self.w2_tokens: list[int] = []
-        self.cup_entries: list[tuple[int, int, int, int]] = []
-        self.section_lines: dict[str, int] = {}
-
-    def parse(self) -> ManifoldData:
-        section = None
-        for line_no, raw in enumerate(self.lines, start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            stripped = line.strip()
-            if stripped.startswith("["):
-                if not stripped.endswith("]"):
-                    raise ManifoldFileError(
-                        "unterminated section header", line_no, raw.index("[") + 1
-                    )
-                section = stripped[1:-1].strip()
-                if section not in _KEYS and section not in _DATA_SECTIONS:
-                    raise ManifoldFileError(
-                        f"unknown section [{section}]", line_no, raw.index("[") + 1
-                    )
-                if section in self.section_lines:
-                    raise ManifoldFileError(
-                        f"duplicate section [{section}]", line_no, raw.index("[") + 1
-                    )
-                self.section_lines[section] = line_no
-                continue
-            if section is None:
-                raise ManifoldFileError(
-                    "content before the first section header", line_no, 1
-                )
-            if section in _KEYS:
-                self._kv_line(section, raw, line, line_no)
-            else:
-                self._data_line(section, raw, line, line_no)
-        return self._build()
-
-    def _kv_line(self, section: str, raw: str, line: str, line_no: int) -> None:
-        if "=" not in line:
-            raise ManifoldFileError(
-                f"expected 'key = value' in [{section}]", line_no, 1
-            )
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        col = raw.index("=") + 2
-        if key not in _KEYS[section]:
-            raise ManifoldFileError(
-                f"unknown key {key!r} in [{section}]", line_no, 1
-            )
-        if key in _REPEATABLE:
-            self.kv_rows.setdefault(section, {}).setdefault(key, []).append(
-                (value, line_no, col)
-            )
-            return
-        if key in self.kv.get(section, {}):
-            raise ManifoldFileError(
-                f"duplicate key {key!r} in [{section}]", line_no, 1
-            )
-        self.kv.setdefault(section, {})[key] = (value, line_no, col)
-
-    def _data_line(self, section: str, raw: str, line: str, line_no: int) -> None:
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
-        if section == "intersection_form":
-            row = [_parse(parse_int, tok, line_no, col) for tok, col in tokens]
-            self.matrix_rows.append((row, line_no))
-        elif section == "w2":
-            for tok, col in tokens:
-                value = _parse(parse_int, tok, line_no, col)
-                if value not in (0, 1):
-                    raise ManifoldFileError(
-                        f"w2 entries must be 0 or 1, got {value}", line_no, col
-                    )
-                self.w2_tokens.append(value)
-        else:
-            if len(tokens) != 4:
-                raise ManifoldFileError(
-                    "triple cup entries are 'i j k value'", line_no, tokens[0][1]
-                )
-            i, j, k, v = (_parse(parse_int, tok, line_no, col) for tok, col in tokens)
-            self.cup_entries.append((i, j, k, v))
-
-    def _require(self, section: str, key: str) -> tuple[str, int, int]:
-        try:
-            return self.kv[section][key]
-        except KeyError:
-            line = self.section_lines.get(section, len(self.lines))
-            raise ManifoldFileError(
-                f"missing key {key!r} in [{section}]", line, 1
-            )
-
-    def _build(self) -> ManifoldData:
-        for section in _REQUIRED_SECTIONS:
-            if section not in self.section_lines:
-                raise ManifoldFileError(
-                    f"missing required section [{section}]", len(self.lines) or 1, 1
-                )
-        name = self._require("manifold", "name")[0]
-        ints = {
-            key: _parse(parse_int, *self._require("manifold", key))
-            for key in _KEYS["manifold"][1:]
-        }
-        tors2 = _parse(parse_int, *self._require("torsion", "tors2_order"))
-        n = len(self.matrix_rows)
-        for row, line_no in self.matrix_rows:
-            if len(row) != n:
-                raise ManifoldFileError(
-                    f"matrix row has {len(row)} entries, expected {n} "
-                    "(the intersection form must be square)",
-                    line_no,
-                    1,
-                )
-        matrix = tuple(tuple(row) for row, _ in self.matrix_rows)
-        if len(self.w2_tokens) != n:
-            line = self.section_lines.get("w2", 1)
-            raise ManifoldFileError(
-                f"w2 has {len(self.w2_tokens)} entries, expected b2 = {n}", line, 1
-            )
-        cup = ()
-        if self.cup_entries:
-            cup_line = self.section_lines.get("triple_cup", 1)
-            try:
-                cup = triple_cup_from_entries(ints["b1"], n, self.cup_entries)
-            except ValueError as exc:
-                raise ManifoldFileError(str(exc), cup_line, 1)
-        try:
-            topology = ManifoldTopology(
-                name=name,
-                b1=ints["b1"],
-                bplus=ints["bplus"],
-                bminus=ints["bminus"],
-                euler=ints["euler"],
-                signature=ints["signature"],
-                intersection_form=matrix,
-                w2=tuple(self.w2_tokens),
-                tors2_order=tors2,
-                triple_cup=cup,
-            )
-        except ValueError as exc:
-            raise ManifoldFileError(str(exc), self.section_lines.get("manifold", 1), 1)
-        return ManifoldData(
-            topology=topology,
-            kahler=self._build_kahler(),
-            psc_ray=self._build_psc(),
-        )
-
-    def _build_kahler(self) -> Optional[KahlerFacts]:
-        if "kahler" not in self.section_lines:
-            return None
-        canonical = _parse(parse_int_vector, *self._require("kahler", "canonical_class"))
-        rows = self.kv_rows.get("kahler", {})
-        ns_rows = tuple(
-            _parse(parse_int_vector, value, line, col)
-            for value, line, col in rows.get("ns_basis", [])
-        )
-        cone_rows = tuple(
-            _parse(parse_fraction_vector, value, line, col)
-            for value, line, col in rows.get("effective_cone", [])
-        )
-        pg_zero = _parse_bool(*self._require("kahler", "pg_zero"))
-        return KahlerFacts(
-            canonical_class=canonical,
-            ns_basis=ns_rows,
-            effective_cone=cone_rows,
-            pg_zero=pg_zero,
-            kahler_ray=self._ray("kahler", "kahler_ray", "kahler_component_sign"),
-        )
-
-    def _build_psc(self) -> Optional[PeriodRay]:
-        if "psc" not in self.section_lines:
-            return None
-        return self._ray("psc", "psc_ray", "psc_component_sign")
-
-    def _ray(self, section: str, ray_key: str, sign_key: str) -> PeriodRay:
-        h = _parse(parse_fraction_vector, *self._require(section, ray_key))
-        sign_entry = self.kv[section].get(sign_key)
-        sign = _parse(parse_int, *sign_entry) if sign_entry else 1
-        try:
-            return PeriodRay(h, sign)
-        except ValueError as exc:
-            raise ManifoldFileError(str(exc), *sign_entry[1:])
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 def parse_manifold_text(text: str) -> ManifoldData:
-    return _Parser(text).parse()
+    """Parse one manifold file; every refusal is a ManifoldFileError at
+    the first offending line and column."""
+    lines = text.splitlines()
+    headers: dict[str, int] = {}
+    entries: dict[str, list[tuple[str, int, int]]] = {}
+    rows: dict[str, list[tuple[list[int], int]]] = {s: [] for s in _DATA_SECTIONS}
+    section = None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("["):
+            col = raw.index("[") + 1
+            if not stripped.endswith("]"):
+                raise ManifoldFileError("unterminated section header", line_no, col)
+            section = stripped[1:-1].strip()
+            if section not in _KEYS and section not in _DATA_SECTIONS:
+                raise ManifoldFileError(f"unknown section [{section}]", line_no, col)
+            if section in headers:
+                raise ManifoldFileError(f"duplicate section [{section}]", line_no, col)
+            headers[section] = line_no
+        elif section is None:
+            raise ManifoldFileError("content before the first section header", line_no, 1)
+        elif section in _KEYS:
+            if "=" not in line:
+                raise ManifoldFileError(f"expected 'key = value' in [{section}]", line_no, 1)
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in _KEYS[section]:
+                raise ManifoldFileError(f"unknown key {key!r} in [{section}]", line_no, 1)
+            if key in entries and key not in _REPEATABLE:
+                raise ManifoldFileError(f"duplicate key {key!r} in [{section}]", line_no, 1)
+            entries.setdefault(key, []).append((value.strip(), line_no, raw.index("=") + 2))
+        else:
+            tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+            if section == "triple_cup" and len(tokens) != 4:
+                raise ManifoldFileError(
+                    "triple cup entries are 'i j k value'", line_no, tokens[0][1]
+                )
+            row = []
+            for token, col in tokens:
+                row.append(_parse(parse_int, token, line_no, col))
+                if section == "w2" and row[-1] not in (0, 1):
+                    raise ManifoldFileError(
+                        f"w2 entries must be 0 or 1, got {row[-1]}", line_no, col
+                    )
+            rows[section].append((row, line_no))
+
+    for section in _REQUIRED_SECTIONS:
+        if section not in headers:
+            raise ManifoldFileError(
+                f"missing required section [{section}]", len(lines) or 1, 1
+            )
+
+    # Every section named below is present: required, or checked first.
+    def need(section, key, parse):
+        if key not in entries:
+            raise ManifoldFileError(f"missing key {key!r} in [{section}]", headers[section], 1)
+        return _parse(parse, *entries[key][0])
+
+    def ray(section):
+        h = need(section, f"{section}_ray", parse_fraction_vector)
+        sign = entries.get(f"{section}_component_sign")
+        try:
+            return PeriodRay(h, _parse(parse_int, *sign[0]) if sign else 1)
+        except ValueError as exc:  # only a sign entry can be refused
+            raise ManifoldFileError(str(exc), *sign[0][1:])
+
+    name = need("manifold", "name", str)
+    ints = {key: need("manifold", key, parse_int) for key in _KEYS["manifold"][1:]}
+    tors2 = need("torsion", "tors2_order", parse_int)
+    n = len(rows["intersection_form"])
+    for row, line_no in rows["intersection_form"]:
+        if len(row) != n:
+            raise ManifoldFileError(
+                f"matrix row has {len(row)} entries, expected {n} "
+                "(the intersection form must be square)",
+                line_no,
+                1,
+            )
+    w2 = tuple(v for row, _ in rows["w2"] for v in row)
+    if len(w2) != n:
+        raise ManifoldFileError(f"w2 has {len(w2)} entries, expected b2 = {n}", headers["w2"], 1)
+    cup = ()
+    if rows["triple_cup"]:
+        try:
+            cup = triple_cup_from_entries(ints["b1"], n, (row for row, _ in rows["triple_cup"]))
+        except ValueError as exc:
+            raise ManifoldFileError(str(exc), headers["triple_cup"], 1)
+    try:
+        topology = ManifoldTopology(
+            name=name,
+            **ints,
+            intersection_form=tuple(tuple(row) for row, _ in rows["intersection_form"]),
+            w2=w2,
+            tors2_order=tors2,
+            triple_cup=cup,
+        )
+    except ValueError as exc:
+        raise ManifoldFileError(str(exc), headers["manifold"], 1)
+    kahler = None
+    if "kahler" in headers:
+        kahler = KahlerFacts(
+            canonical_class=need("kahler", "canonical_class", parse_int_vector),
+            ns_basis=tuple(_parse(parse_int_vector, *e) for e in entries.get("ns_basis", [])),
+            effective_cone=tuple(
+                _parse(parse_fraction_vector, *e) for e in entries.get("effective_cone", [])
+            ),
+            pg_zero=need("kahler", "pg_zero", _parse_bool),
+            kahler_ray=ray("kahler"),
+        )
+    return ManifoldData(topology, kahler, ray("psc") if "psc" in headers else None)
 
 
 def load_manifold_file(path) -> ManifoldData:

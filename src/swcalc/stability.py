@@ -199,24 +199,32 @@ class PairProfile:
     def __post_init__(self):
         object.__setattr__(self, "subsheaves", tuple(self.subsheaves))
         if self.rank < 1:
-            raise ValueError(f"pair rank must be positive, got {self.rank}")
-        if self.hilbert.is_zero or self.hilbert.leading <= 0:
-            raise ValueError("a nonzero sheaf needs a positive leading coefficient")
+            raise DomainError(f"pair rank must be positive, got {self.rank}")
+        _require_positive_leading(
+            self.hilbert, "a nonzero sheaf needs a positive leading coefficient"
+        )
         if self.kermax is not None:
             rk, poly = self.kermax
             if not 1 <= rk < self.rank:
-                raise ValueError(
+                raise DomainError(
                     f"kernel rank must satisfy 1 <= rk < {self.rank}, got {rk}"
                 )
-            if poly.is_zero or poly.leading <= 0:
-                raise ValueError("the kernel polynomial must have a positive leading coefficient")
+            _require_positive_leading(
+                poly, "the kernel polynomial must have a positive leading coefficient"
+            )
         for rk, poly in self.subsheaves:
             if not 0 < rk < self.rank:
-                raise ValueError(
+                raise DomainError(
                     f"subsheaf ranks must lie strictly between 0 and {self.rank}, got {rk}"
                 )
-            if poly.is_zero or poly.leading <= 0:
-                raise ValueError("subsheaf polynomials must have a positive leading coefficient")
+            _require_positive_leading(
+                poly, "subsheaf polynomials must have a positive leading coefficient"
+            )
+
+
+def _require_positive_leading(poly: HilbertPoly, message: str) -> None:
+    if poly.is_zero or poly.leading <= 0:
+        raise DomainError(message)
 
 
 def oriented_sheaf_semistable(profile: PairProfile) -> bool:

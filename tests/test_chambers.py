@@ -9,7 +9,9 @@ import pytest
 
 from swcalc import (
     Chamber,
+    DimensionMismatchError,
     DomainError,
+    OrientationData,
     PeriodRay,
     classify_chamber,
     classify_chamber_oriented,
@@ -39,10 +41,16 @@ def test_requires_bplus_one(p2):
         is_c_good(two_plus, (1, 1), PeriodRay((Fraction(1), Fraction(0))), (0, 0))
 
 
-def test_rejects_nonpositive_ray(s2xs2):
+def test_rejects_nonpositive_ray(s2xs2, p2, p2_ray):
     ray = PeriodRay((Fraction(1), Fraction(-1)))  # square -2
     with pytest.raises(DomainError):
         classify_chamber(s2xs2, (0, 0), ray, (0, 0))
+    with pytest.raises(DimensionMismatchError, match="twisting class has length 2"):
+        classify_chamber(p2, (1,), p2_ray, (0, 0))
+    with pytest.raises(ValueError, match="component_sign must be"):
+        PeriodRay((1,), 2)
+    with pytest.raises(ValueError, match="o1_sign must be"):
+        OrientationData(0)
 
 
 def test_positive_rescaling_invariance_and_flip(s2xs2):

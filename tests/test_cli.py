@@ -39,6 +39,10 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert code == 2
     assert out.startswith("violation:")
     assert "euler" in out
+    # Every other command refuses the file before computing anything.
+    code, out, err = run(capsys, ["dim", str(path), "--c=3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: manifold data failed validation: euler = 4 violates")
 
 
 def test_validate_reports_rays_on_different_components(tmp_path, capsys):
@@ -140,6 +144,13 @@ def test_dim_rejects_non_characteristic(p2_file, capsys):
     code, out, err = run(capsys, ["dim", str(p2_file), "--c=2"])
     assert code == 2
     assert "not characteristic" in err
+    for argv, message in [
+        ([], "supply --c for the abelian dimension or --pu2"),
+        (["--pu2"], "--pu2 needs both --p1 and --c1"),
+        (["--pu2", "--p1=1"], "--pu2 needs both --p1 and --c1"),
+    ]:
+        code, out, err = run(capsys, ["dim", str(p2_file), *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_dim_pu2(p2_file, capsys):
@@ -271,6 +282,10 @@ def test_chamber_component_sign(p2_file, capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "chamber = C_plus"
+    code, out, err = run(
+        capsys, ["chamber", str(p2_file), "--c=5", "--h=1", "--component-sign=2"]
+    )
+    assert (code, out, err) == (2, "", "error: --component-sign must be 1 or -1\n")
 
 
 def test_stability_commands(capsys):
@@ -309,6 +324,10 @@ def test_stability_commands(capsys):
     )
     assert code == 2
     assert "kernel" in err
+    code, out, err = run(
+        capsys, ["stability", "semistable", "--rk-e=2", "--p-e=0,1", "--subsheaf=1"]
+    )
+    assert (code, out, err) == (2, "", "error: expected 'rank:c0,c1,...', got '1'\n")
 
 
 def test_missing_file_is_a_parse_error(capsys):

@@ -84,6 +84,8 @@ def test_wedge_power_counts_divided_powers():
     u = ExtForm(4, {(1, 2): 1, (3, 4): 1})
     assert wedge_power(u, 2) == ExtForm.term(4, (1, 2, 3, 4), 2)
     assert wedge_power(u, 0) == ExtForm.scalar(4, 1)
+    with pytest.raises(DomainError, match="nonnegative exponent"):
+        wedge_power(u, -1)
 
 
 def test_cup_form_zero_when_no_odd_cohomology(p2):
@@ -191,7 +193,14 @@ def test_wall_crossing_requires_bplus_one():
         wall_crossing_delta(m, (1, 1), ExtForm.scalar(0, 1))
 
 
+def test_wall_crossing_rejects_test_form_of_other_b1(p2):
+    with pytest.raises(DimensionMismatchError, match="test form has b1 = 2, manifold has b1 = 0"):
+        wall_crossing_delta(p2, (1,), ExtForm.scalar(2, 1))
+
+
 def test_ext_form_validation():
+    with pytest.raises(ValueError, match="b1 must be nonnegative"):
+        ExtForm(-1, {})
     with pytest.raises(ValueError):
         ExtForm(2, {(2, 1): 1})
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from swcalc import (
     Chamber,
     DomainError,
     ExtForm,
+    InvalidTopologyError,
     KahlerFacts,
     ManifoldTopology,
     PeriodRay,
@@ -207,7 +208,9 @@ def test_sw_pg0_invariants_examples(p2, p2_kahler):
     assert sw_pg0_invariants(p2, p2_kahler, (-3,)) == (0, -1)
 
 
-def test_sw_pg0_requires_pg_zero(p2, p2_kahler):
+def test_sw_pg0_requires_pg_zero(p2, p2_kahler, t2xs2):
+    with pytest.raises(DomainError, match="requires b1 = 0, got 2"):
+        sw_pg0_invariants(t2xs2, p2_kahler, (2,))
     facts = KahlerFacts(
         canonical_class=p2_kahler.canonical_class,
         ns_basis=p2_kahler.ns_basis,
@@ -329,10 +332,14 @@ def test_sw_table_refuses_disagreeing_facts(p2, p2_ray):
 
 
 def test_sw_table_refuses_odd_dimension(p2, p2_ray):
-    # A wrong euler number makes w_c = (9 - 13) / 4 = -1 odd at c = 3.
-    wrong_euler = dataclasses.replace(p2, euler=5)
-    with pytest.raises(DomainError, match=r"w = -1$"):
-        sw_table(wrong_euler, [(3,)], psc_ray=p2_ray)
+    # euler = 5 makes w_c = (9 - 13) / 4 = -1 odd at c = 3, euler = 4 makes
+    # it fractional; both are refused once at entry, even with no rows.
+    for euler, c_list in [(5, [(3,)]), (4, [(3,)]), (5, [])]:
+        wrong_euler = dataclasses.replace(p2, euler=euler)
+        with pytest.raises(
+            InvalidTopologyError, match=rf"^signature \+ euler = {1 + euler} is not divisible by 4"
+        ):
+            sw_table(wrong_euler, c_list, psc_ray=p2_ray)
 
 
 def test_sw_table_quadric_cross_path(s2xs2):

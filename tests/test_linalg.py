@@ -28,6 +28,7 @@ from swcalc.linalg import (
     inertia,
     inertia_and_determinant,
     integer_combination,
+    matvec,
     pairing,
     quadratic,
     rank,
@@ -147,6 +148,8 @@ def test_pairing_and_quadratic():
     assert quadratic(((1,),), (3,)) == 9
     with pytest.raises(DimensionMismatchError):
         pairing(HYPERBOLIC, (1,), (0, 1))
+    with pytest.raises(DimensionMismatchError, match="matrix width does not match"):
+        matvec([[1, 2]], [1])
 
 
 def test_integer_combination_solves_and_rejects():

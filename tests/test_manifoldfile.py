@@ -100,6 +100,24 @@ def test_parse_errors_carry_line_and_column():
         parse_manifold_text(MINIMAL + "\n[triple_cup]\n1 2 1\n")
     assert "i j k value" in str(info.value)
 
+    # Constructor refusals point at [manifold] and at the sign entry; a
+    # w2 entry outside 0/1 is reported before the next token is parsed.
+    for text, message in [
+        (P2_FILE_TEXT.replace("b1 = 0", "b1 = -1"),
+         "line 1, column 1: Betti numbers must be nonnegative"),
+        (P2_FILE_TEXT + "psc_component_sign = 2\n",
+         "line 27, column 21: component_sign must be +1 or -1, got 2"),
+        (P2_FILE_TEXT.replace("[w2]\n1", "[w2]\n2"),
+         "line 13, column 1: w2 entries must be 0 or 1, got 2"),
+        (P2_FILE_TEXT.replace("[w2]\n1", "[w2]\n2 x"),
+         "line 13, column 1: w2 entries must be 0 or 1, got 2"),
+    ]:
+        with pytest.raises(ManifoldFileError) as info:
+            parse_manifold_text(text)
+        assert str(info.value) == message
+    text = P2_FILE_TEXT.replace("pg_zero = true", "pg_zero = false")
+    assert parse_manifold_text(text).kahler.pg_zero is False
+
     # Vector values parse to the given entries, or fail at the (line,
     # column) of the value: canonical_class is an integer vector on
     # line 19, kahler_ray a rational one on line 23.

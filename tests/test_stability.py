@@ -167,6 +167,8 @@ def test_framing_defect_examples():
     assert framing_defect(p_e, 2, half_sq, 1) == HilbertPoly.from_coeffs((0, 1))
     with pytest.raises(DomainError):
         framing_defect(p_e, 2, p_ker, 0)
+    with pytest.raises(DomainError, match="sheaf rank must be a positive integer, got 0"):
+        framing_defect(p_e, 0, p_ker, 1)
 
 
 def test_framing_defect_degree_drop_on_slope_match():
@@ -272,26 +274,16 @@ def test_semistable_against_evaluation_oracle():
 
 
 def test_pair_profile_validation():
-    with pytest.raises(ValueError):
-        PairProfile(
-            rank=2,
-            hilbert=HilbertPoly.from_coeffs((0, -1)),
-            phi_injective=True,
-            epsilon_iso=True,
-        )
-    with pytest.raises(ValueError):
-        PairProfile(
-            rank=2,
-            hilbert=HilbertPoly.from_coeffs((0, 1)),
-            phi_injective=False,
-            epsilon_iso=True,
-            kermax=(2, HilbertPoly.from_coeffs((1,))),
-        )
-    with pytest.raises(ValueError):
-        PairProfile(
-            rank=2,
-            hilbert=HilbertPoly.from_coeffs((0, 1)),
-            phi_injective=True,
-            epsilon_iso=True,
-            subsheaves=((2, HilbertPoly.from_coeffs((1,))),),
-        )
+    one = HilbertPoly.from_coeffs((1,))
+    negative = HilbertPoly.from_coeffs((0, -1))
+    for extra, message in [
+        ({"hilbert": negative}, "a nonzero sheaf needs a positive leading"),
+        ({"phi_injective": False, "kermax": (2, one)}, "kernel rank must satisfy"),
+        ({"phi_injective": False, "kermax": (1, negative)}, "the kernel polynomial must"),
+        ({"subsheaves": ((2, one),)}, "subsheaf ranks must lie strictly"),
+        ({"subsheaves": ((1, negative),)}, "subsheaf polynomials must"),
+    ]:
+        fields = {"rank": 2, "hilbert": HilbertPoly.from_coeffs((0, 1)),
+                  "phi_injective": True, "epsilon_iso": True, **extra}
+        with pytest.raises(DomainError, match=message):
+            PairProfile(**fields)

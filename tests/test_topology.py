@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from swcalc import (
     DimensionMismatchError,
     DomainError,
+    InvalidTopologyError,
     ManifoldTopology,
     c2_spinor_bundle,
     characteristic_range,
@@ -41,6 +43,11 @@ def test_validate_catches_euler_identity(p2):
     )
     violations = validate_topology(bad)
     assert any("euler" in v for v in violations)
+    extra = dataclasses.replace(p2, bminus=1)
+    assert (
+        "bplus + bminus = 2 does not match the intersection form size b2 = 1"
+        in validate_topology(extra)
+    )
 
 
 def test_validate_catches_non_unimodular():
@@ -104,6 +111,12 @@ def test_expected_dim_abelian_p2(p2):
     assert expected_dim_abelian(p2, (7,)) == 10
     with pytest.raises(DomainError):
         expected_dim_abelian(p2, (2,))
+    # Inconsistent characteristic numbers: c^2 = 1 against signature 5
+    # breaks the mod-8 congruence, euler = 4 the divisibility by 4.
+    with pytest.raises(InvalidTopologyError, match=r"c\^2 == signature \(mod 8\)"):
+        expected_dim_abelian(dataclasses.replace(p2, signature=5), (1,))
+    with pytest.raises(InvalidTopologyError, match="numerator -10 is not divisible by 4"):
+        expected_dim_abelian(dataclasses.replace(p2, euler=4), (1,))
 
 
 def test_characteristic_vectors_refuse_to_truncate(p2):
@@ -183,6 +196,8 @@ def test_expected_dim_pu2_examples(p2):
     assert expected_dim_pu2(p2, 1, (4,)) == 0
     with pytest.raises(DomainError):
         expected_dim_pu2(p2, -2, (4,))
+    with pytest.raises(InvalidTopologyError, match="numerator -19 is odd"):
+        expected_dim_pu2(dataclasses.replace(p2, euler=4), 1, (0,))
 
 
 def test_expected_dim_pu2_shift_by_four():
