@@ -170,18 +170,18 @@ def cup_form(m: ManifoldTopology, c: Sequence[int]) -> ExtForm:
 
 
 def _cup_form(m: ManifoldTopology, c: IntVector) -> ExtForm:
-    coeffs: dict[Key, int] = {}
-    for i in range(m.b1):
-        for j in range(i + 1, m.b1):
-            total = sum(c[k] * m.triple_cup[i][j][k] for k in range(m.b2))
-            if total % 2:
-                raise InvalidTopologyError(
-                    f"cup pairing of (a_{i + 1}, a_{j + 1}) with c is odd ({total}); "
-                    "the half-integral form does not exist for this data"
-                )
-            if total:
-                coeffs[(i + 1, j + 1)] = total // 2
-    return ExtForm(m.b1, coeffs)
+    # The stored entries are sorted, so the pairs come in (i, j) order.
+    totals: dict[Key, int] = {}
+    for i, j, k, v in m.triple_cup:
+        if i < j:
+            totals[(i, j)] = totals.get((i, j), 0) + c[k - 1] * v
+    for (i, j), total in totals.items():
+        if total % 2:
+            raise InvalidTopologyError(
+                f"cup pairing of (a_{i}, a_{j}) with c is odd ({total}); "
+                "the half-integral form does not exist for this data"
+            )
+    return ExtForm(m.b1, {key: total // 2 for key, total in totals.items()})
 
 
 def wall_crossing_delta(

@@ -182,12 +182,10 @@ def parse_manifold_text(text: str) -> ManifoldData:
     w2 = tuple(v for row, _ in rows["w2"] for v in row)
     if len(w2) != n:
         raise ManifoldFileError(f"w2 has {len(w2)} entries, expected b2 = {n}", headers["w2"], 1)
-    cup = ()
-    if rows["triple_cup"]:
-        try:
-            cup = triple_cup_from_entries(ints["b1"], n, (row for row, _ in rows["triple_cup"]))
-        except ValueError as exc:
-            raise ManifoldFileError(str(exc), headers["triple_cup"], 1)
+    try:
+        cup = triple_cup_from_entries(ints["b1"], n, (row for row, _ in rows["triple_cup"]))
+    except ValueError as exc:  # only an entry can be refused, so [triple_cup] exists
+        raise ManifoldFileError(str(exc), headers["triple_cup"], 1)
     try:
         topology = ManifoldTopology(
             name=name,
@@ -257,12 +255,7 @@ def emit_manifold_text(data: ManifoldData) -> str:
     out.append("")
     out.append("[torsion]")
     out.append(f"tors2_order = {m.tors2_order}")
-    cup_lines = []
-    for i in range(m.b1):
-        for j in range(i + 1, m.b1):
-            for k in range(m.b2):
-                if m.triple_cup[i][j][k]:
-                    cup_lines.append(f"{i + 1} {j + 1} {k + 1} {m.triple_cup[i][j][k]}")
+    cup_lines = [f"{i} {j} {k} {v}" for i, j, k, v in m.triple_cup if i < j]
     if cup_lines:
         out.append("")
         out.append("[triple_cup]")

@@ -4,8 +4,8 @@ closed-form dimension and admissibility arithmetic built on it.
 The central type is :class:`ManifoldTopology`: the intersection lattice
 on H^2/Tors in a fixed basis e_1..e_b2 together with Betti data, a
 mod-2 coordinate vector for the second Stiefel-Whitney class, the order
-of the 2-torsion subgroup of H^2, and the triple cup-product tensor
-against a fixed basis a_1..a_b1 of H^1/Tors. Characteristic elements
+of the 2-torsion subgroup of H^2, and the nonzero triple cup numbers on
+a basis a_1..a_b1 of H^1/Tors as sparse entries. Characteristic elements
 (integral lifts of w_2) are plain integer tuples validated by
 :func:`is_characteristic` / :func:`require_characteristic`.
 
@@ -28,7 +28,6 @@ from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
 from .linalg import Scalar, determinant, inertia_and_determinant, quadratic
 
 IntVector = tuple[int, ...]
-CupTensor = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _as_integer(value, what: str) -> int:
@@ -58,14 +57,16 @@ class ManifoldTopology:
     is the symmetric unimodular pairing matrix, ``w2`` the mod-2
     coordinates of an integral lift of the second Stiefel-Whitney class,
     ``tors2_order`` the order of the 2-torsion subgroup of H^2(X,Z), and
-    ``triple_cup[i][j][k]`` the cup number <a_i u a_j u e_k, [X]> for a
-    fixed basis a_1..a_b1 of H^1/Tors.
+    ``triple_cup`` the sorted 1-based entries (i, j, k, value), mirror
+    (j, i, k) included, of the nonzero cup numbers <a_i u a_j u e_k, [X]>
+    for a fixed basis a_1..a_b1 of H^1/Tors. The constructor converts
+    such entries, or a dense b1 x b1 x b2 tensor, once.
 
-    Construction only enforces shape consistency; the semantic
-    invariants (unimodularity, signature decomposition, the Euler
-    identity, antisymmetry of the cup tensor, w2 being characteristic)
-    are checked by :func:`validate_topology`, which reports every
-    violation instead of raising.
+    Construction only enforces integrality and shape consistency; the
+    semantic invariants (unimodularity, signature decomposition, the
+    Euler identity, antisymmetry of the cup numbers, w2 being
+    characteristic) are checked by :func:`validate_topology`, which
+    reports every violation instead of raising.
 
     Instances are immutable and safe to share across threads.
     """
@@ -79,7 +80,7 @@ class ManifoldTopology:
     intersection_form: tuple[IntVector, ...]
     w2: IntVector
     tors2_order: int = 1
-    triple_cup: CupTensor = ()
+    triple_cup: tuple[tuple[int, int, int, int], ...] = ()
 
     def __post_init__(self):
         q = tuple(
@@ -89,6 +90,8 @@ class ManifoldTopology:
         n = len(q)
         if any(len(row) != n for row in q):
             raise ValueError("intersection form must be a square matrix")
+        for key in ("b1", "bplus", "bminus", "euler", "signature", "tors2_order"):
+            object.__setattr__(self, key, _as_integer(getattr(self, key), key))
         if min(self.b1, self.bplus, self.bminus) < 0:
             raise ValueError("Betti numbers must be nonnegative")
         if self.tors2_order < 1:
@@ -99,47 +102,51 @@ class ManifoldTopology:
         if any(v not in (0, 1) for v in w2):
             raise ValueError("w2 entries must be 0 or 1")
         object.__setattr__(self, "w2", w2)
-        cup = self.triple_cup
-        if not cup:
-            zero_row = tuple([0] * n)
-            cup = tuple(tuple(zero_row for _ in range(self.b1)) for _ in range(self.b1))
-        else:
-            cup = tuple(
-                tuple(_as_int_vector(v, "triple cup entry") for v in plane) for plane in cup
-            )
-        if len(cup) != self.b1 or any(len(plane) != self.b1 for plane in cup):
-            raise ValueError("triple cup tensor must have shape b1 x b1 x b2")
-        if any(len(v) != n for plane in cup for v in plane):
-            raise ValueError("triple cup tensor must have shape b1 x b1 x b2")
-        object.__setattr__(self, "triple_cup", cup)
+        object.__setattr__(self, "triple_cup", _cup_entries(tuple(self.triple_cup), self.b1, n))
 
     @property
     def b2(self) -> int:
         return len(self.intersection_form)
 
 
+def _cup_entries(cup, b1: int, b2: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The sorted nonzero entries (i, j, k, value) of cup, given as entries or densely."""
+    if cup and cup[0] and isinstance(cup[0][0], Sequence):
+        if len(cup) != b1 or any(len(p) != b1 or any(len(r) != b2 for r in p) for p in cup):
+            raise ValueError("triple cup tensor must have shape b1 x b1 x b2")
+        cup = [
+            (i + 1, j + 1, k + 1, v)
+            for i, p in enumerate(cup) for j, r in enumerate(p) for k, v in enumerate(r)
+        ]
+    cells: dict[tuple[int, int, int], int] = {}
+    for entry in cup:
+        i, j, k, v = _as_int_vector(entry, "triple cup entry")
+        if not (1 <= i <= b1 and 1 <= j <= b1 and 1 <= k <= b2):
+            raise ValueError(f"triple cup index ({i},{j},{k}) out of range")
+        if (i, j, k) in cells:
+            raise ValueError(f"duplicate triple cup entry for ({i},{j},{k})")
+        cells[(i, j, k)] = v
+    return tuple(sorted((*key, v) for key, v in cells.items() if v))
+
+
 def triple_cup_from_entries(
     b1: int, b2: int, entries: Iterable[tuple[int, int, int, int]]
-) -> CupTensor:
-    """Build the cup tensor from sparse 1-based entries (i, j, k, value).
+) -> tuple[tuple[int, int, int, int], ...]:
+    """The stored cup numbers from sparse 1-based entries (i, j, k, value).
 
-    The antisymmetric counterpart T[j][i][k] = -value is filled in
+    The antisymmetric counterpart (j, i, k, -value) is filled in
     automatically; conflicting duplicates raise ValueError.
     """
-    t = [[[0] * b2 for _ in range(b1)] for _ in range(b1)]
-    seen: set[tuple[int, int, int]] = set()
+    cells: dict[tuple[int, int, int], int] = {}
     for (i, j, k, v) in entries:
         if not (1 <= i <= b1 and 1 <= j <= b1 and 1 <= k <= b2):
             raise ValueError(f"triple cup index ({i},{j},{k}) out of range")
         if i == j and v != 0:
             raise ValueError(f"triple cup entry ({i},{i},{k}) must vanish by antisymmetry")
-        if (i, j, k) in seen or (j, i, k) in seen:
+        if (i, j, k) in cells:
             raise ValueError(f"duplicate triple cup entry for ({i},{j},{k})")
-        seen.add((i, j, k))
-        t[i - 1][j - 1][k - 1] = v
-        if i != j:
-            t[j - 1][i - 1][k - 1] = -v
-    return tuple(tuple(tuple(row) for row in plane) for plane in t)
+        cells[(i, j, k)], cells[(j, i, k)] = v, -v
+    return tuple(sorted((*key, v) for key, v in cells.items() if v))
 
 
 def validate_topology(m: ManifoldTopology) -> list[str]:
@@ -189,12 +196,11 @@ def validate_topology(m: ManifoldTopology) -> list[str]:
         violations.append(
             f"euler = {m.euler} violates euler = 2 - 2*b1 + b2 = {expected_euler}"
         )
-    for i, j, k in itertools.product(range(m.b1), range(m.b1), range(n)):
-        if m.triple_cup[i][j][k] != -m.triple_cup[j][i][k]:
-            violations.append(
-                f"triple cup tensor not antisymmetric at ({i + 1},{j + 1},{k + 1})"
-            )
-            break
+    # A cell and its mirror violate together; an absent cell is 0.
+    cup = {(i, j, k): v for i, j, k, v in m.triple_cup}
+    bad = [min((i, j, k), (j, i, k)) for i, j, k, v in m.triple_cup if v + cup.get((j, i, k), 0)]
+    if bad:
+        violations.append("triple cup tensor not antisymmetric at ({},{},{})".format(*min(bad)))
     violations.extend(_characteristic_violations(m))
     return violations
 

@@ -126,6 +126,35 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("3 1 1 1", "triple cup index (3,1,1) out of range"),
+        ("1 1 2 1", "triple cup entry (1,1,2) must vanish by antisymmetry"),
+    ],
+)
+def test_refused_cup_entry_is_a_parse_error_at_its_header(tmp_path, capsys, entry, message):
+    text = (ROOT / "demos" / "torus_x_sphere.manifold").read_text(encoding="utf-8")
+    header = text.splitlines().index("[triple_cup]") + 1
+    path = tmp_path / "cup.manifold"
+    path.write_text(text.replace("\n1 2 1 1\n", f"\n1 2 1 1\n{entry}\n"), encoding="utf-8")
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"parse error: line {header}, column 1: {message}\n"
+
+
+def test_validate_large_b1_without_cup_entries(tmp_path, capsys):
+    # A dense b1 x b1 x b2 cup tensor would hold 9 * 10^8 cells here.
+    text = (ROOT / "demos" / "p2.manifold").read_text(encoding="utf-8")
+    path = tmp_path / "p2_b1.manifold"
+    path.write_text(
+        text.replace("b1 = 0", "b1 = 30000").replace("euler = 3", "euler = -59997"),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out, err) == (0, "ok: P2: all invariants satisfied\n", "")
+
+
 def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "latin1.manifold"
     path.write_bytes(b"[manifold]\n\xff\n")

@@ -102,7 +102,7 @@ def test_cup_form_shift_by_even_vector_is_linear(t2xs2):
     shifted = cup_form(t2xs2, (2 + 2 * 3, 0))
     x = (3, 0)
     expected = sum(
-        x[k] * t2xs2.triple_cup[0][1][k] for k in range(t2xs2.b2)
+        x[k - 1] * v for i, j, k, v in t2xs2.triple_cup if (i, j) == (1, 2)
     )
     assert shifted.coefficient((1, 2)) - base.coefficient((1, 2)) == expected
 

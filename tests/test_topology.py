@@ -93,6 +93,21 @@ def test_validate_catches_cup_antisymmetry():
         intersection_form=((0, 1), (1, 0)), w2=(0, 0), triple_cup=cup,
     )
     assert any("antisymmetric" in v for v in validate_topology(bad))
+    assert validate_topology(bad) == ["triple cup tensor not antisymmetric at (1,1,1)"]
+    # A zero cell whose mirror is nonzero is named by the first of the two.
+    bad = dataclasses.replace(bad, triple_cup=(((0, 0), (0, 0)), ((1, 0), (0, 0))))
+    assert validate_topology(bad) == ["triple cup tensor not antisymmetric at (1,2,1)"]
+
+
+def test_scalar_fields_refuse_to_truncate(p2):
+    # tors2_order = 3/2 used to make spinc_count_per_chern return 3/2.
+    for key in ("b1", "bplus", "bminus", "euler", "signature", "tors2_order"):
+        for value in (Fraction(3, 2), 1.5):
+            with pytest.raises(DomainError, match=f"^{key} must be an integer"):
+                dataclasses.replace(p2, **{key: value})
+    m = dataclasses.replace(p2, tors2_order=Fraction(4, 2))
+    assert m.tors2_order == 2 and type(m.tors2_order) is int
+    assert spinc_count_per_chern(m) == 2
 
 
 def test_is_characteristic_examples(p2, s2xs2):
@@ -375,7 +390,7 @@ def test_validate_symmetric_form_needs_no_separate_determinant(monkeypatch):
     assert validate_topology(_dense_blowup(21)) == []
 
 
-def test_construction_rejects_malformed_shapes():
+def test_construction_rejects_malformed_shapes(t2xs2):
     with pytest.raises(ValueError):
         ManifoldTopology(
             name="bad", b1=0, bplus=1, bminus=0, euler=3, signature=1,
@@ -391,3 +406,21 @@ def test_construction_rejects_malformed_shapes():
             name="bad", b1=0, bplus=1, bminus=0, euler=3, signature=1,
             intersection_form=((1,),), w2=(1,), tors2_order=0,
         )
+    # A dense cup tensor needs b1 planes of b1 rows of length b2 and
+    # integer cells; entries need in-range, distinct indices.
+    dense = (((0, 0), (1, 0)), ((-1, 0), (0, 0)))
+    for cup in (dense[:1], (dense[0], ((-1,), (0, 0)))):
+        with pytest.raises(ValueError, match="must have shape b1 x b1 x b2"):
+            dataclasses.replace(t2xs2, triple_cup=cup)
+    with pytest.raises(DomainError, match="triple cup entry must be an integer"):
+        dataclasses.replace(t2xs2, triple_cup=(dense[0], ((Fraction(-1, 2), 0), (0, 0))))
+    for cup, message in [
+        (((1, 2, 3, 1),), r"triple cup index \(1,2,3\) out of range"),
+        (((1, 2, 1, 1), (1, 2, 1, 0)), r"duplicate triple cup entry for \(1,2,1\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(t2xs2, triple_cup=cup)
+    from_dense = dataclasses.replace(t2xs2, triple_cup=dense)
+    assert from_dense == t2xs2
+    assert from_dense.triple_cup == t2xs2.triple_cup == ((1, 2, 1, 1), (2, 1, 1, -1))
+    assert hash(from_dense) == hash(t2xs2)
