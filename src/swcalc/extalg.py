@@ -47,6 +47,7 @@ class ExtForm:
     coeffs: Mapping[Key, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "b1", _as_integer(self.b1, "b1"))
         if self.b1 < 0:
             raise ValueError("b1 must be nonnegative")
         normalized = {}

@@ -14,6 +14,8 @@ nonemptiness rule for Kahler surfaces with p_g = 0. When both are
 available they must agree, and the table builder checks that they do.
 Entries the supplied facts cannot decide are reported as undetermined,
 never guessed.
+The table builder decides its rows from a plan built once per table;
+the one-class functions build the same plan for their one class.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .chambers import PeriodRay, pairing_sign, ray_violation, require_same_component
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
-from .linalg import Scalar, _integer_rows, cone_contains, dot, integer_combination, matvec, rank
+from .linalg import Scalar, _Cone, _integer_rows, _Span, dot, matvec, rank
 from .topology import (
     IntVector,
     ManifoldTopology,
@@ -170,12 +172,21 @@ def douady_nonempty(
     outside the Neron-Severi lattice give an empty moduli space.
     """
     _require_valid_facts(m, facts)
-    return _douady_nonempty(facts, _require_line_class(m, line_class))
+    return _douady_test(facts)(_require_line_class(m, line_class))
 
 
-def _douady_nonempty(facts: KahlerFacts, line_class: Sequence[int]) -> bool:
-    coords = integer_combination(facts.ns_basis, line_class)
-    return coords is not None and cone_contains(facts.effective_cone, coords)
+def _douady_test(facts: KahlerFacts) -> Callable[[Sequence[int]], bool]:
+    """The Douady nonemptiness test of valid facts, prepared once for
+    many line classes: the Neron-Severi solve and the effective cone
+    with its certificate caches (see :class:`linalg._Cone`)."""
+    ns = _Span(facts.ns_basis, len(facts.canonical_class))
+    cone = _Cone(facts.effective_cone, len(facts.ns_basis))
+
+    def nonempty(line_class: Sequence[int]) -> bool:
+        coords = ns.integral(line_class)
+        return coords is not None and cone.contains(coords)[0]
+
+    return nonempty
 
 
 def sw_pg0_invariants(
@@ -198,7 +209,7 @@ def sw_pg0_invariants(
     c = tuple(2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class))
     if expected_dim_abelian(m, c) < 0:
         return (0, 0)
-    return (1, 0) if _douady_nonempty(facts, line_class) else (0, -1)
+    return (1, 0) if _douady_test(facts)(line_class) else (0, -1)
 
 
 @dataclass(frozen=True)
@@ -228,8 +239,7 @@ def sw_table(
     containing (ray, 0) and the wall-crossing jump fills the other,
     which for b1 = 0 is 1 when w_c >= 0; the p_g = 0 Douady rule decides
     both values at once. Rows are emitted in lexicographically sorted c
-    order (they are independent, so a caller may well compute them
-    concurrently, but the output order is fixed).
+    order.
 
     The manifold (b1 = 0, bplus = 1), the rays (length b2, positive
     square, one hyperbola component for both) and the Kahler facts
@@ -240,6 +250,13 @@ def sw_table(
     an empty c_list. Each row then checks only its own c (length b2,
     c == w2 mod 2, c^2 == signature mod 8) and, where both pipelines
     decide the row, that they agree.
+
+    The rows share a plan built once: the integer wall vector u of the
+    PSC ray, and the Douady test with its Neron-Severi solve and cone
+    prepared. The cone caches a few certificates (Farkas vectors,
+    generator bases) for the rest of the table and checks each one
+    exactly on a new class, so every row is what a table of that row
+    alone would give.
     """
     if m.b1 != 0:
         raise DomainError(f"the table synthesis requires b1 = 0, got {m.b1}")
@@ -268,6 +285,8 @@ def sw_table(
         # integers (by a positive factor) and signed by the component.
         (u,), _ = _integer_rows([matvec(m.intersection_form, psc_ray.h)])
         u = [psc_ray.component_sign * v for v in u]
+    if kahler_facts is not None:
+        douady = _douady_test(kahler_facts)
     rows = []
     for c in sorted(set(_as_int_vector(c, "characteristic vector entry") for c in c_list)):
         if spinor_c2(m, characteristic_square(m, c), 1) < 0:
@@ -283,7 +302,7 @@ def sw_table(
         if kahler_facts is not None:
             # c and K are both characteristic, so c + K is even.
             line_class = [(cv + kv) // 2 for cv, kv in zip(c, kahler_facts.canonical_class)]
-            kahler = (1, 0) if _douady_nonempty(kahler_facts, line_class) else (0, -1)
+            kahler = (1, 0) if douady(line_class) else (0, -1)
             if pair[0] is not None and pair != kahler:
                 raise DomainError(
                     f"the PSC and Kahler pipelines disagree at c = {list(c)}: "

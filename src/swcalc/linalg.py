@@ -9,12 +9,19 @@ Gauss-Jordan pivot step on input scaled to integers, so entries grow
 only as minors of the input do. The Pfaffian has its own step: it
 clears two rows and columns at once by a congruence, and a one-sided
 row step would find only det = Pf^2, losing the sign.
+
+Both solves can be prepared once for many targets. A :class:`_Span`
+eliminates its basis once (the Neron-Severi solve, and the check of a
+cone basis); a :class:`_Cone` scales its generators once, returns a
+certificate with each answer (McConnell et al., "Certifying algorithms",
+2011) and reuses a few, each checked exactly on the new target.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError
@@ -27,13 +34,13 @@ Matrix = Sequence[Sequence[Scalar]]
 def dot(x: Vector, y: Vector) -> Scalar:
     if len(x) != len(y):
         raise DimensionMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def matvec(q: Matrix, x: Vector) -> list[Scalar]:
-    if any(len(row) != len(x) for row in q):
+    if any(map(len(x).__ne__, map(len, q))):
         raise DimensionMismatchError(f"matrix width does not match vector length {len(x)}")
-    return [dot(row, x) for row in q]
+    return [sum(map(mul, row, x)) for row in q]
 
 
 def pairing(q: Matrix, x: Vector, y: Vector) -> Scalar:
@@ -43,7 +50,7 @@ def pairing(q: Matrix, x: Vector, y: Vector) -> Scalar:
 
 def quadratic(q: Matrix, x: Vector) -> Scalar:
     """Quadratic value x^T q x."""
-    return pairing(q, x, x)
+    return dot(x, matvec(q, x))
 
 
 def _require_square(q: Matrix) -> None:
@@ -186,78 +193,164 @@ def inertia_and_determinant(q: Matrix) -> tuple[int, int, int, Fraction]:
     return pos, neg, zero, Fraction(0 if zero else prev, prod(scales) ** 2)
 
 
+class _Span:
+    """Prepared solve of sum_i x[i]*rows[i] == t for k independent rows of
+    length n, the same rows for many targets t.
+
+    One fraction-free elimination of [rows^T | I_n], each equation scaled
+    to integers, leaves M (the right block) with M rows^T = d [I_k; 0],
+    d the last pivot. M is invertible, so an integer target t is in the
+    rational span iff (M t)[k:] vanishes, and then (M t)[:k] is d*x; for
+    a rational t the same holds in exact Fractions.
+    """
+
+    def __init__(self, rows: Matrix, n: int):
+        k = len(rows)
+        eye = [[int(i == j) for i in range(n)] for j in range(n)]
+        a = _integer_rows([[row[j] for row in rows] + eye[j] for j in range(n)])[0]
+        _bareiss(a)
+        # In reduced echelon form a column without a pivot leaves a zero on
+        # the diagonal, so the rows are independent iff a[i][i] != 0, i < k.
+        if k > n or not all(a[i][i] for i in range(k)):
+            raise DomainError(f"the {k} rows are linearly dependent; a basis is required")
+        self.k, self.d = k, a[0][0] if k else 1
+        self.m = [row[k:] for row in a]
+
+    def scaled(self, t: Vector) -> Optional[list[Scalar]]:
+        """d*x for the target t, or None if t is outside the span."""
+        if any(sum(map(mul, row, t)) for row in self.m[self.k:]):
+            return None
+        return [sum(map(mul, row, t)) for row in self.m[:self.k]]
+
+    def integral(self, t: Vector) -> Optional[list[int]]:
+        """Integer x with sum_i x[i]*rows[i] == t, or None."""
+        v = self.scaled(t)
+        if v is None or any(x % self.d for x in v):
+            return None
+        return [x // self.d for x in v]
+
+
 def integer_combination(rows: Matrix, target: Vector) -> Optional[list[int]]:
     """Integer coefficients x with sum_i x[i]*rows[i] == target, or None.
 
     The rows must be linearly independent (a basis of the lattice they
     span, as a Neron-Severi basis is); dependent rows raise DomainError.
-    One fraction-free elimination of the columns [rows^T | target],
-    scaled to integers equation by equation: the target is in the
-    rational span iff it adds no pivot, and then row i holds d*x[i] over
-    the common last pivot d, so x is integral iff d divides every entry.
+    One :class:`_Span` of the rows solves for the target.
     """
-    k, n = len(rows), len(target)
+    n = len(target)
     for row in rows:
         if len(row) != n:
             raise DimensionMismatchError(
                 f"row length {len(row)} does not match target length {n}"
             )
-    a = _integer_rows([[row[j] for row in rows] + [target[j]] for j in range(n)])[0]
-    r = _bareiss(a)[0]
-    # In reduced echelon form a column without a pivot leaves a zero on
-    # the diagonal, so the rows are independent iff a[i][i] != 0, i < k.
-    if k > n or not all(a[i][i] for i in range(k)):
-        raise DomainError(f"the {k} rows are linearly dependent; a basis is required")
-    if r > k:
-        return None
-    d = a[0][0] if k else 1
-    if any(a[i][k] % d for i in range(k)):
-        return None
-    return [a[i][k] // d for i in range(k)]
+    return _Span(rows, n).integral(target)
+
+
+# Caps on the witnesses one _Cone keeps. Scanning the cache costs too, so
+# a larger one decides more targets without the simplex but each one slower.
+_FARKAS_CAP = 8
+_BASIS_CAP = 16
+
+
+class _Cone:
+    """A cone prepared for many integer targets: the generators scaled to
+    integers once (a positive scale each, so the same cone), and caches
+    of the certificates its answers came with. Outside, a Farkas vector
+    z: z.g >= 0 for every generator g and z.t < 0. Inside, the indices of
+    independent generators with a nonnegative combination equal to t.
+    """
+
+    def __init__(self, generators: Sequence[Vector], n: int):
+        self.n = n
+        self.gens = _integer_rows(generators)[0]
+        self.rows = [[gen[i] for gen in self.gens] for i in range(n)]
+        self.farkas: list[list[int]] = []
+        self.bases: list[tuple[list[int], _Span]] = []
+
+    def phase1(self, target: Sequence[int]) -> tuple[bool, list[int]]:
+        """Whether {A x = target, x >= 0} is feasible, where the columns
+        of A are the generators, by phase 1 of the simplex method: rows
+        are flipped so that every right-hand side is >= 0, each row gets
+        an artificial variable, and the sum of the artificials is
+        minimised. The target is in the cone iff that minimum is 0.
+
+        Every tableau entry is the current basis determinant prev > 0
+        times the rational entry (integer pivoting by :func:`_pivot`).
+        Pivots follow Bland's rule (Bland 1977): the lowest-index
+        generator column with negative reduced cost enters, and
+        ratio-test ties leave by the lowest basic index, the artificials
+        numbered after the generators. Bland's rule cannot cycle, so the
+        method ends after finitely many pivots even on degenerate cones,
+        where many targets lie on faces. An artificial that leaves the
+        basis is not re-entered, which only fixes it to 0.
+
+        The artificial columns are kept: at the end the objective row
+        holds prev * (1 - y_i) there, y the multipliers of the flipped
+        rows, and a positive minimum y.t' with y.a' <= 0 on every flipped
+        generator column a' makes z_i = -sign_i * y_i the Farkas vector.
+        """
+        n, g = self.n, len(self.gens)
+        signs = [1 if v >= 0 else -1 for v in target]
+        tableau = [
+            [s * v for v in row] + [int(i == j) for j in range(n)] + [s * t]
+            for i, (row, s, t) in enumerate(zip(self.rows, signs, target))
+        ]
+        # The reduced costs of the phase-1 objective, then minus its value.
+        objective = [-sum(col) for col in zip([0] * (g + n + 1), *tableau)]
+        objective[g:g + n] = [0] * n
+        tableau.append(objective)
+        basis = list(range(g, g + n))
+        prev = 1
+        while tableau[n][-1]:
+            s = next((j for j in range(g) if tableau[n][j] < 0), None)
+            if s is None:
+                z = [-sign * (prev - tableau[n][g + i]) for i, sign in enumerate(signs)]
+                common = gcd(*z)
+                return False, [v // common for v in z]
+            # A negative reduced cost is minus the sum of the column's
+            # entries in rows with a basic artificial, so some entry is
+            # positive.
+            r = min(
+                (i for i in range(n) if tableau[i][s] > 0),
+                key=lambda i: (Fraction(tableau[i][-1], tableau[i][s]), basis[i]),
+            )
+            prev = _pivot(tableau, r, s, prev)
+            basis[r] = s
+        return True, [j for j in basis if j < g]
+
+    def contains(self, target: Sequence[int]) -> tuple[bool, list[int]]:
+        """:meth:`phase1`, but the cached certificates are tried first,
+        each checked exactly on the target: one dot product for a Farkas
+        vector (checked on every generator when cached), one span solve
+        and a sign check for a basis. So a cached answer is as exact as
+        a fresh one."""
+        for z in self.farkas:
+            if sum(map(mul, z, target)) < 0:
+                return False, z
+        for i, (basis, span) in enumerate(self.bases):
+            x = span.scaled(target)
+            if x is not None and all(v * span.d >= 0 for v in x):
+                self.bases.insert(0, self.bases.pop(i))
+                return True, basis
+        inside, witness = self.phase1(target)
+        if inside:
+            span = _Span([self.gens[j] for j in witness], self.n)
+            self.bases = [(witness, span)] + self.bases[:_BASIS_CAP - 1]
+        elif all(sum(map(mul, witness, gen)) >= 0 for gen in self.gens):
+            self.farkas = [witness] + self.farkas[:_FARKAS_CAP - 1]
+        return inside, witness
 
 
 def cone_contains(generators: Sequence[Vector], target: Vector) -> bool:
     """Exact membership of target in the cone of nonnegative rational
-    combinations of the generators.
-
-    Decides whether {A t = target, t >= 0} is feasible, where the
-    columns of A are the generators, by phase 1 of the simplex method:
-    rows are flipped so that every right-hand side is >= 0, each row
-    gets an artificial variable, and the sum of the artificials is
-    minimised. The target is in the cone iff that minimum is 0.
-
-    Every tableau entry is the current basis determinant times the
-    rational entry (integer pivoting by :func:`_pivot`). Pivots follow
-    Bland's rule (Bland 1977): the lowest-index column with negative
-    reduced cost enters, and ratio-test ties leave by the lowest basic
-    index, the artificials numbered after the generators. Bland's rule
-    cannot cycle, so the method ends after finitely many pivots even on
-    degenerate cones, where many targets lie on faces. An artificial
-    that leaves the basis is not re-entered, which only fixes it to 0.
-    """
+    combinations of the generators, by one uncached :meth:`_Cone.phase1`
+    on the target scaled to integers (a positive scale, so the same
+    question)."""
     n = len(target)
     for gen in generators:
         if len(gen) != n:
             raise DimensionMismatchError(
                 f"generator length {len(gen)} does not match target length {n}"
             )
-    g = len(generators)
-    tableau = _integer_rows([[gen[i] for gen in generators] + [target[i]] for i in range(n)])[0]
-    tableau = [row if row[-1] >= 0 else [-v for v in row] for row in tableau]
-    # The reduced costs of the phase-1 objective, then minus its value.
-    tableau.append([-sum(col) for col in zip([0] * (g + 1), *tableau)])
-    basis = list(range(g, g + n))
-    prev = 1
-    while tableau[n][-1]:
-        s = next((j for j in range(g) if tableau[n][j] < 0), None)
-        if s is None:
-            return False
-        # A negative reduced cost is minus the sum of the column's entries
-        # in rows with a basic artificial, so some entry is positive.
-        r = min(
-            (i for i in range(n) if tableau[i][s] > 0),
-            key=lambda i: (Fraction(tableau[i][-1], tableau[i][s]), basis[i]),
-        )
-        prev = _pivot(tableau, r, s, prev)
-        basis[r] = s
-    return True
+    (t,), _ = _integer_rows([target])
+    return _Cone(generators, n).phase1(t)[0]

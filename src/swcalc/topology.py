@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mod, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
@@ -46,6 +47,9 @@ def _as_integer(value, what: str) -> int:
 
 def _as_int_vector(values: Iterable, what: str) -> IntVector:
     """:func:`_as_integer` on every entry; what names one entry."""
+    values = tuple(values)
+    if {int}.issuperset(map(type, values)):
+        return values
     return tuple(_as_integer(v, what) for v in values)
 
 
@@ -225,7 +229,7 @@ def is_characteristic(m: ManifoldTopology, c: Sequence[int]) -> bool:
         raise DimensionMismatchError(
             f"characteristic vector has length {len(c)}, expected b2 = {m.b2}"
         )
-    return all((ci - wi) % 2 == 0 for ci, wi in zip(c, m.w2))
+    return not any(map(mod, map(sub, c, m.w2), itertools.repeat(2)))
 
 
 def characteristic_square(m: ManifoldTopology, c: IntVector) -> int:

@@ -222,6 +222,15 @@ def test_ext_form_refuses_to_truncate():
     assert all(type(v) is int for key in integral.coeffs for v in key + (integral.coeffs[key],))
 
 
+def test_ext_form_refuses_non_integral_b1():
+    with pytest.raises(DomainError, match="b1 must be an integer"):
+        ExtForm(Fraction(5, 2), {(1, 2): 1})
+    with pytest.raises(DomainError, match="b1 must be an integer"):
+        ExtForm.scalar(1.5, 1)
+    form = ExtForm(Fraction(4, 2), {(1, 2): 1})
+    assert form.b1 == 2 and type(form.b1) is int
+
+
 @st.composite
 def wall_cases(draw):
     """b1 <= 10 over the hyperbolic H^2 of the t2xs2 fixture with a random

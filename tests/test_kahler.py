@@ -32,7 +32,7 @@ from swcalc import (
     validate_topology,
     wall_crossing_delta,
 )
-from swcalc.linalg import cone_contains
+from swcalc.linalg import _BASIS_CAP, _FARKAS_CAP, _Cone, cone_contains
 
 
 def quadric_facts() -> KahlerFacts:
@@ -527,6 +527,54 @@ def test_sw_table_del_pezzo_cross_path(k, count):
         assert (row.sw_plus, row.sw_minus) == expected, c
         seen.add(expected)
     assert seen == {(0, 0), (1, 0), (0, -1)}
+
+
+@pytest.mark.parametrize("table", ["del Pezzo 6", "p2#2 dense"])
+def test_sw_table_rows_do_not_depend_on_the_other_rows(table):
+    # The cone's cached certificates carry over from row to row, yet each
+    # row equals the table of that row alone.
+    if table == "del Pezzo 6":
+        m, ray, facts = del_pezzo(6)
+        c_list = del_pezzo_c_list(6, 400)
+    else:
+        m, ray, facts, c_list = p2_blown_up_twice_dense()
+    rows = sw_table(m, c_list, psc_ray=ray, kahler_facts=facts)
+    assert rows == [sw_table(m, [c], psc_ray=ray, kahler_facts=facts)[0] for c in sorted(c_list)]
+    assert rows == sw_table(m, c_list, kahler_facts=facts)
+
+
+def test_del_pezzo_k8_cone_reuses_checked_certificates():
+    classes = minus_one_classes(8)
+    cone_gens = [tuple(Fraction(v) for v in d) for d in classes]
+    cone = _Cone(cone_gens, 9)
+    runs = []
+    phase1 = cone.phase1
+
+    def counted(target):
+        runs.append(phase1(target))
+        return runs[-1]
+
+    cone.phase1 = counted
+    rng = random.Random("del Pezzo 8 certificates")
+    inside = [
+        tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(9))
+        for gens, weights in (
+            (rng.sample(classes, 3), [rng.randint(1, 3) for _ in range(3)]) for _ in range(40)
+        )
+    ]
+    # H is nef, so classes of negative H-degree are not effective.
+    outside = [
+        (rng.randint(-6, -1),) + tuple(rng.randint(-4, 4) for _ in range(8)) for _ in range(40)
+    ]
+    targets = [(t, True) for t in inside] + [(t, False) for t in outside]
+    rng.shuffle(targets)
+    for target, answer in targets:
+        assert cone.contains(target)[0] is answer
+    # One Farkas vector can refuse every class of negative degree, so a
+    # few simplex runs decide all 40 of them.
+    assert len(runs) < len(targets)
+    assert sum(not found for found, _ in runs) <= 4
+    assert len(cone.farkas) <= _FARKAS_CAP and len(cone.bases) <= _BASIS_CAP
 
 
 def test_del_pezzo_k8_cone_membership_known_answers():

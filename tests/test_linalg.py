@@ -22,7 +22,10 @@ from conftest import (
 )
 from swcalc.errors import DimensionMismatchError, DomainError
 from swcalc.linalg import (
+    _Cone,
+    _integer_rows,
     _pfaffian,
+    _Span,
     cone_contains,
     determinant,
     inertia,
@@ -182,8 +185,10 @@ def test_integer_combination_is_exact_and_requires_a_basis():
     assert integer_combination([[1, 0], [0, 1]], [F(7, 2), 1]) is None
     assert integer_combination([[F(1, 2)]], [1]) == [2]
     assert integer_combination([[F(2, 3), 0], [0, 1]], [F(4, 3), F(5, 1)]) == [2, 5]
-    for rows in (((1, 2), (2, 4)), ((1,), (2,)), ((0, 0),), ((),)):
-        with pytest.raises(DomainError):
+    assert integer_combination([[F(1, 2), 0], [0, F(1, 3)]], [F(3, 2), F(2, 3)]) == [3, 2]
+    assert integer_combination([[F(1, 2), 0], [0, F(1, 3)]], [F(3, 4), 0]) is None
+    for rows in (((1, 2), (2, 4)), ((1,), (2,)), ((0, 0),), ((),), ((F(1, 2), 1), (1, 2))):
+        with pytest.raises(DomainError, match=f"the {len(rows)} rows are linearly dependent"):
             integer_combination(rows, [0] * len(rows[0]))
     with pytest.raises(DimensionMismatchError):
         integer_combination(((1, 2),), (3, 6, 1))
@@ -227,6 +232,29 @@ def test_integer_combination_agrees_with_echelon_oracle(case):
         event("in the span, off the lattice")
     else:
         event("outside the span")
+
+
+@settings(max_examples=300)
+@given(bases_with_targets())
+def test_prepared_span_agrees_with_echelon_oracle(case):
+    rows, target = case
+    n = len(target)
+    span = _Span(rows, n)
+    scaled = span.scaled(target)
+    if laplace_rank(rows + [target]) > len(rows):
+        assert scaled is None
+    else:
+        # d*x reproduces d*target, whether or not x is integral.
+        assert [sum(v * row[j] for v, row in zip(scaled, rows)) for j in range(n)] == [
+            span.d * t for t in target
+        ]
+    x = oracle_integer_combination(rows, target)
+    assert span.integral(target) == x
+    # The same prepared span answers further targets, rational ones
+    # included: t/2 is in the lattice iff t is, with even coordinates.
+    half = [v // 2 for v in x] if x is not None and all(v % 2 == 0 for v in x) else None
+    assert span.integral([F(t, 2) for t in target]) == half
+    assert span.integral([0] * n) == [0] * len(rows)
 
 
 def test_cone_contains_basics():
@@ -350,6 +378,119 @@ def test_cone_contains_agrees_with_fourier_motzkin(case):
     inside = cone_contains(gens, target)
     event("inside" if inside else "outside")
     assert inside == fm_cone_contains(gens, target)
+
+
+@st.composite
+def cone_streams(draw):
+    """A cone of at most 5 generators (4 in dimension 4) and a stream of
+    targets through it. The generators are rational combinations of r
+    random vectors, so the cone has rank <= r, possibly below n, and may
+    hold zero, repeated or opposite generators. The targets are
+    combinations of the generators with weights of either sign,
+    combinations of the r vectors, free vectors and repeats of these,
+    shuffled."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, n))
+    entry = st.integers(-3, 3)
+    base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    weight = st.fractions(-2, 2, max_denominator=2)
+
+    def combination(vectors, weights):
+        return tuple(sum((w * v[i] for w, v in zip(weights, vectors)), F(0)) for i in range(n))
+
+    limit = 4 if n == 4 else 5
+    gens = [
+        combination(base, draw(st.lists(weight, min_size=r, max_size=r)))
+        for _ in range(draw(st.integers(0, limit)))
+    ]
+    extras = draw(st.lists(st.sampled_from(["zero", "repeat", "opposite"]), max_size=2))
+    for extra in extras[:limit - len(gens)]:
+        if extra == "zero" or not gens:
+            gens.append((F(0),) * n)
+        else:
+            gens.append(gens[0] if extra == "repeat" else tuple(-v for v in gens[0]))
+    kinds = draw(st.lists(st.sampled_from(["cone", "span", "free"]), min_size=1, max_size=6))
+    cone_weight = st.fractions(-1, 4, max_denominator=3)
+    free = st.tuples(*[st.fractions(-4, 4, max_denominator=3)] * n)
+    targets = []
+    for kind in kinds:
+        if kind == "cone":
+            weights = st.lists(cone_weight, min_size=len(gens), max_size=len(gens))
+            targets.append(combination(gens, draw(weights)))
+        elif kind == "span":
+            targets.append(combination(base, draw(st.lists(weight, min_size=r, max_size=r))))
+        else:
+            targets.append(draw(free))
+    repeats = draw(st.lists(st.sampled_from(targets), max_size=3))
+    return gens, draw(st.permutations(targets + repeats))
+
+
+def integer_target(target):
+    """target scaled to integers by a positive factor, which keeps its
+    cone membership."""
+    return _integer_rows([target])[0][0]
+
+
+@given(cone_streams())
+def test_cached_cone_agrees_with_uncached_and_fourier_motzkin(case):
+    gens, stream = case
+    cone = _Cone(gens, len(stream[0]))
+    for target in stream:
+        cached = {id(z) for z in cone.farkas} | {id(b) for b, _ in cone.bases}
+        inside, witness = cone.contains(integer_target(target))
+        event("cache hit" if id(witness) in cached else "simplex")
+        assert inside == cone_contains(gens, target) == fm_cone_contains(gens, target)
+
+
+def test_cached_basis_is_checked_with_the_sign_of_d():
+    # Eliminating the single row (-1) leaves d = -1, so the scaled
+    # coordinate of t = 2 is d*x = 2 for x = -2 < 0: outside the ray.
+    span = _Span([[-1]], 1)
+    assert (span.d, span.scaled([2])) == (-1, [2])
+    for gens, stream in (
+        (((-1,),), [(-1,), (2,), (-3,)]),
+        (((0, -1), (-1, 0)), [(-1, -2), (1, 2), (0, 1), (0, -1)]),
+    ):
+        gens = [tuple(F(v) for v in gen) for gen in gens]
+        cone = _Cone(gens, len(stream[0]))
+        for target in stream:
+            assert cone.contains(target)[0] == cone_contains(gens, target)
+
+
+def fraction_solve(columns, target):
+    """x with sum_j x[j] * columns[j] == target, for independent columns,
+    by Gauss-Jordan elimination over the rationals; None if there is none."""
+    k = len(columns)
+    a = [[F(col[i]) for col in columns] + [F(t)] for i, t in enumerate(target)]
+    for j in range(k):
+        p = next(i for i in range(j, len(a)) if a[i][j])
+        a[j], a[p] = a[p], a[j]
+        a[j] = [v / a[j][j] for v in a[j]]
+        for i in range(len(a)):
+            if i != j:
+                a[i] = [v - a[i][j] * w for v, w in zip(a[i], a[j])]
+    if any(row[-1] for row in a[k:]):
+        return None
+    return [a[j][-1] for j in range(k)]
+
+
+def check_certificate(gens, target, inside, witness):
+    if inside:
+        x = fraction_solve([gens[j] for j in witness], target)
+        assert x is not None and all(v >= 0 for v in x)
+    else:
+        assert all(sum(z * v for z, v in zip(witness, gen)) >= 0 for gen in gens)
+        assert sum(z * t for z, t in zip(witness, target)) < 0
+
+
+@given(cone_streams())
+def test_cone_certificates_check_exactly(case):
+    gens, stream = case
+    cone = _Cone(gens, len(stream[0]))
+    for target in stream:
+        t = integer_target(target)
+        check_certificate(gens, target, *cone.phase1(t))
+        check_certificate(gens, target, *cone.contains(t))
 
 
 def laplace_det(a):
