@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from .chambers import PeriodRay, pairing_sign, ray_violation, require_same_component
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
-from .linalg import Scalar, _Cone, _integer_rows, _Span, dot, matvec, rank
+from .linalg import Scalar, _Cone, _integer_rows, _Span, dot, matvec
 from .topology import (
     IntVector,
     ManifoldTopology,
@@ -86,7 +86,13 @@ class KahlerFacts:
 
 def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:
     """Report every violated invariant of the Kahler facts, empty iff valid."""
-    violations = []
+    return _check_facts(m, facts)[0]
+
+
+def _check_facts(m: ManifoldTopology, facts: KahlerFacts) -> tuple[list[str], Optional[_Span]]:
+    """The violations, and the Neron-Severi solve when the basis is one:
+    its elimination is the independence check."""
+    violations, ns = [], None
     if len(facts.canonical_class) != m.b2:
         violations.append(
             f"canonical class has length {len(facts.canonical_class)}, "
@@ -96,8 +102,11 @@ def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:
         violations.append("canonical class is not characteristic (K != w2 mod 2)")
     if any(len(row) != m.b2 for row in facts.ns_basis):
         violations.append("every ns_basis row must have length b2")
-    elif facts.ns_basis and rank(facts.ns_basis) != len(facts.ns_basis):
-        violations.append("ns_basis rows are linearly dependent; a basis is required")
+    else:
+        try:
+            ns = _Span(facts.ns_basis, m.b2)
+        except DomainError:
+            violations.append("ns_basis rows are linearly dependent; a basis is required")
     if any(len(gen) != len(facts.ns_basis) for gen in facts.effective_cone):
         violations.append(
             "effective cone generators must be given in ns_basis coordinates "
@@ -111,19 +120,22 @@ def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:
             "kahler_ray must designate the component containing Kahler classes "
             "(component_sign = +1)"
         )
-    return violations
+    return violations, ns
 
 
-def _require_valid_facts(m: ManifoldTopology, facts: KahlerFacts) -> None:
-    violations = validate_kahler_facts(m, facts)
+def _require_valid_facts(m: ManifoldTopology, facts: KahlerFacts) -> _Span:
+    """The Neron-Severi solve of valid facts; invalid ones raise."""
+    violations, ns = _check_facts(m, facts)
     if violations:
         raise DomainError("invalid Kahler facts: " + "; ".join(violations))
+    return ns
 
 
-def _require_pg_zero_facts(m: ManifoldTopology, facts: KahlerFacts) -> None:
-    _require_valid_facts(m, facts)
+def _require_pg_zero_facts(m: ManifoldTopology, facts: KahlerFacts) -> _Span:
+    ns = _require_valid_facts(m, facts)
     if not facts.pg_zero:
         raise DomainError("the invariant rule applies only when p_g = 0")
+    return ns
 
 
 def abelian_solvability_side(
@@ -171,15 +183,14 @@ def douady_nonempty(
     of the effective cone generators. Both checks are exact; classes
     outside the Neron-Severi lattice give an empty moduli space.
     """
-    _require_valid_facts(m, facts)
-    return _douady_test(facts)(_require_line_class(m, line_class))
+    ns = _require_valid_facts(m, facts)
+    return _douady_test(facts, ns)(_require_line_class(m, line_class))
 
 
-def _douady_test(facts: KahlerFacts) -> Callable[[Sequence[int]], bool]:
+def _douady_test(facts: KahlerFacts, ns: _Span) -> Callable[[Sequence[int]], bool]:
     """The Douady nonemptiness test of valid facts, prepared once for
-    many line classes: the Neron-Severi solve and the effective cone
-    with its certificate caches (see :class:`linalg._Cone`)."""
-    ns = _Span(facts.ns_basis, len(facts.canonical_class))
+    many line classes: ns, the facts' Neron-Severi solve, and the
+    effective cone with its certificate caches (see :class:`linalg._Cone`)."""
     cone = _Cone(facts.effective_cone, len(facts.ns_basis))
 
     def nonempty(line_class: Sequence[int]) -> bool:
@@ -204,12 +215,12 @@ def sw_pg0_invariants(
         raise DomainError(f"the p_g = 0 rule requires b1 = 0, got {m.b1}")
     if m.bplus != 1:
         raise DomainError(f"the p_g = 0 rule requires bplus = 1, got {m.bplus}")
-    _require_pg_zero_facts(m, facts)
+    ns = _require_pg_zero_facts(m, facts)
     line_class = _require_line_class(m, line_class)
     c = tuple(2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class))
     if expected_dim_abelian(m, c) < 0:
         return (0, 0)
-    return (1, 0) if _douady_test(facts)(line_class) else (0, -1)
+    return (1, 0) if _douady_test(facts, ns)(line_class) else (0, -1)
 
 
 @dataclass(frozen=True)
@@ -271,7 +282,7 @@ def sw_table(
     if problem is not None:
         raise problem
     if kahler_facts is not None:
-        _require_pg_zero_facts(m, kahler_facts)
+        ns = _require_pg_zero_facts(m, kahler_facts)
     if psc_ray is not None and kahler_facts is not None:
         require_same_component(m, psc_ray, kahler_facts.kahler_ray)
     if (m.signature + m.euler) % 4:
@@ -286,7 +297,7 @@ def sw_table(
         (u,), _ = _integer_rows([matvec(m.intersection_form, psc_ray.h)])
         u = [psc_ray.component_sign * v for v in u]
     if kahler_facts is not None:
-        douady = _douady_test(kahler_facts)
+        douady = _douady_test(kahler_facts, ns)
     rows = []
     for c in sorted(set(_as_int_vector(c, "characteristic vector entry") for c in c_list)):
         if spinor_c2(m, characteristic_square(m, c), 1) < 0:

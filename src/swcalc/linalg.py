@@ -38,7 +38,7 @@ def dot(x: Vector, y: Vector) -> Scalar:
 
 
 def matvec(q: Matrix, x: Vector) -> list[Scalar]:
-    if any(map(len(x).__ne__, map(len, q))):
+    if any(len(row) != len(x) for row in q):
         raise DimensionMismatchError(f"matrix width does not match vector length {len(x)}")
     return [sum(map(mul, row, x)) for row in q]
 
