@@ -7,7 +7,8 @@ half-chambers C_plus and C_minus relative to a chosen hyperbola
 component. Period points are modeled as unnormalized rational rays,
 which is enough because every predicate here only uses the sign of a
 linear pairing against the ray and is therefore invariant under
-positive rescaling.
+positive rescaling. Every wall sign in the package is the sign of
+x . u for the one functional u of :func:`wall_vector`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError
-from .linalg import Scalar, pairing, quadratic
+from .linalg import Scalar, _integer_rows, dot, matvec, quadratic
 from .topology import ManifoldTopology, require_characteristic
 
 
@@ -96,30 +97,33 @@ def ray_violation(m: ManifoldTopology, ray: PeriodRay) -> Optional[DomainError]:
     return None
 
 
-def pairing_sign(m: ManifoldTopology, x: Sequence[Scalar], h: Sequence[Scalar]) -> int:
-    """Sign (-1, 0 or +1) of the pairing x . h: the side of the wall
-    orthogonal to x on which h lies."""
-    s = pairing(m.intersection_form, x, h)
-    return (s > 0) - (s < 0)
+def wall_vector(m: ManifoldTopology, ray: PeriodRay) -> list[int]:
+    """The wall functional of the ray: u = q h scaled to integers by a
+    positive factor, times the ray's component sign. The sign of x . u
+    is the side, relative to the designated component, of the wall
+    orthogonal to x on which the ray lies."""
+    (u,), _ = _integer_rows([matvec(m.intersection_form, ray.h)])
+    return [ray.component_sign * v for v in u]
 
 
-def require_same_component(
+def component_violation(
     m: ManifoldTopology, psc_ray: PeriodRay, kahler_ray: PeriodRay
-) -> None:
-    """Raise DomainError unless the two rays designate the same hyperbola
-    component. For bplus = 1 and rays of length b2 with positive square,
-    they do iff their component-signed pairing is positive (never 0)."""
-    signs = psc_ray.component_sign * kahler_ray.component_sign
-    if signs * pairing_sign(m, psc_ray.h, kahler_ray.h) < 0:
-        raise DomainError(
+) -> Optional[DomainError]:
+    """Why the two rays designate different hyperbola components, or None.
+    For bplus = 1 and rays of length b2 with positive square, they share
+    one iff their component-signed pairing is positive (never 0)."""
+    if psc_ray.component_sign * dot(psc_ray.h, wall_vector(m, kahler_ray)) < 0:
+        return DomainError(
             "the PSC ray and the Kahler ray designate different hyperbola "
             "components; the two pipelines would use different orientation data"
         )
+    return None
 
 
 def _wall_sign(
     m: ManifoldTopology, c: Sequence[int], ray: PeriodRay, b: Sequence[Scalar]
 ) -> int:
+    """Sign of (c - b) . u, u the ray's wall functional."""
     _require_bplus_one(m)
     c = require_characteristic(m, c)
     if len(b) != m.b2:
@@ -129,7 +133,8 @@ def _wall_sign(
     problem = ray_violation(m, ray)
     if problem is not None:
         raise problem
-    return pairing_sign(m, [ci - Fraction(bi) for ci, bi in zip(c, b)], ray.h)
+    s = dot([ci - Fraction(bi) for ci, bi in zip(c, b)], wall_vector(m, ray))
+    return (s > 0) - (s < 0)
 
 
 def classify_chamber(
@@ -143,7 +148,7 @@ def classify_chamber(
     the label when ``component_sign`` is -1 (see
     :func:`classify_chamber_oriented`).
     """
-    return _SIDE_CHAMBERS[_wall_sign(m, c, ray, b)]
+    return _SIDE_CHAMBERS[ray.component_sign * _wall_sign(m, c, ray, b)]
 
 
 def classify_chamber_oriented(
@@ -151,8 +156,7 @@ def classify_chamber_oriented(
 ) -> Chamber:
     """Like :func:`classify_chamber`, composed with the ray's component
     choice: a component_sign of -1 swaps C_plus and C_minus."""
-    result = classify_chamber(m, c, ray, b)
-    return result if ray.component_sign == 1 else result.flipped()
+    return _SIDE_CHAMBERS[_wall_sign(m, c, ray, b)]
 
 
 def is_c_good(

@@ -25,8 +25,8 @@ from .chambers import (
     Chamber,
     PeriodRay,
     classify_chamber_oriented,
+    component_violation,
     ray_violation,
-    require_same_component,
 )
 from .errors import DomainError, ManifoldFileError
 from .kahler import sw_table, validate_kahler_facts
@@ -126,10 +126,9 @@ def cmd_validate(args) -> int:
             violations.append(f"psc_ray: {problem}")
         elif not violations and m.bplus == 1 and data.kahler is not None:
             # Hyperbola components exist: a valid bplus = 1 form and valid rays.
-            try:
-                require_same_component(m, data.psc_ray, data.kahler.kahler_ray)
-            except DomainError as err:
-                violations.append(str(err))
+            problem = component_violation(m, data.psc_ray, data.kahler.kahler_ray)
+            if problem is not None:
+                violations.append(str(problem))
     ok = not violations
     if ok and args.echo:
         sys.stdout.write(emit_manifold_text(data))

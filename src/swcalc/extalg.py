@@ -59,10 +59,6 @@ class ExtForm:
         object.__setattr__(self, "coeffs", normalized)
 
     @classmethod
-    def zero(cls, b1: int) -> "ExtForm":
-        return cls(b1, {})
-
-    @classmethod
     def scalar(cls, b1: int, value: int) -> "ExtForm":
         return cls(b1, {(): value})
 
@@ -77,12 +73,9 @@ class ExtForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degrees(self) -> set[int]:
-        return {len(key) for key in self.coeffs}
-
     def degree(self) -> Optional[int]:
         """Degree of a homogeneous form, None for zero, error if mixed."""
-        degs = self.degrees()
+        degs = {len(key) for key in self.coeffs}
         if not degs:
             return None
         if len(degs) > 1:
@@ -102,17 +95,8 @@ class ExtForm:
             out[key] = out.get(key, 0) + value
         return ExtForm(self.b1, out)
 
-    def __neg__(self) -> "ExtForm":
-        return ExtForm(self.b1, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "ExtForm") -> "ExtForm":
-        return self + (-other)
-
     def __rmul__(self, scalar: int) -> "ExtForm":
         return ExtForm(self.b1, {k: scalar * v for k, v in self.coeffs.items()})
-
-    def wedge(self, other: "ExtForm") -> "ExtForm":
-        return wedge(self, other)
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .chambers import PeriodRay, pairing_sign, ray_violation, require_same_component
+from .chambers import PeriodRay, component_violation, ray_violation, wall_vector
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
-from .linalg import Scalar, _Cone, _integer_rows, _Span, dot, matvec
+from .linalg import Scalar, _Cone, _Span, dot
 from .topology import (
     IntVector,
     ManifoldTopology,
@@ -158,11 +158,13 @@ def abelian_solvability_side(
     _require_valid_facts(m, facts)
     if len(line_class) != m.b2 or len(b) != m.b2:
         raise DimensionMismatchError("line class and twisting class must have length b2")
+    line_class = _as_int_vector(line_class, "line class entry")
     diff = [
-        Fraction(2 * mv - kv) - Fraction(bv)
+        2 * mv - kv - Fraction(bv)
         for mv, kv, bv in zip(line_class, facts.canonical_class, b)
     ]
-    return _SIDE_SOLVABILITY[pairing_sign(m, diff, facts.kahler_ray.h)]
+    s = dot(diff, wall_vector(m, facts.kahler_ray))
+    return _SIDE_SOLVABILITY[(s > 0) - (s < 0)]
 
 
 def _require_line_class(m: ManifoldTopology, line_class: Sequence[int]) -> IntVector:
@@ -284,18 +286,16 @@ def sw_table(
     if kahler_facts is not None:
         ns = _require_pg_zero_facts(m, kahler_facts)
     if psc_ray is not None and kahler_facts is not None:
-        require_same_component(m, psc_ray, kahler_facts.kahler_ray)
+        problem = component_violation(m, psc_ray, kahler_facts.kahler_ray)
+        if problem is not None:
+            raise problem
     if (m.signature + m.euler) % 4:
         raise InvalidTopologyError(
             f"signature + euler = {m.signature + m.euler} is not divisible by 4, so "
             "the expected dimensions are not even integers; the topology data is "
             "inconsistent"
         )
-    if psc_ray is not None:
-        # The wall sign of c is the sign of c . u, u = q h scaled to
-        # integers (by a positive factor) and signed by the component.
-        (u,), _ = _integer_rows([matvec(m.intersection_form, psc_ray.h)])
-        u = [psc_ray.component_sign * v for v in u]
+    u = wall_vector(m, psc_ray) if psc_ray is not None else None
     if kahler_facts is not None:
         douady = _douady_test(kahler_facts, ns)
     rows = []

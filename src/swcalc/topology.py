@@ -305,6 +305,7 @@ def spin_sp1_admissible(m: ManifoldTopology, p: int) -> bool:
 
     Well defined because (w + 2x)^2 == w^2 (mod 4) for every integer x.
     """
+    p = _as_integer(p, "Pontryagin number")
     return (p - quadratic(m.intersection_form, m.w2)) % 4 == 0
 
 
@@ -315,7 +316,8 @@ def spin_u2_admissible(m: ManifoldTopology, p: int, c: Sequence[int]) -> bool:
         raise DimensionMismatchError(
             f"c has length {len(c)}, expected b2 = {m.b2}"
         )
-    lifted = [w + v for w, v in zip(m.w2, c)]
+    p = _as_integer(p, "Pontryagin number")
+    lifted = [w + v for w, v in zip(m.w2, _as_int_vector(c, "c entry"))]
     return (p - quadratic(m.intersection_form, lifted)) % 4 == 0
 
 

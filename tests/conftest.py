@@ -363,6 +363,17 @@ def congruent(p, a) -> list[list[int]]:
     return [[sum(p[t][i] * ap[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
 
 
+def oracle_wall_side(m: ManifoldTopology, x, h) -> int:
+    """Sign (-1, 0 or +1) of x . (q h), summed term by term in Fractions:
+    the side of the wall orthogonal to x on which h lies."""
+    s = sum(
+        Fraction(xi) * v * Fraction(hj)
+        for xi, row in zip(x, m.intersection_form)
+        for v, hj in zip(row, h)
+    )
+    return (s > 0) - (s < 0)
+
+
 def hyperbolic_topology(cup, name: str = "hyperbolic") -> ManifoldTopology:
     """b1 = len(cup) over the hyperbolic H^2 = (u, v), u.v = 1, of the
     t2xs2 fixture, with cup numbers (<a_i u a_j u u>, <a_i u a_j u v>) =

@@ -4,18 +4,28 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from conftest import congruent, dense_unimodular, oracle_wall_side
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from swcalc import (
     Chamber,
     DimensionMismatchError,
     DomainError,
+    KahlerFacts,
+    ManifoldTopology,
     OrientationData,
     PeriodRay,
+    SolvabilitySide,
+    abelian_solvability_side,
     classify_chamber,
     classify_chamber_oriented,
+    expected_dim_abelian,
     is_c_good,
+    sw_table,
 )
 
 
@@ -108,3 +118,126 @@ def test_wall_is_affine_in_b(s2xs2):
     for t in (Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)):
         mix = tuple(t * x + (1 - t) * y for x, y in zip(b0, b1))
         assert classify_chamber(s2xs2, c, ray, mix) is Chamber.ON_WALL
+
+
+def _unimodular_inverse(p):
+    """The integer inverse of a unimodular matrix, by Gauss-Jordan in Fractions."""
+    n = len(p)
+    a = [[Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(p)]
+    for k in range(n):
+        r = next(i for i in range(k, n) if a[i][k])
+        a[k], a[r] = a[r], a[k]
+        a[k] = [v / a[k][k] for v in a[k]]
+        for i in range(n):
+            if i != k:
+                a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+    return [[int(v) for v in row[n:]] for row in a]
+
+
+# Distinct denominators for the ray entries, one prime per coordinate.
+_PRIMES = (2, 3, 5, 7, 11)
+
+
+@st.composite
+def wall_cases(draw):
+    """A dense unimodular bplus = 1 lattice q = P^T A P, with A =
+    diag(1, -1, ..., -1) of rank 1..5 or the hyperbolic plane; in about a
+    quarter of the draws q gets a skew integer part, which changes no
+    square but makes x . (q h) differ from h . (q x). Two rays: P^-1 of an
+    integer vector of positive square in A, either sign, plus r_i / p_i
+    in coordinate i for distinct primes p_i; the PSC ray with either
+    component sign, the Kahler ray with +1. Then characteristic classes, a
+    canonical class, a line class and a rational twisting class b, moved
+    onto the wall of the first class half of the time."""
+    n = draw(st.integers(1, 5))
+    even = n == 2 and draw(st.booleans())
+    if even:
+        base = [[0, 1], [1, 0]]
+    else:
+        base = [[(1 if i == 0 else -1) if i == j else 0 for j in range(n)] for i in range(n)]
+    rng = draw(st.randoms(use_true_random=False))
+    p = dense_unimodular(n, rng, draw(st.sampled_from((1, -1))))
+    p_inv = _unimodular_inverse(p)
+    q = congruent(p, base)
+    if draw(st.integers(0, 3)) == 0:
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = draw(st.integers(-2, 2))
+                q[i][j] += s
+                q[j][i] -= s
+    # w2 is P^-1 of (1, ..., 1) for the odd form and 0 for the even one.
+    w2 = [0 if even else sum(row) % 2 for row in p_inv]
+    m = ManifoldTopology(
+        name="dense", b1=0, bplus=1, bminus=n - 1, euler=2 + n, signature=2 - n,
+        intersection_form=q, w2=w2,
+    )
+
+    def ray(component_sign):
+        if even:
+            h0 = [draw(st.integers(1, 4)), draw(st.integers(1, 4))]
+        else:
+            tail = [draw(st.integers(-3, 3)) for _ in range(n - 1)]
+            h0 = [isqrt(sum(v * v for v in tail)) + draw(st.integers(1, 3))] + tail
+        scale = draw(st.sampled_from((-20, 20)))
+        h = [
+            scale * sum(a * v for a, v in zip(row, h0)) + Fraction(draw(st.integers(1, d - 1)), d)
+            for row, d in zip(p_inv, _PRIMES)
+        ]
+        assume(oracle_wall_side(m, h, h) > 0)
+        return PeriodRay(h, component_sign)
+
+    psc = ray(draw(st.sampled_from((1, -1))))
+    kahler = ray(1)
+    lattice = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    c_list = [
+        tuple(w + 2 * v for w, v in zip(w2, y))
+        for y in draw(st.lists(lattice, min_size=1, max_size=6))
+    ]
+    canonical = tuple(w + 2 * v for w, v in zip(w2, draw(lattice)))
+    line_class = tuple(draw(lattice))
+    b = [Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4))) for _ in range(n)]
+    if draw(st.booleans()):
+        qh = [sum(v * hj for v, hj in zip(row, psc.h)) for row in q]
+        j = next(j for j, v in enumerate(qh) if v)
+        b[j] += sum((ci - bi) * v for ci, bi, v in zip(c_list[0], b, qh)) / qh[j]
+    return m, psc, kahler, c_list, canonical, line_class, b
+
+
+_CHAMBERS = {-1: Chamber.C_PLUS, 0: Chamber.ON_WALL, 1: Chamber.C_MINUS}
+_SIDES = {-1: SolvabilitySide.DOU_M, 0: SolvabilitySide.ON_WALL, 1: SolvabilitySide.DOU_K_MINUS_M}
+
+
+@settings(max_examples=200)
+@given(wall_cases())
+def test_every_wall_decision_matches_the_oracle(case):
+    m, psc, kahler, c_list, canonical, line_class, b = case
+    c = c_list[0]
+    side = oracle_wall_side(m, [ci - bi for ci, bi in zip(c, b)], psc.h)
+    event(f"wall side {side}")
+    assert classify_chamber(m, c, psc, b) is _CHAMBERS[side]
+    assert classify_chamber_oriented(m, c, psc, b) is _CHAMBERS[psc.component_sign * side]
+    assert is_c_good(m, c, psc, b) == (side != 0)
+
+    identity = [[int(i == j) for j in range(m.b2)] for i in range(m.b2)]
+    facts = KahlerFacts(canonical, identity, identity, True, kahler)
+    twice = [2 * lv - kv - bv for lv, kv, bv in zip(line_class, canonical, b)]
+    assert abelian_solvability_side(m, facts, line_class, b) is _SIDES[
+        oracle_wall_side(m, twice, kahler.h)
+    ]
+
+    if psc.component_sign * oracle_wall_side(m, psc.h, kahler.h) < 0:
+        event("components differ")
+        with pytest.raises(DomainError, match="different hyperbola components"):
+            sw_table(m, [], psc_ray=psc, kahler_facts=facts)
+    else:
+        assert sw_table(m, [], psc_ray=psc, kahler_facts=facts) == []
+
+    for row in sw_table(m, c_list, psc_ray=psc):
+        row_side = psc.component_sign * oracle_wall_side(m, row.c, psc.h)
+        if expected_dim_abelian(m, row.c) < 0:
+            want = (0, 0)
+        else:
+            event(f"PSC row side {row_side}")
+            want = {1: (1, 0), -1: (0, -1), 0: (None, None)}[row_side]
+        assert (row.sw_plus, row.sw_minus) == want

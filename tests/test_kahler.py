@@ -155,6 +155,7 @@ def test_kahler_inputs_refuse_to_truncate(p2, p2_kahler, p2_ray):
     for call in (
         lambda: douady_nonempty(p2, p2_kahler, half),
         lambda: sw_pg0_invariants(p2, p2_kahler, half),
+        lambda: abelian_solvability_side(p2, p2_kahler, half, (0,)),
         lambda: sw_table(p2, [(Fraction(7, 2),)], psc_ray=p2_ray),
         lambda: KahlerFacts(half, ((1,),), ((Fraction(1),),), True, p2_ray),
         lambda: KahlerFacts((-3,), (half,), ((Fraction(1),),), True, p2_ray),
@@ -163,6 +164,9 @@ def test_kahler_inputs_refuse_to_truncate(p2, p2_kahler, p2_ray):
             call()
     whole = (Fraction(4, 2),)
     assert douady_nonempty(p2, p2_kahler, whole) == douady_nonempty(p2, p2_kahler, (2,))
+    assert abelian_solvability_side(p2, p2_kahler, whole, (0,)) is abelian_solvability_side(
+        p2, p2_kahler, (2,), (0,)
+    )
     rows = sw_table(p2, [(Fraction(10, 2),)], psc_ray=p2_ray)
     assert rows == sw_table(p2, [(5,)], psc_ray=p2_ray)
 

@@ -194,6 +194,24 @@ def test_spin_u2_admissible(p2, s2xs2):
         spin_u2_admissible(p2, 0, (0, 0))
 
 
+def test_pu2_arithmetic_refuses_to_truncate(p2, s2xs2):
+    half = Fraction(1, 2)
+    for call in (
+        lambda: spin_sp1_admissible(s2xs2, half),
+        lambda: spin_u2_admissible(s2xs2, 2, (half, 2)),
+        lambda: spin_u2_admissible(s2xs2, half, (0, 0)),
+        lambda: expected_dim_pu2(s2xs2, 2, (half, 2)),
+        lambda: uhlenbeck_strata(p2, Fraction(-7, 2), (4,)),
+    ):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+    whole = Fraction(4, 2)
+    assert spin_sp1_admissible(p2, whole) == spin_sp1_admissible(p2, 2)
+    assert spin_u2_admissible(s2xs2, whole, (whole, 0)) == spin_u2_admissible(s2xs2, 2, (2, 0))
+    assert expected_dim_pu2(p2, -3, (Fraction(8, 2),)) == expected_dim_pu2(p2, -3, (4,))
+    assert uhlenbeck_strata(p2, Fraction(-6, 2), (4,)) == uhlenbeck_strata(p2, -3, (4,))
+
+
 def test_spin_u2_admissible_invariant_under_even_shift():
     rng = random.Random(13)
     for _ in range(60):
