@@ -60,7 +60,7 @@ from .topology import (
 
 
 def _parse_poly(text: str) -> HilbertPoly:
-    return HilbertPoly.from_coeffs(parse_fraction_vector(text))
+    return HilbertPoly(parse_fraction_vector(text))
 
 
 def _parse_ranked_poly(text: str) -> tuple[int, HilbertPoly]:
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--p1", type=int, required=True)
     p.add_argument("--c1", required=True)
-    p.add_argument("--max-level", type=int, default=None, dest="max_level")
+    p.add_argument("--max-level", type=int)
     _add_format(p)
     p.set_defaults(func=cmd_strata)
 
@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--c", required=True)
     p.add_argument("--h", required=True, help="period ray, e.g. --h=1 or --h=1,1/2")
-    p.add_argument("--b", default=None, help="twisting class, default 0")
-    p.add_argument("--component-sign", type=int, default=1, dest="component_sign")
+    p.add_argument("--b", help="twisting class, default 0")
+    p.add_argument("--component-sign", type=int, default=1)
     _add_format(p)
     p.set_defaults(func=cmd_chamber)
 
@@ -331,20 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = stab.add_parser("pair-rank2", help="rank-2 oriented pair status")
     q.add_argument("--phi", choices=("zero", "nonzero"), required=True)
-    q.add_argument(
-        "--e-stability",
-        choices=tuple(s.value for s in Stability),
-        default="neither",
-        dest="e_stability",
-    )
-    q.add_argument("--mu-div", dest="mu_div", default=None)
-    q.add_argument("--mu-e", dest="mu_e", required=True)
+    q.add_argument("--e-stability", choices=tuple(s.value for s in Stability), default="neither")
+    q.add_argument("--mu-div")
+    q.add_argument("--mu-e", required=True)
     _add_format(q)
     q.set_defaults(func=cmd_stability_pair)
 
     q = stab.add_parser("rho-interval", help="parameter-stability interval")
-    q.add_argument("--m-under", dest="m_under", required=True)
-    q.add_argument("--m-over", dest="m_over", required=True)
+    q.add_argument("--m-under", required=True)
+    q.add_argument("--m-over", required=True)
     _add_format(q)
     q.set_defaults(func=cmd_stability_rho)
 
@@ -355,25 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_stability_poly_compare)
 
     q = stab.add_parser("defect", help="framing defect polynomial")
-    q.add_argument("--p-e", dest="p_e", required=True)
-    q.add_argument("--rk-e", dest="rk_e", type=int, required=True)
-    q.add_argument("--p-ker", dest="p_ker", required=True)
-    q.add_argument("--rk-ker", dest="rk_ker", type=int, required=True)
+    q.add_argument("--p-e", required=True)
+    q.add_argument("--rk-e", type=int, required=True)
+    q.add_argument("--p-ker", required=True)
+    q.add_argument("--rk-ker", type=int, required=True)
     _add_format(q)
     q.set_defaults(func=cmd_stability_defect)
 
     q = stab.add_parser("semistable", help="oriented sheaf pair semistability")
-    q.add_argument("--rk-e", dest="rk_e", type=int, required=True)
-    q.add_argument("--p-e", dest="p_e", required=True)
-    q.add_argument("--phi-injective", action="store_true", dest="phi_injective")
-    q.add_argument("--epsilon-iso", action="store_true", dest="epsilon_iso")
-    q.add_argument("--kermax", default=None, help="rank:coeffs of the maximal kernel")
-    q.add_argument(
-        "--subsheaf",
-        action="append",
-        default=None,
-        help="rank:coeffs witness, repeatable",
-    )
+    q.add_argument("--rk-e", type=int, required=True)
+    q.add_argument("--p-e", required=True)
+    q.add_argument("--phi-injective", action="store_true")
+    q.add_argument("--epsilon-iso", action="store_true")
+    q.add_argument("--kermax", help="rank:coeffs of the maximal kernel")
+    q.add_argument("--subsheaf", action="append", help="rank:coeffs witness, repeatable")
     _add_format(q)
     q.set_defaults(func=cmd_stability_semistable)
 

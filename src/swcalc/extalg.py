@@ -19,7 +19,7 @@ from .chambers import OrientationData
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
 from .linalg import _pfaffian
 from .topology import IntVector, ManifoldTopology, _as_int_vector, _as_integer
-from .topology import expected_dim_abelian, require_characteristic
+from .topology import characteristic_square, require_characteristic, spinor_c2
 
 Key = tuple[int, ...]
 
@@ -151,10 +151,11 @@ def cup_form(m: ManifoldTopology, c: Sequence[int]) -> ExtForm:
     inconsistent input and raises InvalidTopologyError instead of
     rounding.
     """
-    return _cup_form(m, require_characteristic(m, c))
+    return ExtForm(m.b1, _cup_form(m, require_characteristic(m, c)))
 
 
-def _cup_form(m: ManifoldTopology, c: IntVector) -> ExtForm:
+def _cup_form(m: ManifoldTopology, c: IntVector) -> dict[Key, int]:
+    """:func:`cup_form` as a map {(i, j): value}, i < j, for a checked c."""
     # The stored entries are sorted, so the pairs come in (i, j) order.
     totals: dict[Key, int] = {}
     for i, j, k, v in m.triple_cup:
@@ -166,7 +167,7 @@ def _cup_form(m: ManifoldTopology, c: IntVector) -> ExtForm:
                 f"cup pairing of (a_{i}, a_{j}) with c is odd ({total}); "
                 "the half-integral form does not exist for this data"
             )
-    return ExtForm(m.b1, {key: total // 2 for key, total in totals.items()})
+    return {key: total // 2 for key, total in totals.items()}
 
 
 def wall_crossing_delta(
@@ -198,8 +199,9 @@ def wall_crossing_delta(
         raise DimensionMismatchError(
             f"test form has b1 = {test_form.b1}, manifold has b1 = {m.b1}"
         )
-    c = require_characteristic(m, c)
-    return wall_crossing_jump(m, c, expected_dim_abelian(m, c), test_form, orient.o1_sign)
+    c = _as_int_vector(c, "characteristic vector entry")
+    w = spinor_c2(m, characteristic_square(m, c), 1)
+    return wall_crossing_jump(m, c, w, test_form, orient.o1_sign)
 
 
 def wall_crossing_jump(
@@ -224,7 +226,7 @@ def wall_crossing_jump(
         )
     n = m.b1
     omega = [[0] * n for _ in range(n)]
-    for (i, j), v in _cup_form(m, c).coeffs.items():
+    for (i, j), v in _cup_form(m, c).items():
         omega[i - 1][j - 1], omega[j - 1][i - 1] = v, -v
     top = 0
     for s, theta in test_form.coeffs.items():

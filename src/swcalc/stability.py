@@ -56,10 +56,6 @@ class HilbertPoly:
     def from_coeffs(cls, coeffs: Iterable[Scalar]) -> "HilbertPoly":
         return cls(tuple(Fraction(v) for v in coeffs))
 
-    @classmethod
-    def zero(cls) -> "HilbertPoly":
-        return cls(())
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -78,11 +74,8 @@ class HilbertPoly:
         pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         return HilbertPoly(tuple(a + b for a, b in pairs))
 
-    def __neg__(self) -> "HilbertPoly":
-        return HilbertPoly(tuple(-v for v in self.coeffs))
-
     def __sub__(self, other: "HilbertPoly") -> "HilbertPoly":
-        return self + (-other)
+        return self + other.scale(-1)
 
     def scale(self, factor: Scalar) -> "HilbertPoly":
         f = Fraction(factor)
@@ -246,7 +239,7 @@ def oriented_sheaf_semistable(profile: PairProfile) -> bool:
         )
     rk_ker, p_ker = profile.kermax
     defect = framing_defect(profile.hilbert, profile.rank, p_ker, rk_ker)
-    if poly_compare(defect, HilbertPoly.zero()) is Ordering.LESS:
+    if poly_compare(defect, HilbertPoly(())) is Ordering.LESS:
         return False
     # Cross-multiplied by the positive ranks to avoid rational division:
     # (P_F - defect)/rk_F <= (P_E - defect)/rk_E.

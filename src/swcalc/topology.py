@@ -29,6 +29,7 @@ from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
 from .linalg import Scalar, determinant, inertia_and_determinant, quadratic
 
 IntVector = tuple[int, ...]
+_RANGE_LIMIT = 200_000  # the most vectors characteristic_range lists
 
 
 def _as_integer(value, what: str) -> int:
@@ -114,7 +115,8 @@ class ManifoldTopology:
 
 
 def _cup_entries(cup, b1: int, b2: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The sorted nonzero entries (i, j, k, value) of cup, given as entries or densely."""
+    """The sorted nonzero entries (i, j, k, value) of cup, given as entries or
+    densely; an index outside its range or a repeated cell raises ValueError."""
     if cup and cup[0] and isinstance(cup[0][0], Sequence):
         if len(cup) != b1 or any(len(p) != b1 or any(len(r) != b2 for r in p) for p in cup):
             raise ValueError("triple cup tensor must have shape b1 x b1 x b2")
@@ -138,19 +140,17 @@ def triple_cup_from_entries(
 ) -> tuple[tuple[int, int, int, int], ...]:
     """The stored cup numbers from sparse 1-based entries (i, j, k, value).
 
-    The antisymmetric counterpart (j, i, k, -value) is filled in
-    automatically; conflicting duplicates raise ValueError.
+    Values must be integers. Each entry's mirror (j, i, k, -value) is
+    filled in, and a diagonal entry (i, i, k) must be 0; the constructor's
+    normaliser checks index ranges and repeated cells. Refusals raise
+    ValueError.
     """
-    cells: dict[tuple[int, int, int], int] = {}
-    for (i, j, k, v) in entries:
-        if not (1 <= i <= b1 and 1 <= j <= b1 and 1 <= k <= b2):
-            raise ValueError(f"triple cup index ({i},{j},{k}) out of range")
-        if i == j and v != 0:
+    cup = [_as_int_vector(entry, "triple cup entry") for entry in entries]
+    cup = _cup_entries(cup + [(j, i, k, -v) for i, j, k, v in cup if i != j], b1, b2)
+    for i, j, k, _ in cup:
+        if i == j:
             raise ValueError(f"triple cup entry ({i},{i},{k}) must vanish by antisymmetry")
-        if (i, j, k) in cells:
-            raise ValueError(f"duplicate triple cup entry for ({i},{j},{k})")
-        cells[(i, j, k)], cells[(j, i, k)] = v, -v
-    return tuple(sorted((*key, v) for key, v in cells.items() if v))
+    return cup
 
 
 def validate_topology(m: ManifoldTopology) -> list[str]:
@@ -303,10 +303,11 @@ def spin_sp1_admissible(m: ManifoldTopology, p: int) -> bool:
     """Whether p occurs as first Pontryagin number of a Spin^Sp(1)
     structure: p == w2^2 (mod 4) for any integral lift of w2.
 
-    Well defined because (w + 2x)^2 == w^2 (mod 4) for every integer x.
+    Sp(1) = SU(2) is the part of U(2) with trivial determinant, so this is
+    :func:`spin_u2_admissible` at c = 0. Well defined because
+    (w + 2x)^2 == w^2 (mod 4) for every integer x.
     """
-    p = _as_integer(p, "Pontryagin number")
-    return (p - quadratic(m.intersection_form, m.w2)) % 4 == 0
+    return spin_u2_admissible(m, p, (0,) * m.b2)
 
 
 def spin_u2_admissible(m: ManifoldTopology, p: int, c: Sequence[int]) -> bool:
@@ -361,6 +362,7 @@ def uhlenbeck_strata(
     listed while the stratum dimension stays nonnegative, additionally
     capped at max_level when given.
     """
+    p1 = _as_integer(p1, "Pontryagin number")
     chi = expected_dim_pu2(m, p1, c1)
     strata = []
     level = 0
@@ -377,19 +379,17 @@ def spinor_sup_bound(sup_term: Scalar) -> Fraction:
     return s if s > 0 else Fraction(0)
 
 
-def characteristic_range(
-    m: ManifoldTopology, cmin: int, cmax: int, limit: int = 200_000
-) -> list[IntVector]:
+def characteristic_range(m: ManifoldTopology, cmin: int, cmax: int) -> list[IntVector]:
     """All characteristic vectors with every coordinate in [cmin, cmax],
     in lexicographic order.
 
     Works coordinatewise: entry i runs over the values of the correct
     parity w2[i] in the box. Raises DomainError when the enumeration
-    would exceed ``limit`` vectors.
+    would exceed a fixed cap of 200,000 vectors.
     """
     per_coord = [range(cmin + (cmin - w) % 2, cmax + 1, 2) for w in m.w2]
-    if math.prod(len(values) for values in per_coord) > limit:
+    if math.prod(len(values) for values in per_coord) > _RANGE_LIMIT:
         raise DomainError(
-            f"characteristic range would enumerate more than {limit} vectors"
+            f"characteristic range would enumerate more than {_RANGE_LIMIT} vectors"
         )
     return list(itertools.product(*per_coord))

@@ -38,6 +38,7 @@ def test_p2_fubini_study_pair_computes_minus_side(p2, p2_ray):
 def test_on_wall_when_pairing_vanishes(p2, p2_ray):
     assert classify_chamber(p2, (5,), p2_ray, (5,)) is Chamber.ON_WALL
     assert classify_chamber(p2, (5,), p2_ray, (Fraction(5),)) is Chamber.ON_WALL
+    assert Chamber.ON_WALL.flipped() is Chamber.ON_WALL
 
 
 def test_requires_bplus_one(p2):

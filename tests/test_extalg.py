@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,13 @@ def test_wall_crossing_rejects_parity_mismatch(t2xs2):
         wall_crossing_delta(t2xs2, (4, 0), ExtForm.term(2, (1,)))
 
 
+def test_wall_crossing_rejects_odd_b1_minus_degree(t2xs2):
+    # euler = 2 makes w = 1 for c = (2, 2), so r = 1 passes the parity
+    # test and b1 - r = 1 exposes the inconsistent Betti data.
+    with pytest.raises(InvalidTopologyError, match="b1 - r = 1 is odd"):
+        wall_crossing_delta(replace(t2xs2, euler=2), (2, 2), ExtForm.term(2, (1,)))
+
+
 def test_wall_crossing_requires_bplus_one():
     m = ManifoldTopology(
         name="two-plus", b1=0, bplus=2, bminus=0, euler=4, signature=2,
@@ -208,6 +216,12 @@ def test_ext_form_validation():
     assert ExtForm(2, {(1,): 0}).is_zero
     with pytest.raises(DomainError):
         ExtForm(2, {(): 1, (1,): 1}).degree()
+    assert ExtForm(2, {}).degree() is None
+
+
+def test_ext_form_text():
+    assert str(ExtForm(2, {})) == "0"
+    assert str(ExtForm(2, {(): 1, (1, 2): -3})) == "+1*1 -3*a1^a2"
 
 
 def test_ext_form_refuses_to_truncate():
@@ -227,6 +241,9 @@ def test_ext_form_refuses_non_integral_b1():
         ExtForm(Fraction(5, 2), {(1, 2): 1})
     with pytest.raises(DomainError, match="b1 must be an integer"):
         ExtForm.scalar(1.5, 1)
+    for b1 in (None, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="b1 must be an integer"):
+            ExtForm(b1, {})
     form = ExtForm(Fraction(4, 2), {(1, 2): 1})
     assert form.b1 == 2 and type(form.b1) is int
 

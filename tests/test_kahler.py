@@ -13,6 +13,7 @@ import pytest
 
 from swcalc import (
     Chamber,
+    DimensionMismatchError,
     DomainError,
     ExtForm,
     InvalidTopologyError,
@@ -148,6 +149,15 @@ def test_douady_nonempty_p2(p2, p2_kahler):
     assert douady_nonempty(p2, p2_kahler, (2,))
     assert douady_nonempty(p2, p2_kahler, (0,))
     assert not douady_nonempty(p2, p2_kahler, (-1,))
+
+
+def test_kahler_inputs_check_their_shapes(p2, p2_kahler):
+    with pytest.raises(DimensionMismatchError):
+        abelian_solvability_side(p2, p2_kahler, (1, 2), (0,))
+    with pytest.raises(DimensionMismatchError, match="line class has length 2, expected b2 = 1"):
+        douady_nonempty(p2, p2_kahler, (1, 2))
+    with pytest.raises(DomainError, match="requires bplus = 1, got 2"):
+        sw_pg0_invariants(dataclasses.replace(p2, bplus=2), p2_kahler, (2,))
 
 
 def test_kahler_inputs_refuse_to_truncate(p2, p2_kahler, p2_ray):

@@ -117,7 +117,7 @@ def test_poly_compare_examples():
     assert poly_compare(x2, x100) is Ordering.GREATER
     line = HilbertPoly.from_coeffs((1, 2))
     assert poly_compare(line, HilbertPoly.from_coeffs((1, 2))) is Ordering.EQUAL
-    assert poly_compare(HilbertPoly.zero(), line) is Ordering.LESS
+    assert poly_compare(HilbertPoly(()), line) is Ordering.LESS
 
 
 def _random_poly(rng: random.Random, max_degree: int = 4) -> HilbertPoly:

@@ -24,9 +24,11 @@ from swcalc import (
     spin_u2_admissible,
     spinc_count_per_chern,
     spinor_sup_bound,
+    triple_cup_from_entries,
     uhlenbeck_strata,
     validate_topology,
 )
+from swcalc import topology
 from swcalc.linalg import inertia, quadratic
 
 from conftest import random_block_topology, random_characteristic
@@ -209,7 +211,9 @@ def test_pu2_arithmetic_refuses_to_truncate(p2, s2xs2):
     assert spin_sp1_admissible(p2, whole) == spin_sp1_admissible(p2, 2)
     assert spin_u2_admissible(s2xs2, whole, (whole, 0)) == spin_u2_admissible(s2xs2, 2, (2, 0))
     assert expected_dim_pu2(p2, -3, (Fraction(8, 2),)) == expected_dim_pu2(p2, -3, (4,))
-    assert uhlenbeck_strata(p2, Fraction(-6, 2), (4,)) == uhlenbeck_strata(p2, -3, (4,))
+    strata = uhlenbeck_strata(p2, Fraction(-6, 2), (4,))
+    assert strata == uhlenbeck_strata(p2, -3, (4,))
+    assert all(type(s.p1) is int for s in strata)
 
 
 def test_spin_u2_admissible_invariant_under_even_shift():
@@ -288,16 +292,17 @@ def test_dim_parity_small_suite():
         assert (w - (1 + m.b1 + m.bplus)) % 2 == 0
 
 
-def test_characteristic_range(p2, s2xs2):
+def test_characteristic_range(p2, s2xs2, monkeypatch):
     assert characteristic_range(p2, -3, 3) == [(-3,), (-1,), (1,), (3,)]
     values = characteristic_range(s2xs2, -2, 2)
     assert (0, 0) in values and (-2, 2) in values
     assert all(is_characteristic(s2xs2, c) for c in values)
+    monkeypatch.setattr(topology, "_RANGE_LIMIT", 3)
     with pytest.raises(DomainError):
-        characteristic_range(s2xs2, -2, 2, limit=3)
+        characteristic_range(s2xs2, -2, 2)
 
 
-def test_characteristic_range_matches_filtered_box():
+def test_characteristic_range_matches_filtered_box(monkeypatch):
     # Oracle: every vector of the box, kept when each entry has the
     # parity of its w2 entry; empty boxes (cmin > cmax) included.
     for n in range(4):
@@ -314,11 +319,14 @@ def test_characteristic_range_matches_filtered_box():
                 ]
                 assert characteristic_range(m, cmin, cmax) == expected
                 count = len(expected)
-                assert characteristic_range(m, cmin, cmax, limit=count) == expected
-                if count:
-                    # count = limit + 1 vectors is one too many.
-                    with pytest.raises(DomainError):
-                        characteristic_range(m, cmin, cmax, limit=count - 1)
+                with monkeypatch.context() as patch:
+                    patch.setattr(topology, "_RANGE_LIMIT", count)
+                    assert characteristic_range(m, cmin, cmax) == expected
+                    if count:
+                        # count = limit + 1 vectors is one too many.
+                        patch.setattr(topology, "_RANGE_LIMIT", count - 1)
+                        with pytest.raises(DomainError):
+                            characteristic_range(m, cmin, cmax)
 
 
 def _k3_like() -> ManifoldTopology:
@@ -424,6 +432,11 @@ def test_construction_rejects_malformed_shapes(t2xs2):
             name="bad", b1=0, bplus=1, bminus=0, euler=3, signature=1,
             intersection_form=((1,),), w2=(1,), tors2_order=0,
         )
+    with pytest.raises(ValueError, match="w2 has length 2, expected b2 = 1"):
+        ManifoldTopology(
+            name="bad", b1=0, bplus=1, bminus=0, euler=3, signature=1,
+            intersection_form=((1,),), w2=(1, 0),
+        )
     # A dense cup tensor needs b1 planes of b1 rows of length b2 and
     # integer cells; entries need in-range, distinct indices.
     dense = (((0, 0), (1, 0)), ((-1, 0), (0, 0)))
@@ -442,3 +455,26 @@ def test_construction_rejects_malformed_shapes(t2xs2):
     assert from_dense == t2xs2
     assert from_dense.triple_cup == t2xs2.triple_cup == ((1, 2, 1, 1), (2, 1, 1, -1))
     assert hash(from_dense) == hash(t2xs2)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([(3, 1, 1, 1)], r"triple cup index \(3,1,1\) out of range"),
+        ([(1, 2, 1, 1), (1, 2, 3, 1)], r"triple cup index \(1,2,3\) out of range"),
+        ([(1, 1, 2, 1)], r"triple cup entry \(1,1,2\) must vanish by antisymmetry"),
+        ([(1, 2, 1, 1), (1, 2, 1, 2)], r"duplicate triple cup entry for \(1,2,1\)"),
+        # The mirror (2, 1, 1, -1) of the first entry is already filled in.
+        ([(1, 2, 1, 1), (2, 1, 1, -1)], r"duplicate triple cup entry for \(2,1,1\)"),
+        # A diagonal entry outside the index range is a range error.
+        ([(5, 5, 1, 1)], r"triple cup index \(5,5,1\) out of range"),
+    ],
+)
+def test_cup_entries_name_their_single_fault(entries, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        triple_cup_from_entries(2, 2, entries)
+
+
+def test_cup_entries_fill_mirrors_and_drop_zeros():
+    entries = [(2, 1, 2, 3), (1, 1, 1, 0), (1, 2, 1, 0)]
+    assert triple_cup_from_entries(2, 2, entries) == ((1, 2, 2, -3), (2, 1, 2, 3))
