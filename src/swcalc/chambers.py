@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError
 from .linalg import Scalar, _integer_rows, dot, matvec, quadratic
-from .topology import ManifoldTopology, require_characteristic
+from .topology import ManifoldTopology, _b2_vector, require_characteristic
 
 
 class Chamber(enum.Enum):
@@ -126,10 +126,7 @@ def _wall_sign(
     """Sign of (c - b) . u, u the ray's wall functional."""
     _require_bplus_one(m)
     c = require_characteristic(m, c)
-    if len(b) != m.b2:
-        raise DimensionMismatchError(
-            f"twisting class has length {len(b)}, expected b2 = {m.b2}"
-        )
+    b = _b2_vector(m, b, "twisting class")
     problem = ray_violation(m, ray)
     if problem is not None:
         raise problem

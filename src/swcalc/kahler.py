@@ -26,12 +26,13 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .chambers import PeriodRay, component_violation, ray_violation, wall_vector
-from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
+from .errors import DomainError, InvalidTopologyError
 from .linalg import Scalar, _Cone, _Span, dot
 from .topology import (
     IntVector,
     ManifoldTopology,
     _as_int_vector,
+    _b2_vector,
     characteristic_square,
     expected_dim_abelian,
     is_characteristic,
@@ -156,9 +157,8 @@ def abelian_solvability_side(
     only and is not applied to any value computed here.
     """
     _require_valid_facts(m, facts)
-    if len(line_class) != m.b2 or len(b) != m.b2:
-        raise DimensionMismatchError("line class and twisting class must have length b2")
-    line_class = _as_int_vector(line_class, "line class entry")
+    b = _b2_vector(m, b, "twisting class")
+    line_class = _require_line_class(m, line_class)
     diff = [
         2 * mv - kv - Fraction(bv)
         for mv, kv, bv in zip(line_class, facts.canonical_class, b)
@@ -168,11 +168,7 @@ def abelian_solvability_side(
 
 
 def _require_line_class(m: ManifoldTopology, line_class: Sequence[int]) -> IntVector:
-    if len(line_class) != m.b2:
-        raise DimensionMismatchError(
-            f"line class has length {len(line_class)}, expected b2 = {m.b2}"
-        )
-    return _as_int_vector(line_class, "line class entry")
+    return _as_int_vector(_b2_vector(m, line_class, "line class"), "line class entry")
 
 
 def douady_nonempty(

@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 
 from .errors import DomainError
 from .linalg import Scalar
+from .topology import _as_integer
 
 
 class Stability(enum.Enum):
@@ -106,11 +107,16 @@ def poly_compare(p: HilbertPoly, q: HilbertPoly) -> Ordering:
     return Ordering.EQUAL
 
 
-def slope(degree: Scalar, rank: int) -> Fraction:
-    """Slope of a torsion-free sheaf: polarized degree divided by rank."""
+def _positive_rank(value, what: str) -> int:
+    rank = _as_integer(value, what)
     if rank < 1:
-        raise DomainError(f"rank must be a positive integer, got {rank}")
-    return Fraction(degree) / rank
+        raise DomainError(f"{what} must be a positive integer, got {rank}")
+    return rank
+
+
+def slope(degree: Scalar, rank: int) -> Fraction:
+    """Slope of a torsion-free sheaf: polarized degree over integer rank >= 1."""
+    return Fraction(degree) / _positive_rank(rank, "rank")
 
 
 def oriented_pair_status_rank2(
@@ -161,13 +167,10 @@ def rho_interval(
 def framing_defect(
     p_e: HilbertPoly, rk_e: int, p_ker: HilbertPoly, rk_ker: int
 ) -> HilbertPoly:
-    """Defect polynomial of a non-injective framing:
-    P_E - (rk_E / rk_ker) * P_ker, with exact rational coefficients."""
-    if rk_ker < 1:
-        raise DomainError(f"kernel rank must be a positive integer, got {rk_ker}")
-    if rk_e < 1:
-        raise DomainError(f"sheaf rank must be a positive integer, got {rk_e}")
-    return p_e - p_ker.scale(Fraction(rk_e, rk_ker))
+    """Defect polynomial P_E - (rk_E / rk_ker) * P_ker of a non-injective
+    framing, exact; both ranks must be positive integers."""
+    rk_ker = _positive_rank(rk_ker, "kernel rank")
+    return p_e - p_ker.scale(Fraction(_positive_rank(rk_e, "sheaf rank"), rk_ker))
 
 
 @dataclass(frozen=True)
@@ -191,14 +194,13 @@ class PairProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "subsheaves", tuple(self.subsheaves))
-        if self.rank < 1:
-            raise DomainError(f"pair rank must be positive, got {self.rank}")
+        object.__setattr__(self, "rank", _positive_rank(self.rank, "pair rank"))
         _require_positive_leading(
             self.hilbert, "a nonzero sheaf needs a positive leading coefficient"
         )
         if self.kermax is not None:
             rk, poly = self.kermax
-            if not 1 <= rk < self.rank:
+            if not 1 <= _as_integer(rk, "kernel rank") < self.rank:
                 raise DomainError(
                     f"kernel rank must satisfy 1 <= rk < {self.rank}, got {rk}"
                 )
@@ -206,7 +208,7 @@ class PairProfile:
                 poly, "the kernel polynomial must have a positive leading coefficient"
             )
         for rk, poly in self.subsheaves:
-            if not 0 < rk < self.rank:
+            if not 0 < _as_integer(rk, "subsheaf rank") < self.rank:
                 raise DomainError(
                     f"subsheaf ranks must lie strictly between 0 and {self.rank}, got {rk}"
                 )

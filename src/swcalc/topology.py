@@ -54,6 +54,14 @@ def _as_int_vector(values: Iterable, what: str) -> IntVector:
     return tuple(_as_integer(v, what) for v in values)
 
 
+def _b2_vector(m: ManifoldTopology, values: Sequence, what: str) -> Sequence:
+    """values, checked to hold one entry per basis vector of H^2/Tors; a
+    wrong length raises DimensionMismatchError naming values as what."""
+    if len(values) != m.b2:
+        raise DimensionMismatchError(f"{what} has length {len(values)}, expected b2 = {m.b2}")
+    return values
+
+
 @dataclass(frozen=True)
 class ManifoldTopology:
     """Topological invariants of a closed oriented 4-manifold.
@@ -225,10 +233,7 @@ def _characteristic_violations(m: ManifoldTopology) -> list[str]:
 
 def is_characteristic(m: ManifoldTopology, c: Sequence[int]) -> bool:
     """True iff c is an integral lift of w2, i.e. c == w2 (mod 2)."""
-    if len(c) != m.b2:
-        raise DimensionMismatchError(
-            f"characteristic vector has length {len(c)}, expected b2 = {m.b2}"
-        )
+    c = _b2_vector(m, c, "characteristic vector")
     return not any(map(mod, map(sub, c, m.w2), itertools.repeat(2)))
 
 
@@ -284,6 +289,7 @@ def c2_spinor_bundle(m: ManifoldTopology, c: Sequence[int], sign: int) -> int:
     (c^2 - 3*signature - 2*euler)/4 for the positive bundle (sign=+1) and
     (c^2 - 3*signature + 2*euler)/4 for the negative one (sign=-1).
     """
+    sign = _as_integer(sign, "sign")
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     c = _as_int_vector(c, "characteristic vector entry")
@@ -313,10 +319,7 @@ def spin_sp1_admissible(m: ManifoldTopology, p: int) -> bool:
 def spin_u2_admissible(m: ManifoldTopology, p: int, c: Sequence[int]) -> bool:
     """Whether (p, c) occurs for a Spin^U(2) structure:
     p == (w2 + c)^2 (mod 4) for any integral lift of w2."""
-    if len(c) != m.b2:
-        raise DimensionMismatchError(
-            f"c has length {len(c)}, expected b2 = {m.b2}"
-        )
+    c = _b2_vector(m, c, "c")
     p = _as_integer(p, "Pontryagin number")
     lifted = [w + v for w, v in zip(m.w2, _as_int_vector(c, "c entry"))]
     return (p - quadratic(m.intersection_form, lifted)) % 4 == 0
@@ -327,8 +330,12 @@ def expected_dim_pu2(m: ManifoldTopology, p1: int, c1: Sequence[int]) -> int:
     (-3*p1 + c1^2)/2 - (3*euler + 4*signature)/2.
 
     Requires (p1, c1) to be Spin^U(2)-admissible; the total expression
-    is then an integer, which is checked exactly.
+    is then an integer, which is checked exactly. The formula reads p1
+    and c1 as ints, converted as in :func:`spin_u2_admissible`.
     """
+    c1 = _b2_vector(m, c1, "c")
+    p1 = _as_integer(p1, "Pontryagin number")
+    c1 = _as_int_vector(c1, "c entry")
     if not spin_u2_admissible(m, p1, c1):
         raise DomainError(
             f"(p1, c1) = ({p1}, {list(c1)}) is not Spin^U(2)-admissible: "
@@ -359,17 +366,13 @@ def uhlenbeck_strata(
     Pontryagin number grows by 4l and whose expected dimension drops by
     6l, with unordered l-point configurations contributing 4l
     dimensions; the stratum dimension is therefore chi - 2l. Levels are
-    listed while the stratum dimension stays nonnegative, additionally
-    capped at max_level when given.
+    listed while the stratum dimension stays nonnegative and, when an
+    integer max_level is given, up to it (a negative cap lists nothing).
     """
     p1 = _as_integer(p1, "Pontryagin number")
     chi = expected_dim_pu2(m, p1, c1)
-    strata = []
-    level = 0
-    while chi - 2 * level >= 0 and (max_level is None or level <= max_level):
-        strata.append(UhlenbeckStratum(level, p1 + 4 * level, chi - 2 * level))
-        level += 1
-    return strata
+    top = chi // 2 if max_level is None else min(chi // 2, _as_integer(max_level, "max_level"))
+    return [UhlenbeckStratum(level, p1 + 4 * level, chi - 2 * level) for level in range(top + 1)]
 
 
 def spinor_sup_bound(sup_term: Scalar) -> Fraction:
@@ -384,9 +387,10 @@ def characteristic_range(m: ManifoldTopology, cmin: int, cmax: int) -> list[IntV
     in lexicographic order.
 
     Works coordinatewise: entry i runs over the values of the correct
-    parity w2[i] in the box. Raises DomainError when the enumeration
-    would exceed a fixed cap of 200,000 vectors.
+    parity w2[i] in the box. A non-integral bound, or an enumeration
+    over a fixed cap of 200,000 vectors, raises DomainError.
     """
+    cmin, cmax = _as_integer(cmin, "cmin"), _as_integer(cmax, "cmax")
     per_coord = [range(cmin + (cmin - w) % 2, cmax + 1, 2) for w in m.w2]
     if math.prod(len(values) for values in per_coord) > _RANGE_LIMIT:
         raise DomainError(

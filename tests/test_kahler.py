@@ -24,9 +24,13 @@ from swcalc import (
     SWRow,
     abelian_solvability_side,
     characteristic_range,
+    classify_chamber,
     classify_chamber_oriented,
     douady_nonempty,
     expected_dim_abelian,
+    expected_dim_pu2,
+    require_characteristic,
+    spin_u2_admissible,
     sw_pg0_invariants,
     sw_table,
     validate_kahler_facts,
@@ -156,8 +160,35 @@ def test_kahler_inputs_check_their_shapes(p2, p2_kahler):
         abelian_solvability_side(p2, p2_kahler, (1, 2), (0,))
     with pytest.raises(DimensionMismatchError, match="line class has length 2, expected b2 = 1"):
         douady_nonempty(p2, p2_kahler, (1, 2))
+    # Both lengths are checked before the line class's entries.
+    with pytest.raises(DimensionMismatchError, match="line class has length 2, expected b2 = 1"):
+        abelian_solvability_side(p2, p2_kahler, (Fraction(1, 2), 2), (0,))
+    with pytest.raises(DimensionMismatchError, match="twisting class has length 2"):
+        abelian_solvability_side(p2, p2_kahler, (Fraction(1, 2),), (0, 0))
     with pytest.raises(DomainError, match="requires bplus = 1, got 2"):
         sw_pg0_invariants(dataclasses.replace(p2, bplus=2), p2_kahler, (2,))
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda m, facts, ray: require_characteristic(m, (1, 1)), "characteristic vector"),
+        (lambda m, facts, ray: sw_table(m, [(1, 1)], psc_ray=ray), "characteristic vector"),
+        (
+            lambda m, facts, ray: wall_crossing_delta(m, (1, 1), ExtForm.scalar(0, 1)),
+            "characteristic vector",
+        ),
+        (lambda m, facts, ray: spin_u2_admissible(m, 0, (0, 0)), "c"),
+        (lambda m, facts, ray: expected_dim_pu2(m, 0, (0, 0)), "c"),
+        (lambda m, facts, ray: classify_chamber(m, (1,), ray, (0, 0)), "twisting class"),
+        (lambda m, facts, ray: douady_nonempty(m, facts, (1, 2)), "line class"),
+        (lambda m, facts, ray: sw_pg0_invariants(m, facts, (1, 2)), "line class"),
+    ],
+)
+def test_b2_length_texts(p2, p2_kahler, p2_ray, call, text):
+    with pytest.raises(DimensionMismatchError) as info:
+        call(p2, p2_kahler, p2_ray)
+    assert str(info.value) == f"{text} has length 2, expected b2 = 1"
 
 
 def test_kahler_inputs_refuse_to_truncate(p2, p2_kahler, p2_ray):

@@ -31,6 +31,12 @@ def test_slope_examples():
     assert slope(-3, 2) == Fraction(-3, 2)
     with pytest.raises(DomainError):
         slope(1, 0)
+    # A float rank used to give a float slope.
+    assert slope(1, 2.0) == Fraction(1, 2) and type(slope(1, 2.0)) is Fraction
+    with pytest.raises(DomainError, match="rank must be an integer, got 1.5"):
+        slope(1, 1.5)
+    with pytest.raises(DomainError, match="rank must be a positive integer, got -1"):
+        slope(1, -1)
 
 
 def test_slope_is_scale_invariant():
@@ -169,6 +175,12 @@ def test_framing_defect_examples():
         framing_defect(p_e, 2, p_ker, 0)
     with pytest.raises(DomainError, match="sheaf rank must be a positive integer, got 0"):
         framing_defect(p_e, 0, p_ker, 1)
+    # An integral float rank used to raise a bare TypeError from Fraction.
+    assert framing_defect(p_e, 2.0, half_sq, Fraction(2, 2)) == framing_defect(p_e, 2, half_sq, 1)
+    with pytest.raises(DomainError, match="kernel rank must be an integer, got 0.5"):
+        framing_defect(p_e, 2, p_ker, 0.5)
+    with pytest.raises(DomainError, match="sheaf rank must be an integer, got 2.5"):
+        framing_defect(p_e, 2.5, p_ker, 1)
 
 
 def test_framing_defect_degree_drop_on_slope_match():
@@ -282,8 +294,14 @@ def test_pair_profile_validation():
         ({"phi_injective": False, "kermax": (1, negative)}, "the kernel polynomial must"),
         ({"subsheaves": ((2, one),)}, "subsheaf ranks must lie strictly"),
         ({"subsheaves": ((1, negative),)}, "subsheaf polynomials must"),
+        ({"rank": 0}, "pair rank must be a positive integer, got 0"),
+        ({"rank": 2.5}, "pair rank must be an integer, got 2.5"),
+        ({"phi_injective": False, "kermax": (1.5, one)}, "kernel rank must be an integer"),
+        ({"subsheaves": ((Fraction(1, 2), one),)}, "subsheaf rank must be an integer"),
     ]:
         fields = {"rank": 2, "hilbert": HilbertPoly.from_coeffs((0, 1)),
                   "phi_injective": True, "epsilon_iso": True, **extra}
         with pytest.raises(DomainError, match=message):
             PairProfile(**fields)
+    profile = PairProfile(2.0, HilbertPoly.from_coeffs((0, 1)), True, True)
+    assert profile.rank == 2 and type(profile.rank) is int

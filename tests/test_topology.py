@@ -157,6 +157,11 @@ def test_c2_spinor_bundle_examples(p2):
     assert c2_spinor_bundle(p2, (3,), -1) == 3
     with pytest.raises(DomainError):
         c2_spinor_bundle(p2, (3,), 2)
+    # An integral float sign used to make the result the float 0.0.
+    assert type(c2_spinor_bundle(p2, (3,), 1.0)) is int
+    assert c2_spinor_bundle(p2, (3,), Fraction(-2, 2)) == 3
+    with pytest.raises(DomainError, match="sign must be an integer, got 0.5"):
+        c2_spinor_bundle(p2, (3,), 0.5)
 
 
 def test_c2_difference_is_minus_euler():
@@ -204,6 +209,7 @@ def test_pu2_arithmetic_refuses_to_truncate(p2, s2xs2):
         lambda: spin_u2_admissible(s2xs2, half, (0, 0)),
         lambda: expected_dim_pu2(s2xs2, 2, (half, 2)),
         lambda: uhlenbeck_strata(p2, Fraction(-7, 2), (4,)),
+        lambda: uhlenbeck_strata(p2, -3, (4,), Fraction(3, 2)),
     ):
         with pytest.raises(DomainError, match="must be an integer"):
             call()
@@ -214,6 +220,18 @@ def test_pu2_arithmetic_refuses_to_truncate(p2, s2xs2):
     strata = uhlenbeck_strata(p2, Fraction(-6, 2), (4,))
     assert strata == uhlenbeck_strata(p2, -3, (4,))
     assert all(type(s.p1) is int for s in strata)
+    # Integral floats used to give float dimensions, and a cap of 3/2
+    # used to be truncated to 1.
+    assert type(expected_dim_pu2(p2, -3, (4.0,))) is int
+    assert type(expected_dim_pu2(p2, -3.0, (4,))) is int
+    strata = uhlenbeck_strata(p2, -3.0, (4.0,))
+    assert strata == uhlenbeck_strata(p2, -3, (4,))
+    assert all(type(s.dim) is int for s in strata)
+    assert uhlenbeck_strata(p2, -3, (4,), Fraction(4, 2)) == uhlenbeck_strata(p2, -3, (4,), 2)
+    assert len(uhlenbeck_strata(p2, -3, (4,), Fraction(4, 2))) == 3
+    assert uhlenbeck_strata(p2, -3, (4,), -1) == []
+    with pytest.raises(DomainError, match=r"is not Spin\^U\(2\)-admissible"):
+        expected_dim_pu2(p2, -6, (-5.0,))
 
 
 def test_spin_u2_admissible_invariant_under_even_shift():
@@ -297,6 +315,14 @@ def test_characteristic_range(p2, s2xs2, monkeypatch):
     values = characteristic_range(s2xs2, -2, 2)
     assert (0, 0) in values and (-2, 2) in values
     assert all(is_characteristic(s2xs2, c) for c in values)
+    # Non-integral bounds used to raise a bare TypeError from range.
+    with pytest.raises(DomainError, match=r"cmin must be an integer, got Fraction\(-3, 2\)"):
+        characteristic_range(p2, Fraction(-3, 2), 3)
+    with pytest.raises(DomainError, match="cmax must be an integer, got 2.5"):
+        characteristic_range(p2, -3, 2.5)
+    values = characteristic_range(p2, -3.0, Fraction(6, 2))
+    assert values == [(-3,), (-1,), (1,), (3,)]
+    assert all(type(v) is int for c in values for v in c)
     monkeypatch.setattr(topology, "_RANGE_LIMIT", 3)
     with pytest.raises(DomainError):
         characteristic_range(s2xs2, -2, 2)
