@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError
 from .linalg import Scalar, _integer_rows, dot, matvec, quadratic
-from .topology import ManifoldTopology, _b2_vector, require_characteristic
+from .topology import ManifoldTopology, _as_fraction, _as_sign, _b2_vector, require_characteristic
 
 
 class Chamber(enum.Enum):
@@ -55,9 +55,8 @@ class PeriodRay:
     component_sign: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "h", tuple(Fraction(v) for v in self.h))
-        if self.component_sign not in (1, -1):
-            raise ValueError(f"component_sign must be +1 or -1, got {self.component_sign!r}")
+        object.__setattr__(self, "h", tuple(_as_fraction(v, "period ray entry") for v in self.h))
+        object.__setattr__(self, "component_sign", _as_sign(self.component_sign, "component_sign"))
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ class OrientationData:
     o1_sign: int = 1
 
     def __post_init__(self):
-        if self.o1_sign not in (1, -1):
-            raise ValueError(f"o1_sign must be +1 or -1, got {self.o1_sign!r}")
+        object.__setattr__(self, "o1_sign", _as_sign(self.o1_sign, "o1_sign"))
 
 
 def _require_bplus_one(m: ManifoldTopology) -> None:
@@ -130,7 +128,8 @@ def _wall_sign(
     problem = ray_violation(m, ray)
     if problem is not None:
         raise problem
-    s = dot([ci - Fraction(bi) for ci, bi in zip(c, b)], wall_vector(m, ray))
+    diff = [ci - _as_fraction(bi, "twisting class entry") for ci, bi in zip(c, b)]
+    s = dot(diff, wall_vector(m, ray))
     return (s > 0) - (s < 0)
 
 

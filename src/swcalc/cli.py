@@ -184,11 +184,7 @@ def cmd_chamber(args) -> int:
     m = data.topology
     c = parse_int_vector(args.c)
     h = parse_fraction_vector(args.h)
-    b = (
-        parse_fraction_vector(args.b)
-        if args.b is not None
-        else tuple(Fraction(0) for _ in range(m.b2))
-    )
+    b = parse_fraction_vector(args.b) if args.b is not None else (0,) * m.b2
     if args.component_sign not in (1, -1):
         raise DomainError("--component-sign must be 1 or -1")
     ray = PeriodRay(h, args.component_sign)

@@ -135,6 +135,7 @@ def wedge(x: ExtForm, y: ExtForm) -> ExtForm:
 
 
 def wedge_power(x: ExtForm, k: int) -> ExtForm:
+    k = _as_integer(k, "wedge power exponent")
     if k < 0:
         raise DomainError("wedge power wants a nonnegative exponent")
     result = ExtForm.scalar(x.b1, 1)

@@ -31,6 +31,7 @@ from .linalg import Scalar, _Cone, _Span, dot
 from .topology import (
     IntVector,
     ManifoldTopology,
+    _as_fraction,
     _as_int_vector,
     _b2_vector,
     characteristic_square,
@@ -78,11 +79,8 @@ class KahlerFacts:
         object.__setattr__(self, "canonical_class", canonical)
         ns_basis = tuple(_as_int_vector(row, "ns_basis entry") for row in self.ns_basis)
         object.__setattr__(self, "ns_basis", ns_basis)
-        object.__setattr__(
-            self,
-            "effective_cone",
-            tuple(tuple(Fraction(v) for v in gen) for gen in self.effective_cone),
-        )
+        cone = [[_as_fraction(v, "effective cone entry") for v in g] for g in self.effective_cone]
+        object.__setattr__(self, "effective_cone", tuple(map(tuple, cone)))
 
 
 def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:
@@ -160,7 +158,7 @@ def abelian_solvability_side(
     b = _b2_vector(m, b, "twisting class")
     line_class = _require_line_class(m, line_class)
     diff = [
-        2 * mv - kv - Fraction(bv)
+        2 * mv - kv - _as_fraction(bv, "twisting class entry")
         for mv, kv, bv in zip(line_class, facts.canonical_class, b)
     ]
     s = dot(diff, wall_vector(m, facts.kahler_ray))

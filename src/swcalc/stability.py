@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .errors import DomainError
 from .linalg import Scalar
-from .topology import _as_integer
+from .topology import _as_fraction, _as_integer
 
 
 class Stability(enum.Enum):
@@ -48,14 +48,14 @@ class HilbertPoly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        normalized = [Fraction(v) for v in self.coeffs]
+        normalized = [_as_fraction(v, "polynomial coefficient") for v in self.coeffs]
         while normalized and normalized[-1] == 0:
             normalized.pop()
         object.__setattr__(self, "coeffs", tuple(normalized))
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Scalar]) -> "HilbertPoly":
-        return cls(tuple(Fraction(v) for v in coeffs))
+        return cls(tuple(coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -79,13 +79,13 @@ class HilbertPoly:
         return self + other.scale(-1)
 
     def scale(self, factor: Scalar) -> "HilbertPoly":
-        f = Fraction(factor)
+        f = _as_fraction(factor, "scale factor")
         return HilbertPoly(tuple(f * v for v in self.coeffs))
 
     def evaluate(self, n: Scalar) -> Fraction:
-        total = Fraction(0)
+        n, total = _as_fraction(n, "evaluation point"), Fraction(0)
         for coeff in reversed(self.coeffs):
-            total = total * Fraction(n) + coeff
+            total = total * n + coeff
         return total
 
 
@@ -116,7 +116,7 @@ def _positive_rank(value, what: str) -> int:
 
 def slope(degree: Scalar, rank: int) -> Fraction:
     """Slope of a torsion-free sheaf: polarized degree over integer rank >= 1."""
-    return Fraction(degree) / _positive_rank(rank, "rank")
+    return _as_fraction(degree, "degree") / _positive_rank(rank, "rank")
 
 
 def oriented_pair_status_rank2(
@@ -140,7 +140,7 @@ def oriented_pair_status_rank2(
         return e_stability
     if mu_div is None:
         raise DomainError("mu_div is required when the section is nonzero")
-    if Fraction(mu_div) < Fraction(mu_e):
+    if _as_fraction(mu_div, "mu_div") < _as_fraction(mu_e, "mu_e"):
         return Stability.STABLE
     return Stability.NEITHER
 
@@ -157,8 +157,7 @@ def rho_interval(
     A nonempty interval means some parameter makes the pair stable;
     enlarging the witness lists can only shrink the interval.
     """
-    lo = Fraction(m_under)
-    hi = Fraction(m_over)
+    lo, hi = _as_fraction(m_under, "m_under"), _as_fraction(m_over, "m_over")
     if lo < hi:
         return (lo, hi)
     return None
@@ -193,22 +192,22 @@ class PairProfile:
     subsheaves: tuple[tuple[int, HilbertPoly], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "subsheaves", tuple(self.subsheaves))
         object.__setattr__(self, "rank", _positive_rank(self.rank, "pair rank"))
         _require_positive_leading(
             self.hilbert, "a nonzero sheaf needs a positive leading coefficient"
         )
         if self.kermax is not None:
-            rk, poly = self.kermax
-            if not 1 <= _as_integer(rk, "kernel rank") < self.rank:
-                raise DomainError(
-                    f"kernel rank must satisfy 1 <= rk < {self.rank}, got {rk}"
-                )
+            rk, poly = _as_integer(self.kermax[0], "kernel rank"), self.kermax[1]
+            if not 1 <= rk < self.rank:
+                raise DomainError(f"kernel rank must satisfy 1 <= rk < {self.rank}, got {rk}")
             _require_positive_leading(
                 poly, "the kernel polynomial must have a positive leading coefficient"
             )
+            object.__setattr__(self, "kermax", (rk, poly))
+        subsheaves = [(_as_integer(rk, "subsheaf rank"), poly) for rk, poly in self.subsheaves]
+        object.__setattr__(self, "subsheaves", tuple(subsheaves))
         for rk, poly in self.subsheaves:
-            if not 0 < _as_integer(rk, "subsheaf rank") < self.rank:
+            if not 0 < rk < self.rank:
                 raise DomainError(
                     f"subsheaf ranks must lie strictly between 0 and {self.rank}, got {rk}"
                 )

@@ -46,6 +46,24 @@ def _as_integer(value, what: str) -> int:
     return n
 
 
+def _as_fraction(value, what: str) -> Fraction:
+    """value as a Fraction: an int or a Fraction keeps its value, an integral
+    float is read as by :func:`_as_integer`, and anything else raises DomainError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, Fraction)):
+        raise DomainError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
+def _as_sign(value, what: str) -> int:
+    """:func:`_as_integer` on value, which must then be +1 or -1."""
+    sign = _as_integer(value, what)
+    if sign not in (1, -1):
+        raise DomainError(f"{what} must be +1 or -1, got {sign!r}")
+    return sign
+
+
 def _as_int_vector(values: Iterable, what: str) -> IntVector:
     """:func:`_as_integer` on every entry; what names one entry."""
     values = tuple(values)
@@ -289,9 +307,7 @@ def c2_spinor_bundle(m: ManifoldTopology, c: Sequence[int], sign: int) -> int:
     (c^2 - 3*signature - 2*euler)/4 for the positive bundle (sign=+1) and
     (c^2 - 3*signature + 2*euler)/4 for the negative one (sign=-1).
     """
-    sign = _as_integer(sign, "sign")
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+    sign = _as_sign(sign, "sign")
     c = _as_int_vector(c, "characteristic vector entry")
     return spinor_c2(m, characteristic_square(m, c), sign)
 
@@ -378,7 +394,7 @@ def uhlenbeck_strata(
 def spinor_sup_bound(sup_term: Scalar) -> Fraction:
     """A priori sup bound for the squared spinor component:
     max(0, sup_term) for the caller-computed curvature/scalar term."""
-    s = Fraction(sup_term)
+    s = _as_fraction(sup_term, "sup_term")
     return s if s > 0 else Fraction(0)
 
 

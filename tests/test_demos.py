@@ -1,5 +1,5 @@
-"""Every demo script runs, and every demo manifold file validates, in a
-fresh interpreter."""
+"""Every demo script prints its recorded output, and every demo manifold
+file validates, in a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
+GOLDEN = Path(__file__).resolve().parent / "golden_demos"
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -28,6 +29,8 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 def test_demo_script_runs(script):
     result = run_python(str(script))
     assert result.returncode == 0, result.stderr
+    golden = GOLDEN / f"{script.stem}.stdout"
+    assert result.stdout.encode("utf-8") == golden.read_bytes()
 
 
 @pytest.mark.parametrize("path", sorted(DEMOS.glob("*.manifold")), ids=lambda p: p.name)

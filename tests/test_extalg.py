@@ -87,6 +87,13 @@ def test_wedge_power_counts_divided_powers():
     assert wedge_power(u, 0) == ExtForm.scalar(4, 1)
     with pytest.raises(DomainError, match="nonnegative exponent"):
         wedge_power(u, -1)
+    # The exponent is read as an integer: integral values of other types act
+    # as the int, anything else is refused.
+    assert wedge_power(u, 2.0) == wedge_power(u, 2)
+    assert wedge_power(u, Fraction(4, 2)) == wedge_power(u, 2)
+    for k in (1.5, "2", None):
+        with pytest.raises(DomainError, match="wedge power exponent must be an integer"):
+            wedge_power(u, k)
 
 
 def test_cup_form_zero_when_no_odd_cohomology(p2):
