@@ -30,13 +30,6 @@ class Chamber(enum.Enum):
     C_MINUS = "C_minus"
     ON_WALL = "on_wall"
 
-    def flipped(self) -> "Chamber":
-        if self is Chamber.C_PLUS:
-            return Chamber.C_MINUS
-        if self is Chamber.C_MINUS:
-            return Chamber.C_PLUS
-        return self
-
 
 _SIDE_CHAMBERS = {-1: Chamber.C_PLUS, 1: Chamber.C_MINUS, 0: Chamber.ON_WALL}
 
@@ -71,14 +64,6 @@ class OrientationData:
 
     def __post_init__(self):
         object.__setattr__(self, "o1_sign", _as_sign(self.o1_sign, "o1_sign"))
-
-
-def _require_bplus_one(m: ManifoldTopology) -> None:
-    if m.bplus != 1:
-        raise DomainError(
-            f"chamber predicates require bplus = 1, got bplus = {m.bplus}; "
-            "for bplus > 1 the wall condition depends on metric data"
-        )
 
 
 def ray_violation(m: ManifoldTopology, ray: PeriodRay) -> Optional[DomainError]:
@@ -118,17 +103,25 @@ def component_violation(
     return None
 
 
-def _wall_sign(
-    m: ManifoldTopology, c: Sequence[int], ray: PeriodRay, b: Sequence[Scalar]
-) -> int:
+def _wall_sign(m: ManifoldTopology, c: Sequence[int], ray: PeriodRay, b: Sequence[Scalar]) -> int:
     """Sign of (c - b) . u, u the ray's wall functional."""
-    _require_bplus_one(m)
+    if m.bplus != 1:
+        raise DomainError(
+            f"chamber predicates require bplus = 1, got bplus = {m.bplus}; "
+            "for bplus > 1 the wall condition depends on metric data"
+        )
     c = require_characteristic(m, c)
     b = _b2_vector(m, b, "twisting class")
     problem = ray_violation(m, ray)
     if problem is not None:
         raise problem
-    diff = [ci - _as_fraction(bi, "twisting class entry") for ci, bi in zip(c, b)]
+    return _twisted_sign(m, c, ray, b)
+
+
+def _twisted_sign(m: ManifoldTopology, x: Sequence[int], ray: PeriodRay, b: Sequence) -> int:
+    """Sign of (x - b) . u, u the ray's wall functional, for a checked
+    period ray and a twisting class b of length b2."""
+    diff = [xi - _as_fraction(bi, "twisting class entry") for xi, bi in zip(x, b)]
     s = dot(diff, wall_vector(m, ray))
     return (s > 0) - (s < 0)
 

@@ -96,6 +96,7 @@ class ExtForm:
         return ExtForm(self.b1, out)
 
     def __rmul__(self, scalar: int) -> "ExtForm":
+        scalar = _as_integer(scalar, "form scalar")
         return ExtForm(self.b1, {k: scalar * v for k, v in self.coeffs.items()})
 
     def __str__(self) -> str:
@@ -193,23 +194,13 @@ def wall_crossing_delta(
     mismatch is rejected rather than treated as zero.
     """
     if m.bplus != 1:
-        raise DomainError(
-            f"wall crossing requires bplus = 1, got bplus = {m.bplus}"
-        )
+        raise DomainError(f"wall crossing requires bplus = 1, got bplus = {m.bplus}")
     if test_form.b1 != m.b1:
         raise DimensionMismatchError(
             f"test form has b1 = {test_form.b1}, manifold has b1 = {m.b1}"
         )
     c = _as_int_vector(c, "characteristic vector entry")
     w = spinor_c2(m, characteristic_square(m, c), 1)
-    return wall_crossing_jump(m, c, w, test_form, orient.o1_sign)
-
-
-def wall_crossing_jump(
-    m: ManifoldTopology, c: IntVector, w: int, test_form: ExtForm, o1_sign: int
-) -> int:
-    """:func:`wall_crossing_delta` for a checked characteristic c with
-    expected dimension w, a test form on b1 generators and bplus = 1."""
     if test_form.is_zero:
         return 0
     r = test_form.degree()
@@ -235,4 +226,4 @@ def wall_crossing_jump(
         pf = _pfaffian([[omega[i][j] for j in rest] for i in rest])
         # a_S ^ a_rest = (-1)^(sum of s_i - i) a_1 ^ ... ^ a_b1.
         top += (-1) ** (sum(s) - r * (r + 1) // 2) * theta * pf
-    return (-1) ** ((n - r) // 2) * o1_sign * top
+    return (-1) ** ((n - r) // 2) * orient.o1_sign * top

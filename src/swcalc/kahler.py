@@ -15,7 +15,7 @@ available they must agree, and the table builder checks that they do.
 Entries the supplied facts cannot decide are reported as undetermined,
 never guessed.
 The table builder decides its rows from a plan built once per table;
-the one-class functions build the same plan for their one class.
+the p_g = 0 pair of one class is the one row of its table.
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .chambers import PeriodRay, component_violation, ray_violation, wall_vector
+from .chambers import PeriodRay, _twisted_sign, component_violation, ray_violation, wall_vector
 from .errors import DomainError, InvalidTopologyError
 from .linalg import Scalar, _Cone, _Span, dot
 from .topology import (
     IntVector,
     ManifoldTopology,
+    _as_flag,
     _as_fraction,
     _as_int_vector,
     _b2_vector,
     characteristic_square,
-    expected_dim_abelian,
     is_characteristic,
     spinor_c2,
 )
@@ -81,6 +81,7 @@ class KahlerFacts:
         object.__setattr__(self, "ns_basis", ns_basis)
         cone = [[_as_fraction(v, "effective cone entry") for v in g] for g in self.effective_cone]
         object.__setattr__(self, "effective_cone", tuple(map(tuple, cone)))
+        _as_flag(self.pg_zero, "pg_zero")
 
 
 def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:
@@ -130,13 +131,6 @@ def _require_valid_facts(m: ManifoldTopology, facts: KahlerFacts) -> _Span:
     return ns
 
 
-def _require_pg_zero_facts(m: ManifoldTopology, facts: KahlerFacts) -> _Span:
-    ns = _require_valid_facts(m, facts)
-    if not facts.pg_zero:
-        raise DomainError("the invariant rule applies only when p_g = 0")
-    return ns
-
-
 def abelian_solvability_side(
     m: ManifoldTopology,
     facts: KahlerFacts,
@@ -157,12 +151,8 @@ def abelian_solvability_side(
     _require_valid_facts(m, facts)
     b = _b2_vector(m, b, "twisting class")
     line_class = _require_line_class(m, line_class)
-    diff = [
-        2 * mv - kv - _as_fraction(bv, "twisting class entry")
-        for mv, kv, bv in zip(line_class, facts.canonical_class, b)
-    ]
-    s = dot(diff, wall_vector(m, facts.kahler_ray))
-    return _SIDE_SOLVABILITY[(s > 0) - (s < 0)]
+    c = [2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class)]
+    return _SIDE_SOLVABILITY[_twisted_sign(m, c, facts.kahler_ray, b)]
 
 
 def _require_line_class(m: ManifoldTopology, line_class: Sequence[int]) -> IntVector:
@@ -203,20 +193,19 @@ def sw_pg0_invariants(
     p_g = 0 and b1 = 0, oriented by the component containing Kahler
     classes.
 
-    Negative expected dimension forces (0, 0). Otherwise the pair is
-    (1, 0) when the Douady space of the line class is nonempty and
-    (0, -1) when it is empty.
+    This is the one row of :func:`sw_table` for that class and these
+    facts: both values vanish for negative expected dimension; otherwise
+    SW+ = 1 if the Douady space of the line class is nonempty, else
+    SW- = -1, and the other value is 0. The line class is checked first.
     """
     if m.b1 != 0:
         raise DomainError(f"the p_g = 0 rule requires b1 = 0, got {m.b1}")
     if m.bplus != 1:
         raise DomainError(f"the p_g = 0 rule requires bplus = 1, got {m.bplus}")
-    ns = _require_pg_zero_facts(m, facts)
     line_class = _require_line_class(m, line_class)
-    c = tuple(2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class))
-    if expected_dim_abelian(m, c) < 0:
-        return (0, 0)
-    return (1, 0) if _douady_test(facts, ns)(line_class) else (0, -1)
+    c = [2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class)]
+    (row,) = sw_table(m, [c], kahler_facts=facts)
+    return (row.sw_plus, row.sw_minus)
 
 
 @dataclass(frozen=True)
@@ -250,8 +239,8 @@ def sw_table(
 
     The manifold (b1 = 0, bplus = 1), the rays (length b2, positive
     square, one hyperbola component for both) and the Kahler facts
-    (:func:`validate_kahler_facts`, p_g = 0) are checked once, before
-    any row, and then signature + euler == 0 (mod 4): given the row
+    (:func:`validate_kahler_facts`, then the p_g = 0 flag) are checked
+    once, before any row, and then signature + euler == 0 (mod 4): given the row
     congruence c^2 == signature (mod 8), that is exactly when every w_c
     is an even integer, so inconsistent Betti data is refused even for
     an empty c_list. Each row then checks only its own c (length b2,
@@ -263,7 +252,7 @@ def sw_table(
     prepared. The cone caches a few certificates (Farkas vectors,
     generator bases) for the rest of the table and checks each one
     exactly on a new class, so every row is what a table of that row
-    alone would give.
+    alone would give; :func:`sw_pg0_invariants` is such a table.
     """
     if m.b1 != 0:
         raise DomainError(f"the table synthesis requires b1 = 0, got {m.b1}")
@@ -278,7 +267,9 @@ def sw_table(
     if problem is not None:
         raise problem
     if kahler_facts is not None:
-        ns = _require_pg_zero_facts(m, kahler_facts)
+        ns = _require_valid_facts(m, kahler_facts)
+        if not kahler_facts.pg_zero:
+            raise DomainError("the invariant rule applies only when p_g = 0")
     if psc_ray is not None and kahler_facts is not None:
         problem = component_violation(m, psc_ray, kahler_facts.kahler_ray)
         if problem is not None:

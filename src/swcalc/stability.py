@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .errors import DomainError
 from .linalg import Scalar
-from .topology import _as_fraction, _as_integer
+from .topology import _as_flag, _as_fraction, _as_integer
 
 
 class Stability(enum.Enum):
@@ -134,7 +134,7 @@ def oriented_pair_status_rank2(
     slopes matters, so simultaneous translation leaves the result
     unchanged.
     """
-    if phi_zero:
+    if _as_flag(phi_zero, "phi_zero"):
         if mu_div is not None:
             raise DomainError("mu_div must be omitted when the section vanishes")
         return e_stability
@@ -193,6 +193,8 @@ class PairProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "rank", _positive_rank(self.rank, "pair rank"))
+        for key in ("phi_injective", "epsilon_iso"):
+            _as_flag(getattr(self, key), key)
         _require_positive_leading(
             self.hilbert, "a nonzero sheaf needs a positive leading coefficient"
         )

@@ -64,6 +64,13 @@ def _as_sign(value, what: str) -> int:
     return sign
 
 
+def _as_flag(value, what: str) -> bool:
+    """value, which must be True or False; a truthy stand-in raises DomainError."""
+    if type(value) is not bool:
+        raise DomainError(f"{what} must be True or False, got {value!r}")
+    return value
+
+
 def _as_int_vector(values: Iterable, what: str) -> IntVector:
     """:func:`_as_integer` on every entry; what names one entry."""
     values = tuple(values)
@@ -166,11 +173,12 @@ def triple_cup_from_entries(
 ) -> tuple[tuple[int, int, int, int], ...]:
     """The stored cup numbers from sparse 1-based entries (i, j, k, value).
 
-    Values must be integers. Each entry's mirror (j, i, k, -value) is
-    filled in, and a diagonal entry (i, i, k) must be 0; the constructor's
-    normaliser checks index ranges and repeated cells. Refusals raise
-    ValueError.
+    b1, b2 and the values must be integers. Each entry's mirror
+    (j, i, k, -value) is filled in, and a diagonal entry (i, i, k) must
+    be 0; the constructor's normaliser checks index ranges and repeated
+    cells. Refusals raise ValueError.
     """
+    b1, b2 = _as_integer(b1, "b1"), _as_integer(b2, "b2")
     cup = [_as_int_vector(entry, "triple cup entry") for entry in entries]
     cup = _cup_entries(cup + [(j, i, k, -v) for i, j, k, v in cup if i != j], b1, b2)
     for i, j, k, _ in cup:
@@ -251,13 +259,18 @@ def _characteristic_violations(m: ManifoldTopology) -> list[str]:
 
 def is_characteristic(m: ManifoldTopology, c: Sequence[int]) -> bool:
     """True iff c is an integral lift of w2, i.e. c == w2 (mod 2)."""
+    return _lifts_w2(m, _as_int_vector(c, "characteristic vector entry"))
+
+
+def _lifts_w2(m: ManifoldTopology, c: IntVector) -> bool:
+    """:func:`is_characteristic` for an integer tuple c."""
     c = _b2_vector(m, c, "characteristic vector")
     return not any(map(mod, map(sub, c, m.w2), itertools.repeat(2)))
 
 
 def characteristic_square(m: ManifoldTopology, c: IntVector) -> int:
     """c^2 for an integer tuple c, checked as in :func:`require_characteristic`."""
-    if not is_characteristic(m, c):
+    if not _lifts_w2(m, c):
         raise DomainError(f"c = {list(c)} is not characteristic: c != w2 (mod 2)")
     square = quadratic(m.intersection_form, c)
     if (square - m.signature) % 8:

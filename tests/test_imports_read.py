@@ -1,8 +1,11 @@
-"""Every name a swcalc module imports is read somewhere in that module.
+"""Every name a swcalc module imports is read somewhere in that module,
+and every private module-level definition is read somewhere in swcalc.
 
 No linter ships with the package, and deleting a helper can leave its
-import behind; this check parses each module with ``ast`` instead. The
-package's ``__init__`` is skipped, since it imports names to re-export.
+import behind, or a helper behind once its last caller is gone; these
+checks parse each module with ``ast`` instead. The package's
+``__init__`` is skipped by the import check, since it imports names to
+re-export.
 """
 
 from __future__ import annotations
@@ -52,3 +55,40 @@ def test_modules_found():
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert sorted(imported_names(tree) - read_names(tree)) == []
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level functions, classes and constants whose names start
+    with one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Names read as values, as attributes, or imported from a sibling."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_definition_is_read():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    read = set().union(*map(loaded_names, trees.values()))
+    unread = {
+        f"{name}.{definition}"
+        for name, tree in trees.items()
+        for definition in private_definitions(tree) - read
+    }
+    assert sorted(unread) == []

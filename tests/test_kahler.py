@@ -271,6 +271,18 @@ def test_sw_pg0_requires_pg_zero(p2, p2_kahler, t2xs2):
             sw_table(p2, c_list, kahler_facts=facts)
 
 
+def test_sw_pg0_invariants_checks_like_its_table(p2, p2_kahler):
+    bad_facts = dataclasses.replace(p2_kahler, canonical_class=(-2,))
+    # The line class is checked before the facts.
+    with pytest.raises(DimensionMismatchError, match="^line class has length 2"):
+        sw_pg0_invariants(p2, bad_facts, (1, 2))
+    with pytest.raises(DomainError, match="^invalid Kahler facts: canonical class is not"):
+        sw_pg0_invariants(p2, bad_facts, (2,))
+    # Inconsistent Betti data gets the table's refusal.
+    with pytest.raises(InvalidTopologyError, match="^signature \\+ euler = 5 is not divisible"):
+        sw_pg0_invariants(dataclasses.replace(p2, euler=4), p2_kahler, (2,))
+
+
 def test_sw_table_p2_psc_threshold_profile(p2, p2_ray):
     rows = sw_table(p2, characteristic_range(p2, -9, 9), psc_ray=p2_ray)
     assert len(rows) == 10
@@ -444,8 +456,12 @@ def public_row(m, c, psc_ray, facts):
         else:
             pairs.append((None, None))
     if facts is not None:
+        # The p_g = 0 rule: the Douady space of the line class decides.
         line_class = tuple((cv + kv) // 2 for cv, kv in zip(c, facts.canonical_class))
-        pairs.append(sw_pg0_invariants(m, facts, line_class))
+        if w < 0:
+            pairs.append((0, 0))
+        else:
+            pairs.append((1, 0) if douady_nonempty(m, facts, line_class) else (0, -1))
     plus = [p for p, _ in pairs if p is not None]
     minus = [q for _, q in pairs if q is not None]
     assert len(set(plus)) <= 1 and len(set(minus)) <= 1

@@ -4,7 +4,7 @@ An integer slot reads an integral float as the int and refuses anything
 else; a rational slot takes an int, a Fraction or an integral float; a
 sign slot is an integer slot that must hold +1 or -1. So 0.1 raises a
 DomainError naming the slot, and 2.0 gives what 2 gives, with no float
-left anywhere in the result.
+left anywhere in the result. A flag slot takes True or False only.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from swcalc import (
     expected_dim_pu2,
     framing_defect,
     is_c_good,
+    is_characteristic,
     oriented_pair_status_rank2,
     require_characteristic,
     rho_interval,
@@ -93,6 +94,9 @@ INTEGER_SLOTS = [
     ("intersection form entry", lambda v: _topology(intersection_form=((v,),)), 1),
     ("w2 entry", lambda v: _topology(w2=(v,)), 1),
     ("triple cup entry", lambda v: triple_cup_from_entries(2, 1, [(1, 2, 1, v)]), 1),
+    ("b1", lambda v: triple_cup_from_entries(v, 1, [(1, 2, 1, 1)]), 3),
+    ("b2", lambda v: triple_cup_from_entries(2, v, [(1, 2, 1, 1)]), 1),
+    ("characteristic vector entry", lambda v: is_characteristic(P2, (v,)), 3),
     ("characteristic vector entry", lambda v: require_characteristic(P2, (v,)), 3),
     ("characteristic vector entry", lambda v: expected_dim_abelian(P2, (v,)), 3),
     ("characteristic vector entry", lambda v: c2_spinor_bundle(P2, (v,), 1), 3),
@@ -119,6 +123,7 @@ INTEGER_SLOTS = [
     ("b1", lambda v: ExtForm(v, {}), 4),
     ("form index", lambda v: ExtForm(4, {(v,): 1}), 1),
     ("form coefficient", lambda v: ExtForm(4, {(1,): v}), -1),
+    ("form scalar", lambda v: v * FORM, -1),
     ("wedge power exponent", lambda v: wedge_power(FORM, v), 0),
     ("rank", lambda v: slope(3, v), 1),
     ("sheaf rank", lambda v: framing_defect(POLY, v, KERNEL, 1), 1),
@@ -235,3 +240,32 @@ def test_float_slope_is_not_read_as_its_binary_expansion():
     # for two equal slopes.
     with pytest.raises(DomainError, match="^mu_div must be an int or a Fraction, got 0.1$"):
         oriented_pair_status_rank2(False, Stability.NEITHER, 0.1, Fraction(1, 10))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: is_characteristic(P2, (v,)),
+        lambda v: triple_cup_from_entries(v, 1, [(1, 2, 1, 1)]),
+        lambda v: triple_cup_from_entries(2, v, [(1, 2, 1, 1)]),
+    ],
+    ids=["is_characteristic", "cup b1", "cup b2"],
+)
+def test_integer_slots_refuse_strings(call):
+    with pytest.raises(DomainError, match="must be an integer, got '1'$"):
+        call("1")
+
+
+FLAG_SLOTS = [
+    ("pg_zero", lambda v: KahlerFacts((-3,), ((1,),), ((1,),), v, RAY)),
+    ("phi_injective", lambda v: PairProfile(3, POLY, v, True, (1, KERNEL))),
+    ("epsilon_iso", lambda v: PairProfile(3, POLY, False, v, (1, KERNEL))),
+    ("phi_zero", lambda v: oriented_pair_status_rank2(v, Stability.NEITHER, None, 3)),
+]
+
+
+@pytest.mark.parametrize("what, call", FLAG_SLOTS, ids=[case[0] for case in FLAG_SLOTS])
+def test_flag_slots_take_only_bools(what, call):
+    for value in ("false", "true", 0, 1, 1.0, None):
+        with pytest.raises(DomainError, match=f"^{what} must be True or False, got {value!r}$"):
+            call(value)
