@@ -67,7 +67,9 @@ class OrientationData:
 
 
 def ray_violation(m: ManifoldTopology, ray: PeriodRay) -> Optional[DomainError]:
-    """Why ray is no period ray of m (length b2, positive square), or None."""
+    """Why ray is no period ray of m (a PeriodRay, length b2, positive square), or None."""
+    if not isinstance(ray, PeriodRay):
+        return DomainError(f"period ray must be a PeriodRay, got {ray!r}")
     if len(ray.h) != m.b2:
         return DimensionMismatchError(
             f"period ray has length {len(ray.h)}, expected b2 = {m.b2}"
@@ -137,7 +139,7 @@ def classify_chamber(
     the label when ``component_sign`` is -1 (see
     :func:`classify_chamber_oriented`).
     """
-    return _SIDE_CHAMBERS[ray.component_sign * _wall_sign(m, c, ray, b)]
+    return _SIDE_CHAMBERS[_wall_sign(m, c, ray, b) * ray.component_sign]
 
 
 def classify_chamber_oriented(

@@ -32,6 +32,7 @@ from .errors import DomainError, ManifoldFileError
 from .kahler import sw_table, validate_kahler_facts
 from .manifoldfile import (
     ManifoldData,
+    _fmt,
     emit_manifold_text,
     load_manifold_file,
     parse_fraction,
@@ -70,16 +71,6 @@ def _parse_ranked_poly(text: str) -> tuple[int, HilbertPoly]:
     return parse_int(rank_part), _parse_poly(coeff_part)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "undetermined"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
-    return str(value)
-
-
 def _json_value(value):
     return _fmt(value) if isinstance(value, (Fraction, tuple)) else value
 
@@ -99,11 +90,9 @@ def _emit(args, command: str, fields: dict, text_lines: Optional[list] = None) -
 def _emit_rows(args, command: str, header: tuple, rows: list) -> None:
     """Print a table as JSON rows keyed by the header, or as tab-separated text."""
     if args.format == "json":
-        table = [dict(zip(header, map(_json_value, row))) for row in rows]
-        _emit(args, command, {"rows": table})
+        _emit(args, command, {"rows": [dict(zip(header, map(_json_value, row))) for row in rows]})
     else:
-        lines = ["\t".join(map(_fmt, row)) for row in rows]
-        print("\n".join(["\t".join(header), *lines]))
+        print("\n".join("\t".join(map(_fmt, row)) for row in (header, *rows)))
 
 
 def _load(path) -> ManifoldData:
@@ -185,12 +174,8 @@ def cmd_chamber(args) -> int:
     c = parse_int_vector(args.c)
     h = parse_fraction_vector(args.h)
     b = parse_fraction_vector(args.b) if args.b is not None else (0,) * m.b2
-    if args.component_sign not in (1, -1):
-        raise DomainError("--component-sign must be 1 or -1")
-    ray = PeriodRay(h, args.component_sign)
-    chamber = classify_chamber_oriented(m, c, ray, b)
-    good = chamber is not Chamber.ON_WALL
-    _emit(args, "chamber", {"chamber": chamber.value, "c_good": good})
+    chamber = classify_chamber_oriented(m, c, PeriodRay(h, args.component_sign), b)
+    _emit(args, "chamber", {"chamber": chamber.value, "c_good": chamber is not Chamber.ON_WALL})
     return 0
 
 
@@ -231,7 +216,7 @@ def cmd_stability_defect(args) -> int:
         _parse_poly(args.p_e), args.rk_e, _parse_poly(args.p_ker), args.rk_ker
     )
     coeffs = [str(v) for v in defect.coeffs]
-    text = ",".join(coeffs) or "0"
+    text = _fmt(defect.coeffs) or "0"
     _emit(args, "framing_defect", {"coeffs": coeffs}, [f"defect_coeffs = {text}"])
     return 0
 
@@ -249,15 +234,6 @@ def cmd_stability_semistable(args) -> int:
     )
     _emit(args, "semistable", {"semistable": oriented_sheaf_semistable(profile)})
     return 0
-
-
-def _add_format(parser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output as plain text (default) or a JSON tree with the same values",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check every data invariant of a manifold file")
     p.add_argument("file")
     p.add_argument("--echo", action="store_true", help="emit the canonical file form")
-    _add_format(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("dim", help="expected moduli dimensions")
@@ -289,14 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pu2", action="store_true", help="PU(2) index instead of abelian")
     p.add_argument("--p1", type=int, help="first Pontryagin number (with --pu2)")
     p.add_argument("--c1", help="determinant Chern class (with --pu2)")
-    _add_format(p)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("sw-table", help="invariant pair table over a range of c")
     p.add_argument("file")
     p.add_argument("--cmin", type=int, required=True)
     p.add_argument("--cmax", type=int, required=True)
-    _add_format(p)
     p.set_defaults(func=cmd_sw_table)
 
     p = sub.add_parser("strata", help="ideal-monopole strata of the compactification")
@@ -304,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=int, required=True)
     p.add_argument("--c1", required=True)
     p.add_argument("--max-level", type=int)
-    _add_format(p)
     p.set_defaults(func=cmd_strata)
 
     p = sub.add_parser("chamber", help="chamber classification for bplus = 1")
@@ -313,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="period ray, e.g. --h=1 or --h=1,1/2")
     p.add_argument("--b", help="twisting class, default 0")
     p.add_argument("--component-sign", type=int, default=1)
-    _add_format(p)
     p.set_defaults(func=cmd_chamber)
 
     p = sub.add_parser("stability", help="exact stability predicates")
@@ -322,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = stab.add_parser("slope", help="degree / rank")
     q.add_argument("--degree", required=True)
     q.add_argument("--rank", type=int, required=True)
-    _add_format(q)
     q.set_defaults(func=cmd_stability_slope)
 
     q = stab.add_parser("pair-rank2", help="rank-2 oriented pair status")
@@ -330,19 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--e-stability", choices=tuple(s.value for s in Stability), default="neither")
     q.add_argument("--mu-div")
     q.add_argument("--mu-e", required=True)
-    _add_format(q)
     q.set_defaults(func=cmd_stability_pair)
 
     q = stab.add_parser("rho-interval", help="parameter-stability interval")
     q.add_argument("--m-under", required=True)
     q.add_argument("--m-over", required=True)
-    _add_format(q)
     q.set_defaults(func=cmd_stability_rho)
 
     q = stab.add_parser("poly-compare", help="eventual-dominance order")
     q.add_argument("--p", required=True, help="ascending coefficients, e.g. --p=0,1")
     q.add_argument("--q", required=True)
-    _add_format(q)
     q.set_defaults(func=cmd_stability_poly_compare)
 
     q = stab.add_parser("defect", help="framing defect polynomial")
@@ -350,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rk-e", type=int, required=True)
     q.add_argument("--p-ker", required=True)
     q.add_argument("--rk-ker", type=int, required=True)
-    _add_format(q)
     q.set_defaults(func=cmd_stability_defect)
 
     q = stab.add_parser("semistable", help="oriented sheaf pair semistability")
@@ -360,9 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--epsilon-iso", action="store_true")
     q.add_argument("--kermax", help="rank:coeffs of the maximal kernel")
     q.add_argument("--subsheaf", action="append", help="rank:coeffs witness, repeatable")
-    _add_format(q)
     q.set_defaults(func=cmd_stability_semistable)
 
+    for leaf in [*sub.choices.values(), *stab.choices.values()]:
+        if leaf.get_default("func"):  # commands only; added last, so -h lists it last
+            leaf.add_argument(
+                "--format",
+                choices=("text", "json"),
+                default="text",
+                help="output as plain text (default) or a JSON tree with the same values",
+            )
     return parser
 
 

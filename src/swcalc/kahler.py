@@ -82,6 +82,8 @@ class KahlerFacts:
         cone = [[_as_fraction(v, "effective cone entry") for v in g] for g in self.effective_cone]
         object.__setattr__(self, "effective_cone", tuple(map(tuple, cone)))
         _as_flag(self.pg_zero, "pg_zero")
+        if not isinstance(self.kahler_ray, PeriodRay):
+            raise DomainError(f"kahler_ray must be a PeriodRay, got {self.kahler_ray!r}")
 
 
 def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:

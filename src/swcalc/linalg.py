@@ -59,12 +59,17 @@ def _require_square(q: Matrix) -> None:
 
 
 def _integer_rows(q: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Rows of q scaled to integers by their denominators' lcm, and those scales."""
+    """Rows of q scaled to integers by their denominators' lcm, and those
+    scales. An entry that is not an int or a Fraction raises DomainError."""
     rows, scales = [], []
-    for row in q:
-        d = lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (d // v.denominator) for v in row])
-        scales.append(d)
+    try:
+        for row in q:
+            d = lcm(*(v.denominator for v in row))
+            rows.append([v.numerator * (d // v.denominator) for v in row])
+            scales.append(d)
+    except AttributeError:  # named only on failure: the good path checks nothing
+        bad = next(v for row in q for v in row if not isinstance(v, (int, Fraction)))
+        raise DomainError(f"matrix entry must be an int or a Fraction, got {bad!r}") from None
     return rows, scales
 
 

@@ -222,14 +222,22 @@ def load_manifold_file(path) -> ManifoldData:
     return parse_manifold_text(text)
 
 
-def _fmt_vec(values) -> str:
-    return ",".join(str(v) for v in values)
+def _fmt(value) -> str:
+    """Value as file or report text: None is undetermined, bools true/false, tuples comma-joined."""
+    if value is None:
+        return "undetermined"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return str(value)
 
 
-def _ray_lines(ray: PeriodRay, ray_key: str, sign_key: str) -> list[str]:
-    lines = [f"{ray_key} = {_fmt_vec(ray.h)}"]
+def _ray_lines(ray: PeriodRay, section: str) -> list[str]:
+    """The keys the parser's ray(section) reads, the default sign +1 left out."""
+    lines = [f"{section}_ray = {_fmt(ray.h)}"]
     if ray.component_sign != 1:
-        lines.append(f"{sign_key} = {ray.component_sign}")
+        lines.append(f"{section}_component_sign = {ray.component_sign}")
     return lines
 
 
@@ -242,37 +250,27 @@ def emit_manifold_text(data: ManifoldData) -> str:
             f"name {m.name!r} does not re-parse: it must hold no '#' or line "
             "break and neither start nor end with whitespace"
         )
-    out = []
-    out.append("[manifold]")
-    out.extend(f"{key} = {getattr(m, key)}" for key in _KEYS["manifold"])
-    out.append("")
-    out.append("[intersection_form]")
-    for row in m.intersection_form:
-        out.append(" ".join(str(v) for v in row))
-    out.append("")
-    out.append("[w2]")
-    out.append(" ".join(str(v) for v in m.w2))
-    out.append("")
-    out.append("[torsion]")
-    out.append(f"tors2_order = {m.tors2_order}")
-    cup_lines = [f"{i} {j} {k} {v}" for i, j, k, v in m.triple_cup if i < j]
-    if cup_lines:
-        out.append("")
-        out.append("[triple_cup]")
-        out.extend(cup_lines)
+    sections = {
+        "manifold": [f"{key} = {_fmt(getattr(m, key))}" for key in _KEYS["manifold"]],
+        "intersection_form": [" ".join(map(str, row)) for row in m.intersection_form],
+        "w2": [" ".join(map(str, m.w2))],
+        "torsion": [f"tors2_order = {m.tors2_order}"],
+        "triple_cup": [f"{i} {j} {k} {v}" for i, j, k, v in m.triple_cup if i < j],
+    }
     if data.kahler is not None:
         facts = data.kahler
-        out.append("")
-        out.append("[kahler]")
-        out.append(f"canonical_class = {_fmt_vec(facts.canonical_class)}")
-        for row in facts.ns_basis:
-            out.append(f"ns_basis = {_fmt_vec(row)}")
-        for row in facts.effective_cone:
-            out.append(f"effective_cone = {_fmt_vec(row)}")
-        out.append(f"pg_zero = {'true' if facts.pg_zero else 'false'}")
-        out.extend(_ray_lines(facts.kahler_ray, "kahler_ray", "kahler_component_sign"))
+        sections["kahler"] = [
+            f"canonical_class = {_fmt(facts.canonical_class)}",
+            *(f"ns_basis = {_fmt(row)}" for row in facts.ns_basis),
+            *(f"effective_cone = {_fmt(row)}" for row in facts.effective_cone),
+            f"pg_zero = {_fmt(facts.pg_zero)}",
+            *_ray_lines(facts.kahler_ray, "kahler"),
+        ]
     if data.psc_ray is not None:
-        out.append("")
-        out.append("[psc]")
-        out.extend(_ray_lines(data.psc_ray, "psc_ray", "psc_component_sign"))
-    return "\n".join(out) + "\n"
+        sections["psc"] = _ray_lines(data.psc_ray, "psc")
+    # Required sections are written even when empty ([intersection_form] at b2 = 0).
+    return "\n\n".join(
+        "\n".join([f"[{section}]", *lines])
+        for section, lines in sections.items()
+        if lines or section in _REQUIRED_SECTIONS
+    ) + "\n"

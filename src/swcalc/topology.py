@@ -33,25 +33,25 @@ _RANGE_LIMIT = 200_000  # the most vectors characteristic_range lists
 
 
 def _as_integer(value, what: str) -> int:
-    """value as an int; a non-integral value raises DomainError instead
-    of being truncated. Integral rationals such as Fraction(4, 2) pass."""
+    """value as an int; a non-integral value or a bool raises DomainError
+    instead of being truncated. Integral rationals such as Fraction(4, 2) pass."""
     if type(value) is int:
         return value
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != value:
+    if n is None or n != value or isinstance(value, bool):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     return n
 
 
 def _as_fraction(value, what: str) -> Fraction:
     """value as a Fraction: an int or a Fraction keeps its value, an integral
-    float is read as by :func:`_as_integer`, and anything else raises DomainError."""
+    float is read as by :func:`_as_integer`, and a bool or anything else raises DomainError."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, (int, Fraction)):
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
         raise DomainError(f"{what} must be an int or a Fraction, got {value!r}")
     return Fraction(value)
 

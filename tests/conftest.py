@@ -61,6 +61,20 @@ psc_ray = 1
 """
 
 
+def b2_zero_text(name: str, b1: int, euler: int) -> str:
+    """The canonical file of a manifold with b2 = 0: [intersection_form]
+    has no lines and [w2] one empty line."""
+    return (
+        f"[manifold]\nname = {name}\nb1 = {b1}\nbplus = 0\nbminus = 0\n"
+        f"euler = {euler}\nsignature = 0\n"
+        "\n[intersection_form]\n\n[w2]\n\n\n[torsion]\ntors2_order = 1\n"
+    )
+
+
+# (name, b1, euler) of S^4 and S^1 x S^3.
+B2_ZERO = [("S4", 0, 2), ("S1xS3", 1, 0)]
+
+
 @pytest.fixture
 def p2() -> ManifoldTopology:
     return ManifoldTopology(

@@ -93,6 +93,26 @@ def test_component_sign_composition(p2, p2_ray):
     assert classify_chamber_oriented(p2, (5,), minus_component, (5,)) is Chamber.ON_WALL
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, ray: classify_chamber(m, (3,), ray, (0,)),
+        lambda m, ray: classify_chamber_oriented(m, (3,), ray, (0,)),
+        lambda m, ray: is_c_good(m, (3,), ray, (0,)),
+        lambda m, ray: sw_table(m, [(3,)], psc_ray=ray),
+    ],
+    ids=["classify_chamber", "classify_chamber_oriented", "is_c_good", "sw_table"],
+)
+def test_a_ray_that_is_no_period_ray_is_refused(p2, call):
+    with pytest.raises(DomainError, match=r"^period ray must be a PeriodRay, got \(1,\)$"):
+        call(p2, (1,))
+
+
+def test_kahler_facts_refuse_a_ray_that_is_no_period_ray():
+    with pytest.raises(DomainError, match=r"^kahler_ray must be a PeriodRay, got \(1,\)$"):
+        KahlerFacts((-3,), ((1,),), ((1,),), True, (1,))
+
+
 def test_c_good_examples(p2, s2xs2, p2_ray):
     # The untwisted pair is good for every characteristic element here.
     for c in ((1,), (3,), (-7,)):

@@ -10,7 +10,7 @@ import pytest
 from swcalc.cli import main
 from swcalc.kahler import SWRow
 
-from conftest import P2_FILE_TEXT
+from conftest import B2_ZERO, P2_FILE_TEXT, b2_zero_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -114,6 +114,14 @@ def test_validate_echo_round_trip(p2_file, tmp_path, capsys):
     code2, out2, _ = run(capsys, ["validate", str(echoed), "--echo"])
     assert code2 == 0
     assert out2 == out
+
+
+@pytest.mark.parametrize("name, b1, euler", B2_ZERO)
+def test_validate_echo_at_b2_zero(tmp_path, capsys, name, b1, euler):
+    text = b2_zero_text(name, b1, euler)
+    path = tmp_path / "b2_zero.manifold"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, ["validate", str(path), "--echo"]) == (0, text, "")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -314,7 +322,7 @@ def test_chamber_component_sign(p2_file, capsys):
     code, out, err = run(
         capsys, ["chamber", str(p2_file), "--c=5", "--h=1", "--component-sign=2"]
     )
-    assert (code, out, err) == (2, "", "error: --component-sign must be 1 or -1\n")
+    assert (code, out, err) == (2, "", "error: component_sign must be +1 or -1, got 2\n")
 
 
 def test_stability_commands(capsys):

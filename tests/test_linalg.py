@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -143,6 +144,27 @@ def test_determinant_and_inertia_reject_non_square():
             determinant(q)
         with pytest.raises(DimensionMismatchError):
             inertia(q)
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: determinant([[0.5]]), 0.5),
+        (lambda: rank([[1, 2.0]]), 2.0),
+        (lambda: inertia([[1, 0], [0, 0.5]]), 0.5),
+        (lambda: inertia_and_determinant([[1, "1"], ["1", 1]]), "1"),
+        (lambda: integer_combination([[0.5]], [1]), 0.5),
+        (lambda: cone_contains([[1.0]], [1]), 1.0),
+        (lambda: cone_contains([[1]], [0.5]), 0.5),
+    ],
+    ids=["determinant", "rank", "inertia", "inertia_and_determinant",
+         "integer_combination", "cone generator", "cone target"],
+)
+def test_entries_must_be_ints_or_fractions(call, bad):
+    # Integral floats too: these helpers compute with int and Fraction only.
+    text = f"matrix entry must be an int or a Fraction, got {bad!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        call()
 
 
 def test_pairing_and_quadratic():

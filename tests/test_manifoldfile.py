@@ -17,9 +17,10 @@ from swcalc import (
     emit_manifold_text,
     load_manifold_file,
     parse_manifold_text,
+    validate_topology,
 )
 
-from conftest import P2_FILE_TEXT
+from conftest import B2_ZERO, P2_FILE_TEXT, b2_zero_text
 
 MINIMAL = """\
 [manifold]
@@ -192,6 +193,17 @@ def test_round_trip_with_cup_and_component_signs():
     assert data.psc_ray.component_sign == -1
     again = parse_manifold_text(emit_manifold_text(data))
     assert again == data
+
+
+@pytest.mark.parametrize("name, b1, euler", B2_ZERO)
+def test_round_trip_at_b2_zero(name, b1, euler):
+    text = b2_zero_text(name, b1, euler)
+    data = parse_manifold_text(text)
+    assert (data.topology.b1, data.topology.b2) == (b1, 0)
+    assert validate_topology(data.topology) == []
+    # Every required section is written, [intersection_form] with no lines.
+    assert emit_manifold_text(data) == text
+    assert parse_manifold_text(emit_manifold_text(data)) == data
 
 
 def _renamed(name):

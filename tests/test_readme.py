@@ -1,5 +1,5 @@
 """The README's "Library quick start" block runs and computes what its
-comments claim."""
+comments claim, and the README names every demo manifold file."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from pathlib import Path
 
 from swcalc import expected_dim_abelian
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def quick_start_block() -> str:
@@ -28,3 +29,10 @@ def test_library_quick_start_block():
         (c,) = row.c
         assert row.sw_plus == (1 if c >= 3 else 0)
         assert row.sw_minus == (-1 if c <= -3 else 0)
+
+
+def test_readme_names_every_demo_manifold_file():
+    text = README.read_text(encoding="utf-8")
+    demos = sorted(path.name for path in (ROOT / "demos").glob("*.manifold"))
+    assert demos, "demos/ holds no manifold file"
+    assert [name for name in demos if f"`demos/{name}`" not in text] == []

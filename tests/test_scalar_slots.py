@@ -161,6 +161,7 @@ RATIONAL_SLOTS = [
 ]
 
 ALL_SLOTS = INTEGER_SLOTS + SIGN_SLOTS + RATIONAL_SLOTS
+SLOT_IDS = [f"{i}-{case[0]}" for i, case in enumerate(ALL_SLOTS)]
 
 
 def floats_in(value) -> list:
@@ -184,9 +185,7 @@ def outcome(call, value):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize(
-    "what, call, accepted", ALL_SLOTS, ids=[f"{i}-{case[0]}" for i, case in enumerate(ALL_SLOTS)]
-)
+@pytest.mark.parametrize("what, call, accepted", ALL_SLOTS, ids=SLOT_IDS)
 def test_integral_float_acts_as_its_int(what, call, accepted):
     for value in (2, accepted):
         expected = outcome(call, value)
@@ -195,13 +194,20 @@ def test_integral_float_acts_as_its_int(what, call, accepted):
         assert floats_in(got) == []
 
 
-@pytest.mark.parametrize(
-    "what, call, accepted", ALL_SLOTS, ids=[f"{i}-{case[0]}" for i, case in enumerate(ALL_SLOTS)]
-)
+@pytest.mark.parametrize("what, call, accepted", ALL_SLOTS, ids=SLOT_IDS)
 def test_non_integral_float_is_refused_by_name(what, call, accepted):
     kind = "an int or a Fraction" if (what, call, accepted) in RATIONAL_SLOTS else "an integer"
     with pytest.raises(DomainError, match=f"^{what} must be {kind}, got 0.1$"):
         call(0.1)
+
+
+@pytest.mark.parametrize("what, call, accepted", ALL_SLOTS, ids=SLOT_IDS)
+def test_bool_is_refused_by_name(what, call, accepted):
+    # bool is an int subclass, so without a check True would count as 1.
+    kind = "an int or a Fraction" if (what, call, accepted) in RATIONAL_SLOTS else "an integer"
+    for value in (True, False):
+        with pytest.raises(DomainError, match=f"^{what} must be {kind}, got {value}$"):
+            call(value)
 
 
 @pytest.mark.parametrize(
