@@ -12,7 +12,7 @@ from swcalc import (
     ManifoldTopology,
     PeriodRay,
     characteristic_range,
-    classify_chamber,
+    classify_chamber_oriented,
     expected_dim_abelian,
     sw_table,
     validate_topology,
@@ -42,7 +42,8 @@ for k in (1, 3, 5, 7):
 # the minus chamber, so the minus invariant is computed by an empty
 # moduli space there.
 fubini_study = PeriodRay((Fraction(1),))
-print("chamber of (h, 0) for c = 5h:", classify_chamber(plane, (5,), fubini_study, (0,)).value)
+chamber = classify_chamber_oriented(plane, (5,), fubini_study, (0,))
+print("chamber of (h, 0) for c = 5h:", chamber.value)
 
 # The jump across the wall is +1 whenever the dimension is nonnegative.
 for k in (1, 3, 9):

@@ -17,7 +17,6 @@ from .chambers import (
     Chamber,
     OrientationData,
     PeriodRay,
-    classify_chamber,
     classify_chamber_oriented,
     is_c_good,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "abelian_solvability_side",
     "c2_spinor_bundle",
     "characteristic_range",
-    "classify_chamber",
     "classify_chamber_oriented",
     "cup_form",
     "douady_nonempty",

@@ -128,25 +128,14 @@ def _twisted_sign(m: ManifoldTopology, x: Sequence[int], ray: PeriodRay, b: Sequ
     return (s > 0) - (s < 0)
 
 
-def classify_chamber(
+def classify_chamber_oriented(
     m: ManifoldTopology, c: Sequence[int], ray: PeriodRay, b: Sequence[Scalar]
 ) -> Chamber:
     """Half-chamber of the pair (ray, b) relative to the wall of c.
 
-    Computes s = (c - b) . h and returns C_plus for s < 0, C_minus for
-    s > 0 and ON_WALL for s = 0. The result is stated relative to the
-    supplied ray vector; callers composing with a component choice flip
-    the label when ``component_sign`` is -1 (see
-    :func:`classify_chamber_oriented`).
+    With s = (c - b) . h, returns C_plus for s < 0, C_minus for s > 0 and
+    ON_WALL for s = 0; a component_sign of -1 swaps C_plus and C_minus.
     """
-    return _SIDE_CHAMBERS[_wall_sign(m, c, ray, b) * ray.component_sign]
-
-
-def classify_chamber_oriented(
-    m: ManifoldTopology, c: Sequence[int], ray: PeriodRay, b: Sequence[Scalar]
-) -> Chamber:
-    """Like :func:`classify_chamber`, composed with the ray's component
-    choice: a component_sign of -1 swaps C_plus and C_minus."""
     return _SIDE_CHAMBERS[_wall_sign(m, c, ray, b)]
 
 

@@ -148,10 +148,6 @@ def cmd_dim(args) -> int:
 def cmd_sw_table(args) -> int:
     data = _load(args.file)
     m = data.topology
-    if data.psc_ray is None and data.kahler is None:
-        raise DomainError(
-            "the manifold file provides neither a [psc] nor a [kahler] section"
-        )
     c_list = characteristic_range(m, args.cmin, args.cmax)
     table = sw_table(m, c_list, psc_ray=data.psc_ray, kahler_facts=data.kahler)
     rows = [(row.c, row.sw_plus, row.sw_minus) for row in table]

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 from .chambers import OrientationData
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
 from .linalg import _pfaffian
-from .topology import IntVector, ManifoldTopology, _as_int_vector, _as_integer
+from .topology import IntVector, ManifoldTopology, _as_instance, _as_int_vector, _as_integer
 from .topology import characteristic_square, require_characteristic, spinor_c2
 
 Key = tuple[int, ...]
@@ -195,7 +195,8 @@ def wall_crossing_delta(
     """
     if m.bplus != 1:
         raise DomainError(f"wall crossing requires bplus = 1, got bplus = {m.bplus}")
-    if test_form.b1 != m.b1:
+    _as_instance(orient, OrientationData, "orient")
+    if _as_instance(test_form, ExtForm, "test_form").b1 != m.b1:
         raise DimensionMismatchError(
             f"test form has b1 = {test_form.b1}, manifold has b1 = {m.b1}"
         )

@@ -33,10 +33,11 @@ from .topology import (
     ManifoldTopology,
     _as_flag,
     _as_fraction,
+    _as_instance,
     _as_int_vector,
     _b2_vector,
+    _lifts_w2,
     characteristic_square,
-    is_characteristic,
     spinor_c2,
 )
 
@@ -82,8 +83,7 @@ class KahlerFacts:
         cone = [[_as_fraction(v, "effective cone entry") for v in g] for g in self.effective_cone]
         object.__setattr__(self, "effective_cone", tuple(map(tuple, cone)))
         _as_flag(self.pg_zero, "pg_zero")
-        if not isinstance(self.kahler_ray, PeriodRay):
-            raise DomainError(f"kahler_ray must be a PeriodRay, got {self.kahler_ray!r}")
+        _as_instance(self.kahler_ray, PeriodRay, "kahler_ray")
 
 
 def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:
@@ -95,12 +95,12 @@ def _check_facts(m: ManifoldTopology, facts: KahlerFacts) -> tuple[list[str], Op
     """The violations, and the Neron-Severi solve when the basis is one:
     its elimination is the independence check."""
     violations, ns = [], None
-    if len(facts.canonical_class) != m.b2:
+    if len(_as_instance(facts, KahlerFacts, "Kahler facts").canonical_class) != m.b2:
         violations.append(
             f"canonical class has length {len(facts.canonical_class)}, "
             f"expected b2 = {m.b2}"
         )
-    elif not is_characteristic(m, facts.canonical_class):
+    elif not _lifts_w2(m, facts.canonical_class):
         violations.append("canonical class is not characteristic (K != w2 mod 2)")
     if any(len(row) != m.b2 for row in facts.ns_basis):
         violations.append("every ns_basis row must have length b2")
@@ -200,12 +200,9 @@ def sw_pg0_invariants(
     SW+ = 1 if the Douady space of the line class is nonempty, else
     SW- = -1, and the other value is 0. The line class is checked first.
     """
-    if m.b1 != 0:
-        raise DomainError(f"the p_g = 0 rule requires b1 = 0, got {m.b1}")
-    if m.bplus != 1:
-        raise DomainError(f"the p_g = 0 rule requires bplus = 1, got {m.bplus}")
     line_class = _require_line_class(m, line_class)
-    c = [2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class)]
+    canonical = _as_instance(facts, KahlerFacts, "Kahler facts").canonical_class
+    c = [2 * mv - kv for mv, kv in zip(line_class, canonical)]
     (row,) = sw_table(m, [c], kahler_facts=facts)
     return (row.sw_plus, row.sw_minus)
 

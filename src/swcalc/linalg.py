@@ -58,9 +58,10 @@ def _require_square(q: Matrix) -> None:
         raise DimensionMismatchError(f"matrix with {len(q)} rows is not square")
 
 
-def _integer_rows(q: Matrix) -> tuple[list[list[int]], list[int]]:
+def _integer_rows(q: Matrix, what: str = "matrix entry") -> tuple[list[list[int]], list[int]]:
     """Rows of q scaled to integers by their denominators' lcm, and those
-    scales. An entry that is not an int or a Fraction raises DomainError."""
+    scales. An entry that is not an int or a Fraction raises DomainError
+    naming it as what."""
     rows, scales = [], []
     try:
         for row in q:
@@ -69,7 +70,7 @@ def _integer_rows(q: Matrix) -> tuple[list[list[int]], list[int]]:
             scales.append(d)
     except AttributeError:  # named only on failure: the good path checks nothing
         bad = next(v for row in q for v in row if not isinstance(v, (int, Fraction)))
-        raise DomainError(f"matrix entry must be an int or a Fraction, got {bad!r}") from None
+        raise DomainError(f"{what} must be an int or a Fraction, got {bad!r}") from None
     return rows, scales
 
 
@@ -239,8 +240,9 @@ def integer_combination(rows: Matrix, target: Vector) -> Optional[list[int]]:
     """Integer coefficients x with sum_i x[i]*rows[i] == target, or None.
 
     The rows must be linearly independent (a basis of the lattice they
-    span, as a Neron-Severi basis is); dependent rows raise DomainError.
-    One :class:`_Span` of the rows solves for the target.
+    span, as a Neron-Severi basis is); dependent rows raise DomainError,
+    as does a target entry that is not an int or a Fraction. One
+    :class:`_Span` of the rows solves for the target.
     """
     n = len(target)
     for row in rows:
@@ -248,7 +250,10 @@ def integer_combination(rows: Matrix, target: Vector) -> Optional[list[int]]:
             raise DimensionMismatchError(
                 f"row length {len(row)} does not match target length {n}"
             )
-    return _Span(rows, n).integral(target)
+    x = _Span(rows, n).integral(target)
+    if x is None or not all(type(v) is int for v in x):  # a float target lands here
+        _integer_rows([target], "target entry")
+    return x
 
 
 # Caps on the witnesses one _Cone keeps. Scanning the cache costs too, so

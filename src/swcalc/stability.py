@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .errors import DomainError
 from .linalg import Scalar
-from .topology import _as_flag, _as_fraction, _as_integer
+from .topology import _as_flag, _as_fraction, _as_instance, _as_integer
 
 
 class Stability(enum.Enum):
@@ -134,6 +134,7 @@ def oriented_pair_status_rank2(
     slopes matters, so simultaneous translation leaves the result
     unchanged.
     """
+    _as_instance(e_stability, Stability, "e_stability")
     if _as_flag(phi_zero, "phi_zero"):
         if mu_div is not None:
             raise DomainError("mu_div must be omitted when the section vanishes")
@@ -195,32 +196,26 @@ class PairProfile:
         object.__setattr__(self, "rank", _positive_rank(self.rank, "pair rank"))
         for key in ("phi_injective", "epsilon_iso"):
             _as_flag(getattr(self, key), key)
-        _require_positive_leading(
-            self.hilbert, "a nonzero sheaf needs a positive leading coefficient"
-        )
+        nonzero = "a nonzero sheaf needs a positive leading coefficient"
+        _require_positive_leading(self.hilbert, "hilbert", nonzero)
         if self.kermax is not None:
-            rk, poly = _as_integer(self.kermax[0], "kernel rank"), self.kermax[1]
-            if not 1 <= rk < self.rank:
-                raise DomainError(f"kernel rank must satisfy 1 <= rk < {self.rank}, got {rk}")
-            _require_positive_leading(
-                poly, "the kernel polynomial must have a positive leading coefficient"
-            )
-            object.__setattr__(self, "kermax", (rk, poly))
-        subsheaves = [(_as_integer(rk, "subsheaf rank"), poly) for rk, poly in self.subsheaves]
-        object.__setattr__(self, "subsheaves", tuple(subsheaves))
-        for rk, poly in self.subsheaves:
-            if not 0 < rk < self.rank:
-                raise DomainError(
-                    f"subsheaf ranks must lie strictly between 0 and {self.rank}, got {rk}"
-                )
-            _require_positive_leading(
-                poly, "subsheaf polynomials must have a positive leading coefficient"
-            )
+            object.__setattr__(self, "kermax", self._witness(self.kermax, "kernel"))
+        witnesses = (self._witness(w, "subsheaf") for w in self.subsheaves)
+        object.__setattr__(self, "subsheaves", tuple(witnesses))
+
+    def _witness(self, witness: tuple[int, HilbertPoly], what: str) -> tuple[int, HilbertPoly]:
+        """witness as (rank, polynomial), the rank strictly between 0 and the pair's."""
+        rk = _as_integer(witness[0], f"{what} rank")
+        if not 0 < rk < self.rank:
+            raise DomainError(f"{what} rank must lie strictly between 0 and {self.rank}, got {rk}")
+        return rk, _require_positive_leading(witness[1], f"{what} polynomial")
 
 
-def _require_positive_leading(poly: HilbertPoly, message: str) -> None:
-    if poly.is_zero or poly.leading <= 0:
-        raise DomainError(message)
+def _require_positive_leading(poly: HilbertPoly, slot: str, message: str = "") -> HilbertPoly:
+    """poly, a HilbertPoly with a positive leading coefficient; slot names it."""
+    if _as_instance(poly, HilbertPoly, slot).is_zero or poly.leading <= 0:
+        raise DomainError(message or f"the {slot} must have a positive leading coefficient")
+    return poly
 
 
 def oriented_sheaf_semistable(profile: PairProfile) -> bool:

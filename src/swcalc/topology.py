@@ -71,6 +71,13 @@ def _as_flag(value, what: str) -> bool:
     return value
 
 
+def _as_instance(value, kind: type, what: str):
+    """value, which must be a kind; anything else raises DomainError."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def _as_int_vector(values: Iterable, what: str) -> IntVector:
     """:func:`_as_integer` on every entry; what names one entry."""
     values = tuple(values)
@@ -121,6 +128,7 @@ class ManifoldTopology:
     triple_cup: tuple[tuple[int, int, int, int], ...] = ()
 
     def __post_init__(self):
+        _as_instance(self.name, str, "name")
         q = tuple(
             _as_int_vector(row, "intersection form entry") for row in self.intersection_form
         )

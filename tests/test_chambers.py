@@ -21,7 +21,6 @@ from swcalc import (
     PeriodRay,
     SolvabilitySide,
     abelian_solvability_side,
-    classify_chamber,
     classify_chamber_oriented,
     expected_dim_abelian,
     is_c_good,
@@ -38,13 +37,13 @@ FLIPPED = {
 
 def test_p2_fubini_study_pair_computes_minus_side(p2, p2_ray):
     # c.h = 5 > 0 puts the untwisted pair on the C_minus side.
-    assert classify_chamber(p2, (5,), p2_ray, (0,)) is Chamber.C_MINUS
-    assert classify_chamber(p2, (-5,), p2_ray, (0,)) is Chamber.C_PLUS
+    assert classify_chamber_oriented(p2, (5,), p2_ray, (0,)) is Chamber.C_MINUS
+    assert classify_chamber_oriented(p2, (-5,), p2_ray, (0,)) is Chamber.C_PLUS
 
 
 def test_on_wall_when_pairing_vanishes(p2, p2_ray):
-    assert classify_chamber(p2, (5,), p2_ray, (5,)) is Chamber.ON_WALL
-    assert classify_chamber(p2, (5,), p2_ray, (Fraction(5),)) is Chamber.ON_WALL
+    assert classify_chamber_oriented(p2, (5,), p2_ray, (5,)) is Chamber.ON_WALL
+    assert classify_chamber_oriented(p2, (5,), p2_ray, (Fraction(5),)) is Chamber.ON_WALL
     assert FLIPPED[Chamber.ON_WALL] is Chamber.ON_WALL
 
 
@@ -54,7 +53,7 @@ def test_requires_bplus_one(p2):
         intersection_form=((1, 0), (0, 1)), w2=(1, 1),
     )
     with pytest.raises(DomainError):
-        classify_chamber(two_plus, (1, 1), PeriodRay((Fraction(1), Fraction(0))), (0, 0))
+        classify_chamber_oriented(two_plus, (1, 1), PeriodRay((Fraction(1), Fraction(0))), (0, 0))
     with pytest.raises(DomainError):
         is_c_good(two_plus, (1, 1), PeriodRay((Fraction(1), Fraction(0))), (0, 0))
 
@@ -62,9 +61,9 @@ def test_requires_bplus_one(p2):
 def test_rejects_nonpositive_ray(s2xs2, p2, p2_ray):
     ray = PeriodRay((Fraction(1), Fraction(-1)))  # square -2
     with pytest.raises(DomainError):
-        classify_chamber(s2xs2, (0, 0), ray, (0, 0))
+        classify_chamber_oriented(s2xs2, (0, 0), ray, (0, 0))
     with pytest.raises(DimensionMismatchError, match="twisting class has length 2"):
-        classify_chamber(p2, (1,), p2_ray, (0, 0))
+        classify_chamber_oriented(p2, (1,), p2_ray, (0, 0))
     with pytest.raises(ValueError, match="component_sign must be"):
         PeriodRay((1,), 2)
     with pytest.raises(ValueError, match="o1_sign must be"):
@@ -81,9 +80,9 @@ def test_positive_rescaling_invariance_and_flip(s2xs2):
         ray = PeriodRay(h)
         scaled = PeriodRay(tuple(Fraction(7, 3) * v for v in h))
         flipped = PeriodRay(tuple(-v for v in h))
-        base = classify_chamber(s2xs2, c, ray, b)
-        assert classify_chamber(s2xs2, c, scaled, b) is base
-        assert classify_chamber(s2xs2, c, flipped, b) is FLIPPED[base]
+        base = classify_chamber_oriented(s2xs2, c, ray, b)
+        assert classify_chamber_oriented(s2xs2, c, scaled, b) is base
+        assert classify_chamber_oriented(s2xs2, c, flipped, b) is FLIPPED[base]
 
 
 def test_component_sign_composition(p2, p2_ray):
@@ -96,12 +95,11 @@ def test_component_sign_composition(p2, p2_ray):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda m, ray: classify_chamber(m, (3,), ray, (0,)),
         lambda m, ray: classify_chamber_oriented(m, (3,), ray, (0,)),
         lambda m, ray: is_c_good(m, (3,), ray, (0,)),
         lambda m, ray: sw_table(m, [(3,)], psc_ray=ray),
     ],
-    ids=["classify_chamber", "classify_chamber_oriented", "is_c_good", "sw_table"],
+    ids=["classify_chamber_oriented", "is_c_good", "sw_table"],
 )
 def test_a_ray_that_is_no_period_ray_is_refused(p2, call):
     with pytest.raises(DomainError, match=r"^period ray must be a PeriodRay, got \(1,\)$"):
@@ -130,7 +128,7 @@ def test_c_good_iff_not_on_wall(s2xs2):
     for _ in range(80):
         c = (2 * rng.randint(-3, 3), 2 * rng.randint(-3, 3))
         b = (Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
-        on_wall = classify_chamber(s2xs2, c, ray, b) is Chamber.ON_WALL
+        on_wall = classify_chamber_oriented(s2xs2, c, ray, b) is Chamber.ON_WALL
         assert is_c_good(s2xs2, c, ray, b) == (not on_wall)
 
 
@@ -141,11 +139,11 @@ def test_wall_is_affine_in_b(s2xs2):
     c = (2, 4)
     b0 = (Fraction(2), Fraction(4))  # b = c
     b1 = (Fraction(4), Fraction(3))  # b = c + (2,-1), and (2,-1) . Qh = 0
-    assert classify_chamber(s2xs2, c, ray, b0) is Chamber.ON_WALL
-    assert classify_chamber(s2xs2, c, ray, b1) is Chamber.ON_WALL
+    assert classify_chamber_oriented(s2xs2, c, ray, b0) is Chamber.ON_WALL
+    assert classify_chamber_oriented(s2xs2, c, ray, b1) is Chamber.ON_WALL
     for t in (Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)):
         mix = tuple(t * x + (1 - t) * y for x, y in zip(b0, b1))
-        assert classify_chamber(s2xs2, c, ray, mix) is Chamber.ON_WALL
+        assert classify_chamber_oriented(s2xs2, c, ray, mix) is Chamber.ON_WALL
 
 
 def _unimodular_inverse(p):
@@ -243,7 +241,7 @@ def test_every_wall_decision_matches_the_oracle(case):
     c = c_list[0]
     side = oracle_wall_side(m, [ci - bi for ci, bi in zip(c, b)], psc.h)
     event(f"wall side {side}")
-    assert classify_chamber(m, c, psc, b) is _CHAMBERS[side]
+    assert classify_chamber_oriented(m, c, PeriodRay(psc.h), b) is _CHAMBERS[side]
     assert classify_chamber_oriented(m, c, psc, b) is _CHAMBERS[psc.component_sign * side]
     assert is_c_good(m, c, psc, b) == (side != 0)
 

@@ -7,6 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from swcalc import (
+    DomainError,
+    characteristic_range,
+    load_manifold_file,
+    sw_table,
+    validate_topology,
+)
 from swcalc.cli import main
 from swcalc.kahler import SWRow
 
@@ -271,7 +278,66 @@ def test_sw_table_needs_facts(tmp_path, capsys):
     path.write_text(stripped, encoding="utf-8")
     code, _, err = run(capsys, ["sw-table", str(path), "--cmin=-3", "--cmax=3"])
     assert code == 2
-    assert "neither" in err
+    assert err == (
+        "error: insufficient facts: supply a positive-scalar-curvature period ray "
+        "or Kahler facts\n"
+    )
+
+
+# A valid bplus = 2 lattice (P2 # P2) with a PSC ray.
+TWO_PLANES_TEXT = """\
+[manifold]
+name = TwoPlanes
+b1 = 0
+bplus = 2
+bminus = 0
+euler = 4
+signature = 2
+
+[intersection_form]
+1 0
+0 1
+
+[w2]
+1 1
+
+[torsion]
+tors2_order = 1
+
+[psc]
+psc_ray = 1,0
+"""
+
+
+def _written(tmp_path, text):
+    path = tmp_path / "refused.manifold"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp: _written(
+            tmp, (ROOT / "demos" / "p2.manifold").read_text(encoding="utf-8").split("[kahler]")[0]
+        ),
+        lambda tmp: ROOT / "demos" / "torus_x_sphere.manifold",
+        lambda tmp: _written(tmp, TWO_PLANES_TEXT),
+        lambda tmp: _demo_p2_with(tmp, pg_zero="false"),
+        lambda tmp: _demo_p2_with(tmp, psc_ray="-1"),
+    ],
+    ids=["no facts", "b1", "bplus", "pg_zero", "components"],
+)
+def test_sw_table_refusals_reach_the_cli_unchanged(tmp_path, capsys, make):
+    # The CLI adds no check of its own: its error is sw_table's on the same data.
+    path = make(tmp_path)
+    data = load_manifold_file(path)
+    m = data.topology
+    assert validate_topology(m) == []
+    with pytest.raises(DomainError) as refusal:
+        sw_table(m, characteristic_range(m, -3, 3), data.psc_ray, data.kahler)
+    code, out, err = run(capsys, ["sw-table", str(path), "--cmin=-3", "--cmax=3"])
+    assert (code, out, err) == (2, "", f"error: {refusal.value}\n")
 
 
 def test_sw_table_json(p2_file, capsys):

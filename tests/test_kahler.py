@@ -24,7 +24,6 @@ from swcalc import (
     SWRow,
     abelian_solvability_side,
     characteristic_range,
-    classify_chamber,
     classify_chamber_oriented,
     douady_nonempty,
     expected_dim_abelian,
@@ -180,7 +179,7 @@ def test_kahler_inputs_check_their_shapes(p2, p2_kahler):
         ),
         (lambda m, facts, ray: spin_u2_admissible(m, 0, (0, 0)), "c"),
         (lambda m, facts, ray: expected_dim_pu2(m, 0, (0, 0)), "c"),
-        (lambda m, facts, ray: classify_chamber(m, (1,), ray, (0, 0)), "twisting class"),
+        (lambda m, facts, ray: classify_chamber_oriented(m, (1,), ray, (0, 0)), "twisting class"),
         (lambda m, facts, ray: douady_nonempty(m, facts, (1, 2)), "line class"),
         (lambda m, facts, ray: sw_pg0_invariants(m, facts, (1, 2)), "line class"),
     ],
@@ -255,7 +254,7 @@ def test_sw_pg0_invariants_examples(p2, p2_kahler):
 
 def test_sw_pg0_requires_pg_zero(p2, p2_kahler, t2xs2):
     with pytest.raises(DomainError, match="requires b1 = 0, got 2"):
-        sw_pg0_invariants(t2xs2, p2_kahler, (2,))
+        sw_pg0_invariants(t2xs2, p2_kahler, (2, 0))
     facts = KahlerFacts(
         canonical_class=p2_kahler.canonical_class,
         ns_basis=p2_kahler.ns_basis,

@@ -216,6 +216,16 @@ def test_integer_combination_is_exact_and_requires_a_basis():
         integer_combination(((1, 2),), (3, 6, 1))
 
 
+@pytest.mark.parametrize("bad", [2.0, 0.5])
+def test_integer_combination_refuses_a_float_target(bad):
+    # 2.0 would solve to [2.0] and 0.5 to None; both are refused by name.
+    text = f"target entry must be an int or a Fraction, got {bad!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        integer_combination([[1]], [bad])
+    (x,) = integer_combination([[1]], [F(2)])
+    assert x == 2 and type(x) is int
+
+
 @st.composite
 def bases_with_targets(draw):
     """Independent integer bases, k <= n <= 6, entries in [-4, 4]. Row 0

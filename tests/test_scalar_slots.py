@@ -4,12 +4,14 @@ An integer slot reads an integral float as the int and refuses anything
 else; a rational slot takes an int, a Fraction or an integral float; a
 sign slot is an integer slot that must hold +1 or -1. So 0.1 raises a
 DomainError naming the slot, and 2.0 gives what 2 gives, with no float
-left anywhere in the result. A flag slot takes True or False only.
+left anywhere in the result. A flag slot takes True or False only, and
+a structured slot (facts, forms, polynomials, enums) only its own type.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,7 +30,6 @@ from swcalc import (
     abelian_solvability_side,
     c2_spinor_bundle,
     characteristic_range,
-    classify_chamber,
     classify_chamber_oriented,
     cup_form,
     douady_nonempty,
@@ -48,6 +49,7 @@ from swcalc import (
     sw_table,
     triple_cup_from_entries,
     uhlenbeck_strata,
+    validate_kahler_facts,
     wall_crossing_delta,
     wedge_power,
 )
@@ -103,7 +105,7 @@ INTEGER_SLOTS = [
     ("characteristic vector entry", lambda v: cup_form(P2, (v,)), 3),
     ("characteristic vector entry",
      lambda v: wall_crossing_delta(P2, (v,), ExtForm.scalar(0, 1)), 3),
-    ("characteristic vector entry", lambda v: classify_chamber(P2, (v,), RAY, (0,)), 3),
+    ("characteristic vector entry", lambda v: classify_chamber_oriented(P2, (v,), RAY, (0,)), 3),
     ("characteristic vector entry", lambda v: sw_table(P2, [(v,)], psc_ray=RAY), 3),
     ("Pontryagin number", lambda v: spin_sp1_admissible(P2, v), 1),
     ("Pontryagin number", lambda v: spin_u2_admissible(P2, v, (4,)), -3),
@@ -143,7 +145,7 @@ SIGN_SLOTS = [
 
 RATIONAL_SLOTS = [
     ("period ray entry", _ray, 1),
-    ("twisting class entry", lambda v: classify_chamber(P2, (3,), RAY, (v,)), 5),
+    ("twisting class entry", lambda v: classify_chamber_oriented(P2, (3,), RAY, (v,)), 5),
     ("twisting class entry", lambda v: classify_chamber_oriented(P2, (3,), RAY, (v,)), 3),
     ("twisting class entry", lambda v: is_c_good(P2, (3,), RAY, (v,)), 3),
     ("twisting class entry", lambda v: abelian_solvability_side(P2, FACTS, (1,), (v,)), 5),
@@ -275,3 +277,41 @@ def test_flag_slots_take_only_bools(what, call):
     for value in ("false", "true", 0, 1, 1.0, None):
         with pytest.raises(DomainError, match=f"^{what} must be True or False, got {value!r}$"):
             call(value)
+
+
+# (slot name as the error states it, the type it takes, call with the
+# slot's value, a value of another type)
+STRUCTURED_SLOTS = [
+    ("Kahler facts", "KahlerFacts", lambda v: sw_table(P2, [(3,)], kahler_facts=v), RAY),
+    ("Kahler facts", "KahlerFacts", lambda v: douady_nonempty(P2, v, (1,)), None),
+    ("Kahler facts", "KahlerFacts",
+     lambda v: abelian_solvability_side(P2, v, (1,), (0,)), (-3,)),
+    ("Kahler facts", "KahlerFacts", lambda v: validate_kahler_facts(P2, v), "facts"),
+    ("Kahler facts", "KahlerFacts", lambda v: sw_pg0_invariants(P2, v, (1,)), {}),
+    ("kahler_ray", "PeriodRay", lambda v: KahlerFacts((-3,), ((1,),), ((1,),), True, v), (1,)),
+    ("test_form", "ExtForm", lambda v: wall_crossing_delta(P2, (3,), v), 1),
+    ("orient", "OrientationData",
+     lambda v: wall_crossing_delta(P2, (3,), ExtForm.scalar(0, 1), v), 1),
+    ("hilbert", "HilbertPoly", lambda v: PairProfile(3, v, True, True), (0, 1)),
+    ("kernel polynomial", "HilbertPoly",
+     lambda v: PairProfile(3, POLY, False, True, (1, v)), (0, 1)),
+    ("subsheaf polynomial", "HilbertPoly",
+     lambda v: PairProfile(3, POLY, True, True, None, ((1, v),)), (0, 1)),
+    ("name", "str", lambda v: _topology(name=v), 5),
+    ("e_stability", "Stability", lambda v: oriented_pair_status_rank2(True, v, None, 0), "stable"),
+]
+
+
+@pytest.mark.parametrize(
+    "what, kind, call, value", STRUCTURED_SLOTS,
+    ids=[f"{i}-{case[0]}" for i, case in enumerate(STRUCTURED_SLOTS)],
+)
+def test_structured_slots_take_only_their_type(what, kind, call, value):
+    text = f"{what} must be a {kind}, got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        call(value)
+
+
+def test_sw_pg0_checks_its_line_class_before_its_facts():
+    with pytest.raises(DomainError, match="^line class entry must be an integer, got 0.5$"):
+        sw_pg0_invariants(P2, None, (0.5,))

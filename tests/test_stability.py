@@ -290,10 +290,10 @@ def test_pair_profile_validation():
     negative = HilbertPoly.from_coeffs((0, -1))
     for extra, message in [
         ({"hilbert": negative}, "a nonzero sheaf needs a positive leading"),
-        ({"phi_injective": False, "kermax": (2, one)}, "kernel rank must satisfy"),
+        ({"phi_injective": False, "kermax": (2, one)}, "kernel rank must lie strictly"),
         ({"phi_injective": False, "kermax": (1, negative)}, "the kernel polynomial must"),
-        ({"subsheaves": ((2, one),)}, "subsheaf ranks must lie strictly"),
-        ({"subsheaves": ((1, negative),)}, "subsheaf polynomials must"),
+        ({"subsheaves": ((2, one),)}, "subsheaf rank must lie strictly"),
+        ({"subsheaves": ((1, negative),)}, "the subsheaf polynomial must"),
         ({"rank": 0}, "pair rank must be a positive integer, got 0"),
         ({"rank": 2.5}, "pair rank must be an integer, got 2.5"),
         ({"phi_injective": False, "kermax": (1.5, one)}, "kernel rank must be an integer"),
