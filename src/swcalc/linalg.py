@@ -2,13 +2,15 @@
 
 Everything here is exact: vectors and matrices carry ``int`` or
 ``fractions.Fraction`` entries and no floating point is ever
-introduced. Determinant, rank, inertia (pivoting on the diagonal only),
-the integer coordinates of a vector in a lattice basis (the Neron-Severi
-solve) and the simplex of cone membership share one fraction-free
-Gauss-Jordan pivot step on input scaled to integers, so entries grow
-only as minors of the input do. The Pfaffian has its own step: it
-clears two rows and columns at once by a congruence, and a one-sided
-row step would find only det = Pf^2, losing the sign.
+introduced. Determinant, rank, the integer coordinates of a vector in
+a lattice basis (the Neron-Severi solve) and the simplex of cone
+membership share one fraction-free Gauss-Jordan pivot step on input
+scaled to integers, so entries grow only as minors of the input do.
+Two congruences have steps of their own. Inertia pivots on the diagonal
+and updates only the upper triangle of the symmetric trailing block,
+the Schur complement, which is all Sylvester's law needs. The Pfaffian
+clears two rows and columns at once, and a one-sided row step would
+find only det = Pf^2, losing the sign.
 
 Both solves can be prepared once for many targets. A :class:`_Span`
 eliminates its basis once (the Neron-Severi solve, and the check of a
@@ -58,10 +60,9 @@ def _require_square(q: Matrix) -> None:
         raise DimensionMismatchError(f"matrix with {len(q)} rows is not square")
 
 
-def _integer_rows(q: Matrix, what: str = "matrix entry") -> tuple[list[list[int]], list[int]]:
+def _integer_rows(q: Matrix) -> tuple[list[list[int]], list[int]]:
     """Rows of q scaled to integers by their denominators' lcm, and those
-    scales. An entry that is not an int or a Fraction raises DomainError
-    naming it as what."""
+    scales. An entry that is not an int or a Fraction raises DomainError."""
     rows, scales = [], []
     try:
         for row in q:
@@ -70,7 +71,7 @@ def _integer_rows(q: Matrix, what: str = "matrix entry") -> tuple[list[list[int]
             scales.append(d)
     except AttributeError:  # named only on failure: the good path checks nothing
         bad = next(v for row in q for v in row if not isinstance(v, (int, Fraction)))
-        raise DomainError(f"{what} must be an int or a Fraction, got {bad!r}") from None
+        raise DomainError(f"matrix entry must be an int or a Fraction, got {bad!r}") from None
     return rows, scales
 
 
@@ -161,11 +162,15 @@ def inertia_and_determinant(q: Matrix) -> tuple[int, int, int, Fraction]:
     symmetric rational matrix, and its determinant, from one elimination.
 
     Fraction-free pivots on the diagonal of the congruent integer matrix
-    D q D (D the row scales); a zero pivot is first fixed by a symmetric
-    swap or row-and-column addition. Each pivot times the previous one
-    has the sign of a diagonal entry of LDL^T, so by Sylvester's law of
-    inertia the counts are exact. The swaps and additions are unimodular,
-    so the n-th pivot is det(D q D); a skipped row means det(q) = 0.
+    D q D (D the row scales). Step k updates only the upper triangle of
+    the trailing block, the symmetric Schur complement times p / prev
+    (after Bareiss 1968): its entries are the (k+1)-minors a Gauss-Jordan
+    step would leave there, so dividing by prev is exact. A zero pivot is
+    first fixed by a symmetric swap or row-and-column addition. Each
+    pivot times the previous one has the sign of a diagonal entry of
+    LDL^T, so by Sylvester's law of inertia the counts are exact. The
+    swaps and additions are unimodular, so the n-th pivot is det(D q D);
+    a skipped row means det(q) = 0.
     """
     _require_square(q)
     rows, scales = _integer_rows(q)
@@ -175,6 +180,10 @@ def inertia_and_determinant(q: Matrix) -> tuple[int, int, int, Fraction]:
     prev = 1
     for k in range(n):
         if rows[k][k] == 0:
+            # The steps keep only the upper triangle of the trailing block;
+            # the fixes below need all of it, so mirror it first.
+            for i in range(k, n):
+                rows[i][k:i] = [rows[j][i] for j in range(k, i)]
             j = next((i for i in range(k + 1, n) if rows[i][i]), None)
             if j is not None:
                 rows[k], rows[j] = rows[j], rows[k]
@@ -190,11 +199,16 @@ def inertia_and_determinant(q: Matrix) -> tuple[int, int, int, Fraction]:
                 rows[k] = [x + y for x, y in zip(rows[k], rows[j])]
                 for row in rows:
                     row[k] += row[j]
-        if rows[k][k] * prev > 0:
+        top = rows[k]
+        p = top[k]
+        if p * prev > 0:
             pos += 1
         else:
             neg += 1
-        prev = _pivot(rows, k, k, prev)
+        for i in range(k + 1, n):
+            row, f = rows[i], top[i]
+            row[i:] = [(p * x - f * y) // prev for x, y in zip(row[i:], top[i:])]
+        prev = p
     zero = n - pos - neg
     return pos, neg, zero, Fraction(0 if zero else prev, prod(scales) ** 2)
 
@@ -241,19 +255,19 @@ def integer_combination(rows: Matrix, target: Vector) -> Optional[list[int]]:
 
     The rows must be linearly independent (a basis of the lattice they
     span, as a Neron-Severi basis is); dependent rows raise DomainError,
-    as does a target entry that is not an int or a Fraction. One
-    :class:`_Span` of the rows solves for the target.
+    as does a target entry that is a bool or not an int or a Fraction.
+    One :class:`_Span` of the rows solves for the target.
     """
+    for v in target:
+        if type(v) is bool or not isinstance(v, (int, Fraction)):
+            raise DomainError(f"target entry must be an int or a Fraction, got {v!r}")
     n = len(target)
     for row in rows:
         if len(row) != n:
             raise DimensionMismatchError(
                 f"row length {len(row)} does not match target length {n}"
             )
-    x = _Span(rows, n).integral(target)
-    if x is None or not all(type(v) is int for v in x):  # a float target lands here
-        _integer_rows([target], "target entry")
-    return x
+    return _Span(rows, n).integral(target)
 
 
 # Caps on the witnesses one _Cone keeps. Scanning the cache costs too, so

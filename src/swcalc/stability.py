@@ -205,6 +205,8 @@ class PairProfile:
 
     def _witness(self, witness: tuple[int, HilbertPoly], what: str) -> tuple[int, HilbertPoly]:
         """witness as (rank, polynomial), the rank strictly between 0 and the pair's."""
+        if not isinstance(witness, (tuple, list)) or len(witness) != 2:
+            raise DomainError(f"{what} witness must be a (rank, polynomial) pair, got {witness!r}")
         rk = _as_integer(witness[0], f"{what} rank")
         if not 0 < rk < self.rank:
             raise DomainError(f"{what} rank must lie strictly between 0 and {self.rank}, got {rk}")

@@ -138,6 +138,40 @@ def test_inertia_agrees_with_characteristic_polynomial(a):
     assert det == determinant(a)
 
 
+@pytest.mark.parametrize(
+    "a, want",
+    [
+        # Schur block [[0, -1], [-1, 0]]: fixed by the row-and-column addition.
+        (((1, 1, 1), (1, 1, 0), (1, 0, 1)), (2, 1, 0, -1)),
+        # Schur block [[0, 0], [0, 2]]: fixed by the symmetric swap.
+        (((1, 1, 0), (1, 1, 0), (0, 0, 2)), (2, 0, 1, 0)),
+        # Schur block [[0, -1], [-1, 0]], while the entry below its diagonal
+        # still holds the +1 from before the step.
+        (((-1, 0, 0), (0, 0, 1), (0, 1, 0)), (1, 2, 0, 1)),
+    ],
+    ids=["addition", "swap", "addition below a stale entry"],
+)
+def test_inertia_fixes_a_zero_pivot_that_appears_after_a_step(a, want):
+    assert inertia_and_determinant(a) == want
+    assert charpoly_inertia(a) == want[:3]
+
+
+@pytest.mark.parametrize("n", [22, 40])
+def test_inertia_of_large_congruent_forms(n):
+    # U^T D U for D = H + H + diag(+-1) and U unimodular has D's inertia
+    # and determinant, at sizes the symmetric-matrix strategy never draws.
+    rng = random.Random(n)
+    signs = [rng.choice((-1, 1)) for _ in range(n - 4)]
+    d = [[0] * n for _ in range(n)]
+    for i in (0, 2):
+        d[i][i + 1] = d[i + 1][i] = 1
+    for i, s in enumerate(signs, 4):
+        d[i][i] = s
+    a = congruent(dense_unimodular(n, rng, rng.choice((-1, 1))), d)
+    want = (2 + signs.count(1), 2 + signs.count(-1), 0, (-1) ** signs.count(-1))
+    assert inertia_and_determinant(a) == want
+
+
 def test_determinant_and_inertia_reject_non_square():
     for q in ([[1, 2]], [[0, 0, 1], [1, 0, 0]], [[1], [2]], [[1, 2], [3]]):
         with pytest.raises(DimensionMismatchError):
@@ -224,6 +258,15 @@ def test_integer_combination_refuses_a_float_target(bad):
         integer_combination([[1]], [bad])
     (x,) = integer_combination([[1]], [F(2)])
     assert x == 2 and type(x) is int
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.0, "1", None])
+def test_integer_combination_checks_every_target_entry_before_the_solve(bad):
+    # With no rows the solve reads no entry, and a bool would read as 0 or 1.
+    text = f"target entry must be an int or a Fraction, got {bad!r}"
+    for rows, target in (([], [bad]), ([[1, 0], [0, 1]], [bad, 2])):
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            integer_combination(rows, target)
 
 
 @st.composite

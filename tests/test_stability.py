@@ -298,6 +298,12 @@ def test_pair_profile_validation():
         ({"rank": 2.5}, "pair rank must be an integer, got 2.5"),
         ({"phi_injective": False, "kermax": (1.5, one)}, "kernel rank must be an integer"),
         ({"subsheaves": ((Fraction(1, 2), one),)}, "subsheaf rank must be an integer"),
+        ({"phi_injective": False, "kermax": (1,)},
+         r"^kernel witness must be a \(rank, polynomial\) pair, got \(1,\)$"),
+        ({"phi_injective": False, "kermax": one}, "kernel witness must be a"),
+        ({"subsheaves": ((1,),)},
+         r"^subsheaf witness must be a \(rank, polynomial\) pair, got \(1,\)$"),
+        ({"subsheaves": ((1, one, one),)}, "subsheaf witness must be a"),
     ]:
         fields = {"rank": 2, "hilbert": HilbertPoly.from_coeffs((0, 1)),
                   "phi_injective": True, "epsilon_iso": True, **extra}
