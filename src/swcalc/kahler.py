@@ -23,11 +23,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .chambers import PeriodRay, _twisted_sign, component_violation, ray_violation, wall_vector
 from .errors import DomainError, InvalidTopologyError
-from .linalg import Scalar, _Cone, _Span, dot
+from .linalg import Scalar, _Cone, _Span
 from .topology import (
     IntVector,
     ManifoldTopology,
@@ -37,9 +39,13 @@ from .topology import (
     _as_int_vector,
     _b2_vector,
     _lifts_w2,
+    _squares,
     characteristic_square,
-    spinor_c2,
 )
+
+# Rows per column pass in sw_table: a pass holds the columns and partial
+# sums of one block, so its memory does not grow with the table.
+_ROW_BLOCK = 256
 
 
 class SolvabilitySide(enum.Enum):
@@ -242,9 +248,12 @@ def sw_table(
     once, before any row, and then signature + euler == 0 (mod 4): given the row
     congruence c^2 == signature (mod 8), that is exactly when every w_c
     is an even integer, so inconsistent Betti data is refused even for
-    an empty c_list. Each row then checks only its own c (length b2,
-    c == w2 mod 2, c^2 == signature mod 8) and, where both pipelines
-    decide the row, that they agree.
+    an empty c_list. The rows' own checks (length b2, c == w2 mod 2,
+    c^2 == signature mod 8) run per column, on blocks of rows
+    (:func:`topology._squares`), and the rows are then walked in order:
+    the first row that fails a check, or where both pipelines decide
+    and disagree, raises, naming its c exactly as a row-at-a-time
+    check would.
 
     The rows share a plan built once: the integer wall vector u of the
     PSC ray, and the Douady test with its Neron-Severi solve and cone
@@ -282,9 +291,21 @@ def sw_table(
     u = wall_vector(m, psc_ray) if psc_ray is not None else None
     if kahler_facts is not None:
         douady = _douady_test(kahler_facts, ns)
+    cs = sorted(set(_as_int_vector(c, "characteristic vector entry") for c in c_list))
+    # Given c^2 == signature (mod 8) and signature + euler == 0 (mod 4), the
+    # numerator c^2 - 3 signature - 2 euler of w_c is a multiple of 8, so
+    # w_c < 0 exactly when c^2 < 3 signature + 2 euler.
+    threshold = 3 * m.signature + 2 * m.euler
     rows = []
-    for c in sorted(set(_as_int_vector(c, "characteristic vector entry") for c in c_list)):
-        if spinor_c2(m, characteristic_square(m, c), 1) < 0:
+    squares = chain.from_iterable(
+        _squares(m, cs[i:i + _ROW_BLOCK]) for i in range(0, len(cs), _ROW_BLOCK)
+    )
+    for c, square in zip(cs, squares):
+        if square is None:
+            # The row check raises the refusal of a row that fails; it
+            # returns c^2 for a good row of a table that has a bad one.
+            square = characteristic_square(m, c)
+        if square < threshold:
             rows.append(SWRow(c, 0, 0))
             continue
         pair: tuple[Optional[int], Optional[int]] = (None, None)
@@ -292,7 +313,7 @@ def sw_table(
             # A positive-scalar-curvature metric has empty untwisted moduli,
             # so the chamber containing (ray, 0) carries 0 and the other one
             # the jump 1.
-            s = dot(c, u)
+            s = sum(map(mul, c, u))
             pair = (1, 0) if s > 0 else (0, -1) if s < 0 else (None, None)
         if kahler_facts is not None:
             # c and K are both characteristic, so c + K is even.

@@ -22,6 +22,7 @@ certificate with each answer (McConnell et al., "Certifying algorithms",
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
@@ -62,16 +63,22 @@ def _require_square(q: Matrix) -> None:
 
 def _integer_rows(q: Matrix) -> tuple[list[list[int]], list[int]]:
     """Rows of q scaled to integers by their denominators' lcm, and those
-    scales. An entry that is not an int or a Fraction raises DomainError."""
+    scales. An entry that is a bool, or not an int or a Fraction, raises
+    DomainError. One scan of the entry types decides: an int matrix is
+    copied as it is."""
+    types = set(map(type, chain.from_iterable(q)))
+    if types <= {int}:
+        return [list(row) for row in q], [1] * len(q)
+    if bool in types or not all(issubclass(t, (int, Fraction)) for t in types):
+        bad = next(
+            v for row in q for v in row if type(v) is bool or not isinstance(v, (int, Fraction))
+        )
+        raise DomainError(f"matrix entry must be an int or a Fraction, got {bad!r}")
     rows, scales = [], []
-    try:
-        for row in q:
-            d = lcm(*(v.denominator for v in row))
-            rows.append([v.numerator * (d // v.denominator) for v in row])
-            scales.append(d)
-    except AttributeError:  # named only on failure: the good path checks nothing
-        bad = next(v for row in q for v in row if not isinstance(v, (int, Fraction)))
-        raise DomainError(f"matrix entry must be an int or a Fraction, got {bad!r}") from None
+    for row in q:
+        d = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (d // v.denominator) for v in row])
+        scales.append(d)
     return rows, scales
 
 

@@ -7,7 +7,11 @@ mod-2 coordinate vector for the second Stiefel-Whitney class, the order
 of the 2-torsion subgroup of H^2, and the nonzero triple cup numbers on
 a basis a_1..a_b1 of H^1/Tors as sparse entries. Characteristic elements
 (integral lifts of w_2) are plain integer tuples validated by
-:func:`is_characteristic` / :func:`require_characteristic`.
+:func:`is_characteristic` / :func:`require_characteristic`. A table
+checks its classes column by column instead: the parity of each
+coordinate against w2 and the square c^2 of every class come from one
+pass over the classes per coordinate and per nonzero coefficient of the
+form, and only a class that fails a check is looked at on its own.
 
 All arithmetic is exact. Quantities that are integral for consistent
 input, such as the expected dimension of the abelian monopole moduli
@@ -22,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mod, sub
+from operator import add, mod, mul, or_, sub, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
@@ -287,6 +291,33 @@ def characteristic_square(m: ManifoldTopology, c: IntVector) -> int:
             "c^2 == signature (mod 8); the lattice data is inconsistent"
         )
     return square
+
+
+def _squares(m: ManifoldTopology, cs: Sequence[IntVector]) -> list[Optional[int]]:
+    """:func:`characteristic_square` of each integer tuple c of cs, None
+    where that call would raise; if any c has a length other than b2,
+    every entry is None. One pass over the columns of cs per coordinate
+    (parity against w2) and per nonzero coefficient of
+    c^2 = sum_i q_ii x_i^2 + sum_{i<j} (q_ij + q_ji) x_i x_j; the form
+    need not be symmetric, so q_ij + q_ji is not 2 q_ij."""
+    n, q = m.b2, m.intersection_form
+    if cs and set(map(len, cs)) != {n}:
+        return [None] * len(cs)
+    cols = list(zip(*cs))
+    total = odd = [0] * len(cs)
+    for i, (x, w) in enumerate(zip(cols, m.w2)):
+        odd = list(map(or_, odd, map(xor, x, itertools.repeat(w))))
+        for j in range(i, n):
+            a = q[i][j] + q[j][i] if j > i else q[i][i]
+            if a:
+                terms = map(mul, x, cols[j])
+                if a == -1:
+                    total = list(map(sub, total, terms))
+                else:
+                    terms = terms if a == 1 else map(mul, terms, itertools.repeat(a))
+                    total = list(map(add, total, terms))
+    sig = m.signature
+    return [None if p & 1 or (s - sig) % 8 else s for s, p in zip(total, odd)]
 
 
 def require_characteristic(m: ManifoldTopology, c: Sequence[int]) -> IntVector:

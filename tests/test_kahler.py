@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swcalc import (
     Chamber,
@@ -36,7 +38,10 @@ from swcalc import (
     validate_topology,
     wall_crossing_delta,
 )
-from swcalc.linalg import _BASIS_CAP, _FARKAS_CAP, _Cone, cone_contains
+from swcalc import kahler
+from swcalc.chambers import wall_vector
+from swcalc.linalg import _BASIS_CAP, _FARKAS_CAP, _Cone, cone_contains, dot
+from swcalc.topology import _squares, characteristic_square, spinor_c2
 
 
 def quadric_facts() -> KahlerFacts:
@@ -653,3 +658,181 @@ def test_del_pezzo_k8_cone_membership_known_answers():
     for d in range(4):
         target = (d, -d - 1) + tuple(rng.randint(-2, 2) for _ in range(7))
         assert not cone_contains(cone, target)
+
+
+def row_at_a_time(m, c_list, psc_ray=None, facts=None):
+    """sw_table from the single-vector checks: the entry checks of the
+    empty table, then row by row in sorted order characteristic_square,
+    spinor_c2 and dot with the wall vector, and the Douady rule."""
+    sw_table(m, [], psc_ray=psc_ray, kahler_facts=facts)
+    u = wall_vector(m, psc_ray) if psc_ray is not None else None
+    rows = []
+    for c in sorted(set(map(tuple, c_list))):
+        if spinor_c2(m, characteristic_square(m, c), 1) < 0:
+            rows.append(SWRow(c, 0, 0))
+            continue
+        pair = (None, None)
+        if u is not None:
+            s = dot(c, u)
+            pair = (1, 0) if s > 0 else (0, -1) if s < 0 else (None, None)
+        if facts is not None:
+            line_class = tuple((cv + kv) // 2 for cv, kv in zip(c, facts.canonical_class))
+            douady = (1, 0) if douady_nonempty(m, facts, line_class) else (0, -1)
+            if pair[0] is not None and pair != douady:
+                raise DomainError(
+                    f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
+                    f"SW+ = {pair[0]} vs {douady[0]}; the supplied facts are inconsistent"
+                )
+            pair = douady
+        rows.append(SWRow(c, *pair))
+    return rows
+
+
+def outcome(call, *args, **kwargs):
+    """The repr of what call returns, so that types count, or the class
+    and text of the DomainError it raises."""
+    try:
+        return repr(call(*args, **kwargs))
+    except DomainError as error:
+        return type(error), str(error)
+
+
+@st.composite
+def column_tables(draw):
+    """A square integer form of rank 0..7: symmetric, symmetric plus a
+    skew part (which changes no square), or arbitrary. A w2 that is
+    characteristic for the symmetric part (then every characteristic c
+    has the same c^2 mod 8) or arbitrary; a signature that the first row
+    meets mod 8 or an arbitrary one; euler with signature + euler == 0
+    (mod 4); a ray h of positive square; a canonical class; and a c-list
+    that may be empty, repeat rows or be unsorted, that holds rows of the
+    wrong parity now and then and, rarely, a row of the wrong length."""
+    n = draw(st.integers(0, 7))
+    entries = st.integers(-3, 3)
+    q = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["symmetric", "skew part", "arbitrary"]))
+    if shape != "arbitrary":
+        q = [[q[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    w2 = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if shape != "arbitrary" and draw(st.integers(0, 3)):
+        # Make q_ii == sum_j w_j q_ji (mod 2): an even q_ij where w_i = w_j = 1
+        # settles the rows with w_i = 1, and the diagonal the others.
+        for i, j in itertools.combinations(range(n), 2):
+            if w2[i] and w2[j]:
+                q[i][j] = q[j][i] = q[i][j] - q[i][j] % 2
+        for i in range(n):
+            if not w2[i]:
+                q[i][i] += (q[i][i] - sum(w * q[j][i] for j, w in enumerate(w2))) % 2
+    if shape == "skew part":
+        for i, j in itertools.combinations(range(n), 2):
+            s = draw(st.integers(-2, 2))
+            q[i][j] += s
+            q[j][i] -= s
+    lattice = st.lists(entries, min_size=n, max_size=n)
+    characteristic = lattice.map(lambda y: tuple(w + 2 * v for w, v in zip(w2, y)))
+    row = characteristic if draw(st.integers(0, 3)) else st.one_of(characteristic, lattice.map(tuple))
+    rows = draw(st.lists(row, max_size=10))
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    if draw(st.integers(0, 9)) == 0:
+        rows.append(tuple(draw(st.lists(entries, min_size=n + 1, max_size=n + 1))))
+    rows = draw(st.permutations(rows))
+    square = lambda x: sum(x[i] * q[i][j] * x[j] for i in range(n) for j in range(n))
+    if rows and len(rows[0]) == n and draw(st.integers(0, 3)):
+        signature = square(rows[0]) + 8 * draw(st.integers(-1, 1))
+    else:
+        signature = draw(st.integers(-8, 8))
+    m = ManifoldTopology(
+        name="columns", b1=0, bplus=1, bminus=0, euler=4 * draw(st.integers(-2, 2)) - signature,
+        signature=signature, intersection_form=q, w2=w2,
+    )
+    h = draw(lattice)
+    assume(n == 0 or square(h) > 0)
+    return m, rows, h, draw(characteristic)
+
+
+@settings(max_examples=300)
+@given(column_tables())
+def test_column_squares_match_characteristic_square(case):
+    m, rows, _, _ = case
+
+    def one(c):
+        try:
+            return characteristic_square(m, c)
+        except DomainError:
+            return None
+
+    want = [one(c) for c in rows] if all(len(c) == m.b2 for c in rows) else [None] * len(rows)
+    assert repr(_squares(m, rows)) == repr(want)
+
+
+@settings(max_examples=300)
+@given(
+    column_tables(),
+    st.sampled_from(["psc", "psc flipped", "kahler", "both"]),
+    st.sampled_from([1, 2, 3, kahler._ROW_BLOCK]),
+)
+def test_sw_table_columns_match_the_row_at_a_time_oracle(case, mode, block):
+    # Same rows, types included, or the same refusal at the same row, also
+    # when a failing row sits in a later block of the column pass.
+    m, rows, h, canonical = case
+    ray = PeriodRay(h, -1 if mode == "psc flipped" else 1)
+    identity = tuple(tuple(int(i == j) for j in range(m.b2)) for i in range(m.b2))
+    facts = KahlerFacts(canonical, identity, identity, True, PeriodRay(h))
+    psc_ray = ray if mode != "kahler" else None
+    facts = facts if mode in ("kahler", "both") else None
+    want = outcome(row_at_a_time, m, rows, psc_ray, facts)
+    default, kahler._ROW_BLOCK = kahler._ROW_BLOCK, block
+    try:
+        got = outcome(sw_table, m, rows, psc_ray=psc_ray, kahler_facts=facts)
+    finally:
+        kahler._ROW_BLOCK = default
+    assert got == want
+
+
+def planted_disagreement():
+    """A rank-2 form diag(1, -3), not unimodular, with w2 = (1, 0), which
+    is not characteristic for it: c = (a, b) meets c^2 == 1 (mod 8)
+    exactly when b == 0 (mod 4). The effective cone is spanned by
+    (-1, 0), so the Kahler pipeline gives (0, -1) at c = (5, 0), where
+    the PSC pipeline gives (1, 0)."""
+    m = ManifoldTopology(
+        name="planted", b1=0, bplus=1, bminus=1, euler=3, signature=1,
+        intersection_form=((1, 0), (0, -3)), w2=(1, 0),
+    )
+    ray = PeriodRay((Fraction(1), Fraction(0)))
+    facts = KahlerFacts(
+        canonical_class=(-3, 0),
+        ns_basis=((1, 0), (0, 1)),
+        effective_cone=((Fraction(-1), Fraction(0)),),
+        pg_zero=True,
+        kahler_ray=ray,
+    )
+    return m, ray, facts
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ((1,), DimensionMismatchError),
+        ((6,), DimensionMismatchError),
+        ((4, 0), DomainError),  # wrong parity
+        ((6, 0), DomainError),
+        ((1, 2), InvalidTopologyError),  # c^2 == 5 (mod 8)
+        ((7, 2), InvalidTopologyError),
+    ],
+)
+def test_a_failing_row_and_a_disagreement_raise_in_row_order(bad, error):
+    # Whichever of the failing row and the disagreement at (5, 0) sorts
+    # first raises, as it does row at a time.
+    m, ray, facts = planted_disagreement()
+    c_list = [(7, 0), bad, (5, 0), (-1, 0), (5, 0)]
+    want = outcome(row_at_a_time, m, c_list, ray, facts)
+    assert outcome(sw_table, m, c_list, psc_ray=ray, kahler_facts=facts) == want
+    if bad < (5, 0):
+        assert want[0] is error
+    else:
+        assert want == (DomainError, (
+            "the PSC and Kahler pipelines disagree at c = [5, 0]: "
+            "SW+ = 1 vs 0; the supplied facts are inconsistent"
+        ))

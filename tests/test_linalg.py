@@ -190,12 +190,21 @@ def test_determinant_and_inertia_reject_non_square():
         (lambda: integer_combination([[0.5]], [1]), 0.5),
         (lambda: cone_contains([[1.0]], [1]), 1.0),
         (lambda: cone_contains([[1]], [0.5]), 0.5),
+        (lambda: determinant([[True, 0], [0, 1]]), True),
+        (lambda: rank([[1, 0], [0, 1], [False, 1]]), False),
+        (lambda: inertia_and_determinant([[1, 0], [0, True]]), True),
+        (lambda: cone_contains([[True, 0], [0, 1]], [1, 1]), True),
+        (lambda: cone_contains([[1, 0], [0, 1]], [1, False]), False),
+        (lambda: integer_combination([[1, 0], [0, True]], [1, 1]), True),
     ],
     ids=["determinant", "rank", "inertia", "inertia_and_determinant",
-         "integer_combination", "cone generator", "cone target"],
+         "integer_combination", "cone generator", "cone target",
+         "determinant bool", "rank bool", "inertia_and_determinant bool",
+         "cone generator bool", "cone target bool", "integer_combination row bool"],
 )
 def test_entries_must_be_ints_or_fractions(call, bad):
     # Integral floats too: these helpers compute with int and Fraction only.
+    # A bool has a numerator and a denominator, yet it is refused as well.
     text = f"matrix entry must be an int or a Fraction, got {bad!r}"
     with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
         call()
