@@ -105,21 +105,6 @@ def component_violation(
     return None
 
 
-def _wall_sign(m: ManifoldTopology, c: Sequence[int], ray: PeriodRay, b: Sequence[Scalar]) -> int:
-    """Sign of (c - b) . u, u the ray's wall functional."""
-    if m.bplus != 1:
-        raise DomainError(
-            f"chamber predicates require bplus = 1, got bplus = {m.bplus}; "
-            "for bplus > 1 the wall condition depends on metric data"
-        )
-    c = require_characteristic(m, c)
-    b = _b2_vector(m, b, "twisting class")
-    problem = ray_violation(m, ray)
-    if problem is not None:
-        raise problem
-    return _twisted_sign(m, c, ray, b)
-
-
 def _twisted_sign(m: ManifoldTopology, x: Sequence[int], ray: PeriodRay, b: Sequence) -> int:
     """Sign of (x - b) . u, u the ray's wall functional, for a checked
     period ray and a twisting class b of length b2."""
@@ -136,7 +121,17 @@ def classify_chamber_oriented(
     With s = (c - b) . h, returns C_plus for s < 0, C_minus for s > 0 and
     ON_WALL for s = 0; a component_sign of -1 swaps C_plus and C_minus.
     """
-    return _SIDE_CHAMBERS[_wall_sign(m, c, ray, b)]
+    if m.bplus != 1:
+        raise DomainError(
+            f"chamber predicates require bplus = 1, got bplus = {m.bplus}; "
+            "for bplus > 1 the wall condition depends on metric data"
+        )
+    c = require_characteristic(m, c)
+    b = _b2_vector(m, b, "twisting class")
+    problem = ray_violation(m, ray)
+    if problem is not None:
+        raise problem
+    return _SIDE_CHAMBERS[_twisted_sign(m, c, ray, b)]
 
 
 def is_c_good(
@@ -150,4 +145,4 @@ def is_c_good(
     nonzero; for bplus > 1 the condition needs metric data unavailable
     here and a DomainError is raised.
     """
-    return _wall_sign(m, c, ray, b) != 0
+    return classify_chamber_oriented(m, c, ray, b) is not Chamber.ON_WALL

@@ -29,7 +29,7 @@ from .chambers import (
     ray_violation,
 )
 from .errors import DomainError, ManifoldFileError
-from .kahler import sw_table, validate_kahler_facts
+from .kahler import SWRow, sw_table, validate_kahler_facts
 from .manifoldfile import (
     ManifoldData,
     _fmt,
@@ -149,18 +149,14 @@ def cmd_sw_table(args) -> int:
     data = _load(args.file)
     m = data.topology
     c_list = characteristic_range(m, args.cmin, args.cmax)
-    table = sw_table(m, c_list, psc_ray=data.psc_ray, kahler_facts=data.kahler)
-    rows = [(row.c, row.sw_plus, row.sw_minus) for row in table]
-    _emit_rows(args, "sw_table", ("c", "sw_plus", "sw_minus"), rows)
+    _emit_rows(args, "sw_table", SWRow._fields, sw_table(m, c_list, data.psc_ray, data.kahler))
     return 0
 
 
 def cmd_strata(args) -> int:
     data = _load(args.file)
-    c1 = parse_int_vector(args.c1)
-    strata = uhlenbeck_strata(data.topology, args.p1, c1, args.max_level)
-    rows = [(s.level, s.p1, s.dim) for s in strata]
-    _emit_rows(args, "strata", ("l", "p1", "dim"), rows)
+    strata = uhlenbeck_strata(data.topology, args.p1, parse_int_vector(args.c1), args.max_level)
+    _emit_rows(args, "strata", ("l", "p1", "dim"), strata)
     return 0
 
 

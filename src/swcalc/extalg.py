@@ -123,7 +123,7 @@ def wedge(x: ExtForm, y: ExtForm) -> ExtForm:
     Bilinear, associative and graded-commutative:
     x ^ y = (-1)^(deg x * deg y) y ^ x on homogeneous forms.
     """
-    x._check_compatible(y)
+    _as_instance(x, ExtForm, "x")._check_compatible(_as_instance(y, ExtForm, "y"))
     out: dict[Key, int] = {}
     for ka, va in x.coeffs.items():
         set_a = set(ka)
@@ -136,6 +136,7 @@ def wedge(x: ExtForm, y: ExtForm) -> ExtForm:
 
 
 def wedge_power(x: ExtForm, k: int) -> ExtForm:
+    _as_instance(x, ExtForm, "x")
     k = _as_integer(k, "wedge power exponent")
     if k < 0:
         raise DomainError("wedge power wants a nonnegative exponent")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chambers import PeriodRay, _twisted_sign, component_violation, ray_violation, wall_vector
 from .errors import DomainError, InvalidTopologyError
@@ -213,9 +213,8 @@ def sw_pg0_invariants(
     return (row.sw_plus, row.sw_minus)
 
 
-@dataclass(frozen=True)
-class SWRow:
-    """One table row: the characteristic element and the invariant pair.
+class SWRow(NamedTuple):
+    """One table row, a named tuple: the characteristic element and the invariant pair.
 
     ``None`` renders as "undetermined": the supplied facts cannot decide
     the value (for instance on a wall), and the table never extrapolates.
@@ -275,7 +274,7 @@ def sw_table(
     if problem is not None:
         raise problem
     if kahler_facts is not None:
-        ns = _require_valid_facts(m, kahler_facts)
+        douady = _douady_test(kahler_facts, _require_valid_facts(m, kahler_facts))
         if not kahler_facts.pg_zero:
             raise DomainError("the invariant rule applies only when p_g = 0")
     if psc_ray is not None and kahler_facts is not None:
@@ -289,9 +288,8 @@ def sw_table(
             "inconsistent"
         )
     u = wall_vector(m, psc_ray) if psc_ray is not None else None
-    if kahler_facts is not None:
-        douady = _douady_test(kahler_facts, ns)
-    cs = sorted(set(_as_int_vector(c, "characteristic vector entry") for c in c_list))
+    # dict.fromkeys drops repeats in order, so sorting sorted input is one pass.
+    cs = sorted(dict.fromkeys(_as_int_vector(c, "characteristic vector entry") for c in c_list))
     # Given c^2 == signature (mod 8) and signature + euler == 0 (mod 4), the
     # numerator c^2 - 3 signature - 2 euler of w_c is a multiple of 8, so
     # w_c < 0 exactly when c^2 < 3 signature + 2 euler.

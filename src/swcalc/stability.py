@@ -67,9 +67,7 @@ class HilbertPoly:
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def __add__(self, other: "HilbertPoly") -> "HilbertPoly":
         pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
@@ -99,7 +97,7 @@ def poly_compare(p: HilbertPoly, q: HilbertPoly) -> Ordering:
     """
     # p - q has its trailing zeros stripped, so its leading coefficient
     # is the highest one where p and q differ.
-    lead = (p - q).leading
+    lead = (_as_instance(p, HilbertPoly, "p") - _as_instance(q, HilbertPoly, "q")).leading
     if lead < 0:
         return Ordering.LESS
     if lead > 0:
@@ -169,6 +167,8 @@ def framing_defect(
 ) -> HilbertPoly:
     """Defect polynomial P_E - (rk_E / rk_ker) * P_ker of a non-injective
     framing, exact; both ranks must be positive integers."""
+    _as_instance(p_e, HilbertPoly, "p_e")
+    _as_instance(p_ker, HilbertPoly, "p_ker")
     rk_ker = _positive_rank(rk_ker, "kernel rank")
     return p_e - p_ker.scale(Fraction(_positive_rank(rk_e, "sheaf rank"), rk_ker))
 

@@ -171,13 +171,21 @@ def _cup_entries(cup, b1: int, b2: int) -> tuple[tuple[int, int, int, int], ...]
         ]
     cells: dict[tuple[int, int, int], int] = {}
     for entry in cup:
-        i, j, k, v = _as_int_vector(entry, "triple cup entry")
+        i, j, k, v = _cup_entry(entry)
         if not (1 <= i <= b1 and 1 <= j <= b1 and 1 <= k <= b2):
             raise ValueError(f"triple cup index ({i},{j},{k}) out of range")
         if (i, j, k) in cells:
             raise ValueError(f"duplicate triple cup entry for ({i},{j},{k})")
         cells[(i, j, k)] = v
     return tuple(sorted((*key, v) for key, v in cells.items() if v))
+
+
+def _cup_entry(entry) -> IntVector:
+    """entry as the integers (i, j, k, value); another length raises ValueError."""
+    cell = _as_int_vector(entry, "triple cup entry")
+    if len(cell) != 4:
+        raise ValueError(f"triple cup entry must be (i, j, k, value), got {cell}")
+    return cell
 
 
 def triple_cup_from_entries(
@@ -191,7 +199,7 @@ def triple_cup_from_entries(
     cells. Refusals raise ValueError.
     """
     b1, b2 = _as_integer(b1, "b1"), _as_integer(b2, "b2")
-    cup = [_as_int_vector(entry, "triple cup entry") for entry in entries]
+    cup = [_cup_entry(entry) for entry in entries]
     cup = _cup_entries(cup + [(j, i, k, -v) for i, j, k, v in cup if i != j], b1, b2)
     for i, j, k, _ in cup:
         if i == j:

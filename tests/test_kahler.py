@@ -314,6 +314,11 @@ def test_sw_table_cross_path_consistency(p2, p2_ray, p2_kahler):
 def test_sw_table_small_dimension_rows_are_zero(p2, p2_ray):
     rows = sw_table(p2, [(1,), (-1,)], psc_ray=p2_ray)
     assert rows == [SWRow((-1,), 0, 0), SWRow((1,), 0, 0)]
+    # A row is a named tuple: it is the plain triple (c, SW+, SW-).
+    assert SWRow._fields == ("c", "sw_plus", "sw_minus")
+    assert rows == [((-1,), 0, 0), ((1,), 0, 0)]
+    # Repeats collapse and the rows come out sorted.
+    assert sw_table(p2, [(1,), (-1,), (1,)], psc_ray=p2_ray) == rows
 
 
 def test_sw_table_undetermined_on_wall():

@@ -39,6 +39,7 @@ from swcalc import (
     is_c_good,
     is_characteristic,
     oriented_pair_status_rank2,
+    poly_compare,
     require_characteristic,
     rho_interval,
     slope,
@@ -51,6 +52,7 @@ from swcalc import (
     uhlenbeck_strata,
     validate_kahler_facts,
     wall_crossing_delta,
+    wedge,
     wedge_power,
 )
 from swcalc.chambers import wall_vector
@@ -299,6 +301,13 @@ STRUCTURED_SLOTS = [
      lambda v: PairProfile(3, POLY, True, True, None, ((1, v),)), (0, 1)),
     ("name", "str", lambda v: _topology(name=v), 5),
     ("e_stability", "Stability", lambda v: oriented_pair_status_rank2(True, v, None, 0), "stable"),
+    ("p", "HilbertPoly", lambda v: poly_compare(v, POLY), 3),
+    ("q", "HilbertPoly", lambda v: poly_compare(POLY, v), 3),
+    ("p_e", "HilbertPoly", lambda v: framing_defect(v, 1, POLY, 1), 3),
+    ("p_ker", "HilbertPoly", lambda v: framing_defect(POLY, 1, v, 3), 3),
+    ("x", "ExtForm", lambda v: wedge(v, FORM), 3),
+    ("y", "ExtForm", lambda v: wedge(FORM, v), 3),
+    ("x", "ExtForm", lambda v: wedge_power(v, 2), 3),
 ]
 
 

@@ -474,6 +474,7 @@ def test_construction_rejects_malformed_shapes(t2xs2):
     for cup, message in [
         (((1, 2, 3, 1),), r"triple cup index \(1,2,3\) out of range"),
         (((1, 2, 1, 1), (1, 2, 1, 0)), r"duplicate triple cup entry for \(1,2,1\)"),
+        (((1, 2),), r"triple cup entry must be \(i, j, k, value\), got \(1, 2\)"),
     ]:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(t2xs2, triple_cup=cup)
@@ -494,6 +495,9 @@ def test_construction_rejects_malformed_shapes(t2xs2):
         ([(1, 2, 1, 1), (2, 1, 1, -1)], r"duplicate triple cup entry for \(2,1,1\)"),
         # A diagonal entry outside the index range is a range error.
         ([(5, 5, 1, 1)], r"triple cup index \(5,5,1\) out of range"),
+        ([(1,)], r"triple cup entry must be \(i, j, k, value\), got \(1,\)"),
+        # Zero entries still fill their mirrors, so the pair is a repeat.
+        ([(1, 2, 1, 0), (2, 1, 1, 0)], r"duplicate triple cup entry for \(2,1,1\)"),
     ],
 )
 def test_cup_entries_name_their_single_fault(entries, message):
