@@ -89,6 +89,8 @@ class ExtForm:
             )
 
     def __add__(self, other: "ExtForm") -> "ExtForm":
+        if not isinstance(other, ExtForm):
+            return NotImplemented
         self._check_compatible(other)
         out = dict(self.coeffs)
         for key, value in other.coeffs.items():

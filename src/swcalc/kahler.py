@@ -23,8 +23,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import mul
+from itertools import chain, compress, count, islice, repeat
+from operator import ge, lt, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chambers import PeriodRay, _twisted_sign, component_violation, ray_violation, wall_vector
@@ -247,12 +247,17 @@ def sw_table(
     once, before any row, and then signature + euler == 0 (mod 4): given the row
     congruence c^2 == signature (mod 8), that is exactly when every w_c
     is an even integer, so inconsistent Betti data is refused even for
-    an empty c_list. The rows' own checks (length b2, c == w2 mod 2,
-    c^2 == signature mod 8) run per column, on blocks of rows
-    (:func:`topology._squares`), and the rows are then walked in order:
-    the first row that fails a check, or where both pipelines decide
-    and disagree, raises, naming its c exactly as a row-at-a-time
-    check would.
+    an empty c_list. The rows are then handled by blocks. One scan of
+    the entry types passes a list of int tuples at once; any other
+    entry type has every entry read as by :func:`require_characteristic`,
+    in input order. A strictly increasing list is not sorted again. The
+    rows' own checks (length b2, c == w2 mod 2, c^2 == signature mod 8)
+    run per column, on blocks of rows (:func:`topology._squares`). In a
+    block where every row passes, only the rows with w_c >= 0 are
+    decided, in order, and the others are (0, 0). A block holding a row
+    that fails is walked row by row. So the first row that fails a
+    check, or where both pipelines decide and disagree, raises, naming
+    its c exactly as a row-at-a-time check would.
 
     The rows share a plan built once: the integer wall vector u of the
     PSC ray, and the Douady test with its Neron-Severi solve and cone
@@ -288,40 +293,55 @@ def sw_table(
             "inconsistent"
         )
     u = wall_vector(m, psc_ray) if psc_ray is not None else None
-    # dict.fromkeys drops repeats in order, so sorting sorted input is one pass.
-    cs = sorted(dict.fromkeys(_as_int_vector(c, "characteristic vector entry") for c in c_list))
+    cs: list[IntVector] = []
+    try:
+        cs.extend(map(tuple, c_list))
+    finally:
+        # One scan of the entry types; on any other type the entries are
+        # checked one by one, so the first bad one raises, also ahead of a
+        # later row that is not iterable.
+        if not {int}.issuperset(map(type, chain.from_iterable(cs))):
+            cs = [_as_int_vector(c, "characteristic vector entry") for c in cs]
+    if not all(map(lt, cs, islice(cs, 1, None))):
+        # dict.fromkeys drops repeats in order.
+        cs = sorted(dict.fromkeys(cs))
     # Given c^2 == signature (mod 8) and signature + euler == 0 (mod 4), the
     # numerator c^2 - 3 signature - 2 euler of w_c is a multiple of 8, so
     # w_c < 0 exactly when c^2 < 3 signature + 2 euler.
     threshold = 3 * m.signature + 2 * m.euler
-    rows = []
-    squares = chain.from_iterable(
-        _squares(m, cs[i:i + _ROW_BLOCK]) for i in range(0, len(cs), _ROW_BLOCK)
-    )
-    for c, square in zip(cs, squares):
-        if square is None:
-            # The row check raises the refusal of a row that fails; it
-            # returns c^2 for a good row of a table that has a bad one.
-            square = characteristic_square(m, c)
-        if square < threshold:
-            rows.append(SWRow(c, 0, 0))
-            continue
-        pair: tuple[Optional[int], Optional[int]] = (None, None)
-        if psc_ray is not None:
-            # A positive-scalar-curvature metric has empty untwisted moduli,
-            # so the chamber containing (ray, 0) carries 0 and the other one
-            # the jump 1.
-            s = sum(map(mul, c, u))
-            pair = (1, 0) if s > 0 else (0, -1) if s < 0 else (None, None)
-        if kahler_facts is not None:
-            # c and K are both characteristic, so c + K is even.
-            line_class = [(cv + kv) // 2 for cv, kv in zip(c, kahler_facts.canonical_class)]
-            kahler = (1, 0) if douady(line_class) else (0, -1)
-            if pair[0] is not None and pair != kahler:
-                raise DomainError(
-                    f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
-                    f"SW+ = {pair[0]} vs {kahler[0]}; the supplied facts are inconsistent"
-                )
-            pair = kahler
-        rows.append(SWRow(c, *pair))
+    rows: list[SWRow] = []
+    for start in range(0, len(cs), _ROW_BLOCK):
+        block = cs[start:start + _ROW_BLOCK]
+        squares = _squares(m, block)
+        plus, minus = [0] * len(block), [0] * len(block)
+        # A row with w_c < 0 stays (0, 0). A block holding a row that fails
+        # a check is walked row by row: the row check raises at the first
+        # failure, after a disagreement at any row before it.
+        if squares is None:
+            todo = range(len(block))
+        else:
+            todo = compress(count(), map(ge, squares, repeat(threshold)))
+        for r in todo:
+            c = block[r]
+            if squares is None and characteristic_square(m, c) < threshold:
+                continue
+            pair: tuple[Optional[int], Optional[int]] = (None, None)
+            if psc_ray is not None:
+                # A positive-scalar-curvature metric has empty untwisted moduli,
+                # so the chamber containing (ray, 0) carries 0 and the other one
+                # the jump 1.
+                s = sum(map(mul, c, u))
+                pair = (1, 0) if s > 0 else (0, -1) if s < 0 else (None, None)
+            if kahler_facts is not None:
+                # c and K are both characteristic, so c + K is even.
+                line_class = [(cv + kv) // 2 for cv, kv in zip(c, kahler_facts.canonical_class)]
+                kahler = (1, 0) if douady(line_class) else (0, -1)
+                if pair[0] is not None and pair != kahler:
+                    raise DomainError(
+                        f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
+                        f"SW+ = {pair[0]} vs {kahler[0]}; the supplied facts are inconsistent"
+                    )
+                pair = kahler
+            plus[r], minus[r] = pair
+        rows.extend(map(tuple.__new__, repeat(SWRow), zip(block, plus, minus)))
     return rows

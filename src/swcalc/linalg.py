@@ -341,10 +341,13 @@ class _Cone:
             # A negative reduced cost is minus the sum of the column's
             # entries in rows with a basic artificial, so some entry is
             # positive.
-            r = min(
-                (i for i in range(n) if tableau[i][s] > 0),
-                key=lambda i: (Fraction(tableau[i][-1], tableau[i][s]), basis[i]),
-            )
+            # The ratio test by cross-multiplication: entries a > 0, so
+            # b / a < br / ar exactly when b * ar < br * a.
+            r = ar = br = None
+            for i in range(n):
+                a, b = tableau[i][s], tableau[i][-1]
+                if a > 0 and (r is None or (b * ar, basis[i]) < (br * a, basis[r])):
+                    r, ar, br = i, a, b
             prev = _pivot(tableau, r, s, prev)
             basis[r] = s
         return True, [j for j in basis if j < g]

@@ -70,10 +70,14 @@ class HilbertPoly:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def __add__(self, other: "HilbertPoly") -> "HilbertPoly":
+        if not isinstance(other, HilbertPoly):
+            return NotImplemented
         pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         return HilbertPoly(tuple(a + b for a, b in pairs))
 
     def __sub__(self, other: "HilbertPoly") -> "HilbertPoly":
+        if not isinstance(other, HilbertPoly):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, factor: Scalar) -> "HilbertPoly":

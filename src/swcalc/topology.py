@@ -9,9 +9,9 @@ a basis a_1..a_b1 of H^1/Tors as sparse entries. Characteristic elements
 (integral lifts of w_2) are plain integer tuples validated by
 :func:`is_characteristic` / :func:`require_characteristic`. A table
 checks its classes column by column instead: the parity of each
-coordinate against w2 and the square c^2 of every class come from one
-pass over the classes per coordinate and per nonzero coefficient of the
-form, and only a class that fails a check is looked at on its own.
+coordinate against w2 comes from the distinct values of its column, the
+square c^2 of every class from one product pass per coordinate, and only
+a class that fails a check is looked at on its own.
 
 All arithmetic is exact. Quantities that are integral for consistent
 input, such as the expected dimension of the abelian monopole moduli
@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mod, mul, or_, sub, xor
+from operator import add, mod, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
@@ -162,7 +162,7 @@ class ManifoldTopology:
 def _cup_entries(cup, b1: int, b2: int) -> tuple[tuple[int, int, int, int], ...]:
     """The sorted nonzero entries (i, j, k, value) of cup, given as entries or
     densely; an index outside its range or a repeated cell raises ValueError."""
-    if cup and cup[0] and isinstance(cup[0][0], Sequence):
+    if cup and isinstance(cup[0], Sequence) and cup[0] and isinstance(cup[0][0], Sequence):
         if len(cup) != b1 or any(len(p) != b1 or any(len(r) != b2 for r in p) for p in cup):
             raise ValueError("triple cup tensor must have shape b1 x b1 x b2")
         cup = [
@@ -181,9 +181,10 @@ def _cup_entries(cup, b1: int, b2: int) -> tuple[tuple[int, int, int, int], ...]
 
 
 def _cup_entry(entry) -> IntVector:
-    """entry as the integers (i, j, k, value); another length raises ValueError."""
-    cell = _as_int_vector(entry, "triple cup entry")
-    if len(cell) != 4:
+    """entry as the integers (i, j, k, value); another length, or an entry
+    that is not iterable, raises ValueError."""
+    cell = _as_int_vector(entry, "triple cup entry") if isinstance(entry, Iterable) else entry
+    if not isinstance(cell, tuple) or len(cell) != 4:
         raise ValueError(f"triple cup entry must be (i, j, k, value), got {cell}")
     return cell
 
@@ -301,31 +302,35 @@ def characteristic_square(m: ManifoldTopology, c: IntVector) -> int:
     return square
 
 
-def _squares(m: ManifoldTopology, cs: Sequence[IntVector]) -> list[Optional[int]]:
-    """:func:`characteristic_square` of each integer tuple c of cs, None
-    where that call would raise; if any c has a length other than b2,
-    every entry is None. One pass over the columns of cs per coordinate
-    (parity against w2) and per nonzero coefficient of
-    c^2 = sum_i q_ii x_i^2 + sum_{i<j} (q_ij + q_ji) x_i x_j; the form
-    need not be symmetric, so q_ij + q_ji is not 2 q_ij."""
+def _squares(m: ManifoldTopology, cs: Sequence[IntVector]) -> Optional[list[int]]:
+    """:func:`characteristic_square` of each integer tuple c of cs, or None
+    when that call would raise for some c. Works on the columns x_i of cs.
+    Parity against w2 reads the distinct values of each column. The square
+    is c^2 = sum_i x_i y_i with y_i = sum_{j>=i} a_ij x_j, a_ii = q_ii and
+    a_ij = q_ij + q_ji (the form need not be symmetric, so not 2 q_ij):
+    one product pass per coordinate."""
     n, q = m.b2, m.intersection_form
     if cs and set(map(len, cs)) != {n}:
-        return [None] * len(cs)
+        return None
     cols = list(zip(*cs))
-    total = odd = [0] * len(cs)
-    for i, (x, w) in enumerate(zip(cols, m.w2)):
-        odd = list(map(or_, odd, map(xor, x, itertools.repeat(w))))
+    if any((v - w) % 2 for x, w in zip(cols, m.w2) for v in set(x)):
+        return None
+    total = [0] * len(cs)
+    for i, x in enumerate(cols):
+        y, sign = None, 1
         for j in range(i, n):
             a = q[i][j] + q[j][i] if j > i else q[i][i]
             if a:
-                terms = map(mul, x, cols[j])
-                if a == -1:
-                    total = list(map(sub, total, terms))
-                else:
-                    terms = terms if a == 1 else map(mul, terms, itertools.repeat(a))
-                    total = list(map(add, total, terms))
-    sig = m.signature
-    return [None if p & 1 or (s - sig) % 8 else s for s, p in zip(total, odd)]
+                if y is None:
+                    # y_i is kept divided by the sign of its first coefficient,
+                    # so a coefficient of +-1 costs no multiplication pass.
+                    sign = -1 if a < 0 else 1
+                a *= sign
+                term = cols[j] if abs(a) == 1 else map(mul, cols[j], itertools.repeat(abs(a)))
+                y = term if y is None else map(add if a > 0 else sub, y, term)
+        if y is not None:
+            total = list(map(add if sign > 0 else sub, total, map(mul, x, y)))
+    return total if set(map(mod, total, itertools.repeat(8))) <= {m.signature % 8} else None
 
 
 def require_characteristic(m: ManifoldTopology, c: Sequence[int]) -> IntVector:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 import pytest
@@ -498,3 +498,28 @@ def charpoly_inertia(a) -> tuple[int, int, int]:
     # Coefficient c_d of x^d sits at index n - d; p(-x) flips odd degrees.
     neg = sign_changes([c if (n - i) % 2 == 0 else -c for i, c in enumerate(coeffs)])
     return pos, neg, zero
+
+
+def minus_one_classes(k):
+    """The classes D = dH + a1 E1 + ... + ak Ek of P2#k(-P2), form
+    diag(1, -1, ..., -1) and K = -3H + E1 + ... + Ek, with D^2 = -1,
+    K.D = -1 and degree 0 <= d <= 6. For k <= 8 Cauchy-Schwarz leaves
+    no other degree, so these are all the (-1)-classes."""
+    out = []
+
+    def extend(prefix, squares, total):
+        slots = k + 1 - len(prefix)
+        if total * total > slots * squares:
+            return
+        if not slots:
+            if not squares:
+                out.append(tuple(prefix))
+            return
+        r = isqrt(squares)
+        for a in range(-r, r + 1):
+            extend(prefix + [a], squares - a * a, total - a)
+
+    for d in range(7):
+        # d^2 - sum(a^2) = -1 and -3d - sum(a) = -1.
+        extend([d], d * d + 1, 1 - 3 * d)
+    return out

@@ -226,6 +226,14 @@ def test_ext_form_validation():
     assert ExtForm(2, {}).degree() is None
 
 
+def test_ext_form_add_refuses_another_type():
+    # NotImplemented lets Python raise its own TypeError, on either side.
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+: 'ExtForm' and 'int'"):
+        ExtForm.scalar(2, 1) + 3
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+: 'int' and 'ExtForm'"):
+        3 + ExtForm.scalar(2, 1)
+
+
 def test_ext_form_text():
     assert str(ExtForm(2, {})) == "0"
     assert str(ExtForm(2, {(): 1, (1, 2): -3})) == "+1*1 -3*a1^a2"

@@ -7,12 +7,12 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import minus_one_classes
 from swcalc import (
     Chamber,
     DimensionMismatchError,
@@ -41,7 +41,7 @@ from swcalc import (
 from swcalc import kahler
 from swcalc.chambers import wall_vector
 from swcalc.linalg import _BASIS_CAP, _FARKAS_CAP, _Cone, cone_contains, dot
-from swcalc.topology import _squares, characteristic_square, spinor_c2
+from swcalc.topology import _as_int_vector, _squares, characteristic_square, spinor_c2
 
 
 def quadric_facts() -> KahlerFacts:
@@ -512,31 +512,6 @@ def test_sw_table_rows_match_public_composition(lattice, mode, p2, p2_ray, p2_ka
     assert rows == [public_row(m, c, ray, facts) for c in sorted(c_list)]
 
 
-def minus_one_classes(k):
-    """The classes D = dH + a1 E1 + ... + ak Ek of P2#k(-P2), form
-    diag(1, -1, ..., -1) and K = -3H + E1 + ... + Ek, with D^2 = -1,
-    K.D = -1 and degree 0 <= d <= 6. For k <= 8 Cauchy-Schwarz leaves
-    no other degree, so these are all the (-1)-classes."""
-    out = []
-
-    def extend(prefix, squares, total):
-        slots = k + 1 - len(prefix)
-        if total * total > slots * squares:
-            return
-        if not slots:
-            if not squares:
-                out.append(tuple(prefix))
-            return
-        r = isqrt(squares)
-        for a in range(-r, r + 1):
-            extend(prefix + [a], squares - a * a, total - a)
-
-    for d in range(7):
-        # d^2 - sum(a^2) = -1 and -3d - sum(a) = -1.
-        extend([d], d * d + 1, 1 - 3 * d)
-    return out
-
-
 def del_pezzo(k):
     """P2 blown up at k general points, both rays at -K, the effective
     cone spanned by the (-1)-classes."""
@@ -667,12 +642,14 @@ def test_del_pezzo_k8_cone_membership_known_answers():
 
 def row_at_a_time(m, c_list, psc_ray=None, facts=None):
     """sw_table from the single-vector checks: the entry checks of the
-    empty table, then row by row in sorted order characteristic_square,
-    spinor_c2 and dot with the wall vector, and the Douady rule."""
+    empty table, every entry of every c read as an int in input order,
+    then row by row in sorted order characteristic_square, spinor_c2 and
+    dot with the wall vector, and the Douady rule."""
     sw_table(m, [], psc_ray=psc_ray, kahler_facts=facts)
     u = wall_vector(m, psc_ray) if psc_ray is not None else None
+    cs = [_as_int_vector(c, "characteristic vector entry") for c in c_list]
     rows = []
-    for c in sorted(set(map(tuple, c_list))):
+    for c in sorted(set(cs)):
         if spinor_c2(m, characteristic_square(m, c), 1) < 0:
             rows.append(SWRow(c, 0, 0))
             continue
@@ -695,10 +672,10 @@ def row_at_a_time(m, c_list, psc_ray=None, facts=None):
 
 def outcome(call, *args, **kwargs):
     """The repr of what call returns, so that types count, or the class
-    and text of the DomainError it raises."""
+    and text of the DomainError or TypeError it raises."""
     try:
         return repr(call(*args, **kwargs))
-    except DomainError as error:
+    except (DomainError, TypeError) as error:
         return type(error), str(error)
 
 
@@ -767,8 +744,8 @@ def test_column_squares_match_characteristic_square(case):
         except DomainError:
             return None
 
-    want = [one(c) for c in rows] if all(len(c) == m.b2 for c in rows) else [None] * len(rows)
-    assert repr(_squares(m, rows)) == repr(want)
+    want = [one(c) for c in rows] if all(len(c) == m.b2 for c in rows) else [None]
+    assert repr(_squares(m, rows)) == repr(None if None in want else want)
 
 
 @settings(max_examples=300)
@@ -841,3 +818,128 @@ def test_a_failing_row_and_a_disagreement_raise_in_row_order(bad, error):
             "the PSC and Kahler pipelines disagree at c = [5, 0]: "
             "SW+ = 1 vs 0; the supplied facts are inconsistent"
         ))
+
+
+# P2 # 4(-P2) with both rays at -K: 1,024 classes in the box [-3, 3], four
+# row blocks; the 32 rows with w_c >= 0 are rows 85-170 and 853-938.
+DP4, DP4_RAY, DP4_FACTS = del_pezzo(4)
+DP4_BOX = characteristic_range(DP4, -3, 3)
+PIPELINES = {"psc": (DP4_RAY, None), "kahler": (None, DP4_FACTS), "both": (DP4_RAY, DP4_FACTS)}
+
+
+def same_as_row_at_a_time(m, c_list, psc_ray=None, facts=None):
+    """The outcome of sw_table, which must be that of the oracle."""
+    want = outcome(row_at_a_time, m, c_list, psc_ray, facts)
+    assert outcome(sw_table, m, c_list, psc_ray=psc_ray, kahler_facts=facts) == want
+    return want
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize(
+    "c_list",
+    [
+        DP4_BOX,
+        DP4_BOX[::-1],
+        random.Random(4).sample(DP4_BOX, len(DP4_BOX)),
+        DP4_BOX + DP4_BOX[300:700],
+        # Sorted but for one repeat: not strictly increasing, so it is deduplicated.
+        DP4_BOX[:500] + DP4_BOX[499:],
+        [list(c) for c in DP4_BOX],
+    ],
+    ids=["sorted", "reversed", "shuffled", "repeated", "adjacent repeat", "lists"],
+)
+def test_sw_table_orders_match_the_row_at_a_time_oracle(c_list, pipeline):
+    psc_ray, facts = PIPELINES[pipeline]
+    want = same_as_row_at_a_time(DP4, c_list, psc_ray, facts)
+    assert want == outcome(sw_table, DP4, iter(DP4_BOX), psc_ray=psc_ray, kahler_facts=facts)
+    assert want.count("SWRow(") == len(DP4_BOX)
+
+
+def with_entry(box, where, value):
+    """box as lists, the coordinate 2 of row where replaced by value(old entry)."""
+    rows = [list(c) for c in box]
+    rows[where][2] = value(rows[where][2])
+    return rows
+
+
+ENTRIES = {
+    "bool": (lambda v: True, "True"),
+    "integral float": (float, None),
+    "Fraction(2v, 2)": (lambda v: Fraction(2 * v, 2), None),
+    "Fraction(10, 2)": (lambda v: Fraction(10, 2), None),
+    "Fraction(7, 2)": (lambda v: Fraction(7, 2), "Fraction(7, 2)"),
+}
+
+
+@pytest.mark.parametrize("where", [0, 517, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_sw_table_entries_match_the_row_at_a_time_oracle(entry, where):
+    # A bool or a non-integral entry is refused by name; an integral float or
+    # Fraction is read as its int (Fraction(10, 2) as 5, which moves its row
+    # out of the box).
+    value, refused = ENTRIES[entry]
+    c_list = with_entry(DP4_BOX, where, value)
+    want = same_as_row_at_a_time(DP4, c_list, psc_ray=DP4_RAY)
+    if refused is not None:
+        assert want == (DomainError, f"characteristic vector entry must be an integer, got {refused}")
+    elif entry != "Fraction(10, 2)":
+        assert want == outcome(sw_table, DP4, DP4_BOX, psc_ray=DP4_RAY)
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [("Fraction(7, 2)", "bool"), ("bool", "Fraction(7, 2)"), ("integral float", "bool")],
+)
+@pytest.mark.parametrize("where", [(0, -1), (3, 4), (517, 900)])
+def test_the_first_bad_entry_in_input_order_raises(first, then, where):
+    c_list = with_entry(with_entry(DP4_BOX, where[0], ENTRIES[first][0]), where[1], ENTRIES[then][0])
+    refused = ENTRIES[first][1] or ENTRIES[then][1]
+    want = same_as_row_at_a_time(DP4, c_list[::-1], psc_ray=DP4_RAY)
+    assert want[1].endswith(f"got {ENTRIES[then][1]}")
+    want = same_as_row_at_a_time(DP4, c_list, psc_ray=DP4_RAY)
+    assert want == (DomainError, f"characteristic vector entry must be an integer, got {refused}")
+    # A row that is not iterable after the bad entry does not hide it.
+    assert same_as_row_at_a_time(DP4, c_list + [5], psc_ray=DP4_RAY) == want
+    assert same_as_row_at_a_time(DP4, DP4_BOX + [5], psc_ray=DP4_RAY)[0] is TypeError
+
+
+def wrong_parity_last(block):
+    """block with the coordinate 3 of its last row made even: its column's
+    only wrong-parity value comes after all the right ones."""
+    *rows, last = block
+    return rows + [last[:3] + (last[3] + 1,) + last[4:]]
+
+
+def test_squares_find_a_late_wrong_parity_value():
+    for block in (DP4_BOX[:256], DP4_BOX[512:768]):
+        assert _squares(DP4, block) == [characteristic_square(DP4, c) for c in block]
+        assert _squares(DP4, wrong_parity_last(block)) is None
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_a_late_wrong_parity_value_is_refused_at_its_row(pipeline, block):
+    # The bad row is the last of its block; every row before it with
+    # w_c >= 0 is decided first.
+    c_list = DP4_BOX[:256 * (block - 1)] + wrong_parity_last(DP4_BOX[256 * (block - 1):256 * block])
+    c_list += DP4_BOX[256 * block:]
+    want = same_as_row_at_a_time(DP4, c_list, *PIPELINES[pipeline])
+    assert want[0] is DomainError and "not characteristic" in want[1]
+
+
+@pytest.mark.parametrize("bad_at", [0, 100, 500, 853, 854, 1023])
+@pytest.mark.parametrize("kind", ["wrong parity", "wrong length"])
+def test_blocks_mixing_a_failing_row_with_decided_rows(kind, bad_at):
+    # Without the (-1)-class E4 in the cone the pipelines disagree first at
+    # row 854. The failing row sorts right after row bad_at: before, among
+    # or after the rows with w_c >= 0, in their block or another one.
+    # Whichever comes first raises.
+    cone = [g for g in DP4_FACTS.effective_cone if g != (0, 0, 0, 0, 1)]
+    facts = dataclasses.replace(DP4_FACTS, effective_cone=tuple(cone))
+    c = DP4_BOX[bad_at]
+    bad = c[:4] + (c[4] + 1,) if kind == "wrong parity" else c + (1,)
+    want = same_as_row_at_a_time(DP4, [bad] + DP4_BOX, DP4_RAY, facts)
+    if bad_at < 854:
+        assert want[0] is (DomainError if kind == "wrong parity" else DimensionMismatchError)
+    else:
+        assert "disagree at c = [3, -1, -1, -1, 1]" in want[1]

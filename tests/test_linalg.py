@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -26,6 +27,7 @@ from swcalc.linalg import (
     _Cone,
     _integer_rows,
     _pfaffian,
+    _pivot,
     _Span,
     cone_contains,
     determinant,
@@ -427,6 +429,8 @@ def test_cone_contains_degenerate_cones(gens, target, inside):
     target = tuple(F(v) for v in target)
     assert cone_contains(gens, target) is inside
     assert fm_cone_contains(gens, target) is inside
+    cone, t = _Cone(gens, len(target)), integer_target(target)
+    assert cone.phase1(t) == fraction_key_phase1(cone, t)
 
 
 def test_cone_contains_rejects_mismatched_lengths():
@@ -515,6 +519,34 @@ def integer_target(target):
     return _integer_rows([target])[0][0]
 
 
+def fraction_key_phase1(cone, target):
+    """:meth:`_Cone.phase1` with the ratio test of min() over the key
+    (Fraction(rhs, entry), basic index): the reference for the
+    cross-multiplied test."""
+    n, g = cone.n, len(cone.gens)
+    signs = [1 if v >= 0 else -1 for v in target]
+    tableau = [
+        [s * v for v in row] + [int(i == j) for j in range(n)] + [s * t]
+        for i, (row, s, t) in enumerate(zip(cone.rows, signs, target))
+    ]
+    objective = [-sum(col) for col in zip([0] * (g + n + 1), *tableau)]
+    objective[g:g + n] = [0] * n
+    tableau.append(objective)
+    basis, prev = list(range(g, g + n)), 1
+    while tableau[n][-1]:
+        s = next((j for j in range(g) if tableau[n][j] < 0), None)
+        if s is None:
+            z = [-sign * (prev - tableau[n][g + i]) for i, sign in enumerate(signs)]
+            return False, [v // gcd(*z) for v in z]
+        r = min(
+            (i for i in range(n) if tableau[i][s] > 0),
+            key=lambda i: (F(tableau[i][-1], tableau[i][s]), basis[i]),
+        )
+        prev = _pivot(tableau, r, s, prev)
+        basis[r] = s
+    return True, [j for j in basis if j < g]
+
+
 @given(cone_streams())
 def test_cached_cone_agrees_with_uncached_and_fourier_motzkin(case):
     gens, stream = case
@@ -524,6 +556,10 @@ def test_cached_cone_agrees_with_uncached_and_fourier_motzkin(case):
         inside, witness = cone.contains(integer_target(target))
         event("cache hit" if id(witness) in cached else "simplex")
         assert inside == cone_contains(gens, target) == fm_cone_contains(gens, target)
+        # The cross-multiplied ratio test gives the same answer and the same
+        # certificate as the Fraction key.
+        t = integer_target(target)
+        assert cone.phase1(t) == fraction_key_phase1(cone, t)
 
 
 def test_cached_basis_is_checked_with_the_sign_of_d():

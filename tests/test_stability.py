@@ -126,6 +126,17 @@ def test_poly_compare_examples():
     assert poly_compare(HilbertPoly(()), line) is Ordering.LESS
 
 
+def test_poly_add_refuses_another_type():
+    # NotImplemented lets Python raise its own TypeError.
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+: 'HilbertPoly' and 'int'"):
+        HilbertPoly((0, 1)) + 3
+
+
+def test_poly_sub_refuses_another_type():
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'HilbertPoly' and 'int'"):
+        HilbertPoly((0, 1)) - 3
+
+
 def _random_poly(rng: random.Random, max_degree: int = 4) -> HilbertPoly:
     coeffs = [
         Fraction(rng.randint(-20, 20), rng.randint(1, 20))

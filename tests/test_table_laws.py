@@ -13,12 +13,20 @@ with one kind of facts only, can still break it.
   Weyl group W(E_k), which permutes the (-1)-classes (Manin, *Cubic
   Forms*; Dolgachev, *Classical Algebraic Geometry*, Ch. 8); on the
   cubic surface (k = 6) these are the 27 lines of its effective cone.
+- Blow-ups: let X' = X # (-P2), with the form q + (-1), w2 extended by
+  1, each ray h extended to (h, -1/10), K' = (K, 1) and the effective
+  cone of X'. Then row_X'((c, +-1)) = row_X(c). Both e + 1 and
+  signature - 1 cancel against c^2 - 1 in w_c, and both rays stay in
+  the chamber pulled back from X (the blow-up formula: Fintushel and
+  Stern, Turkish J. Math. 19 (1995) 145-157). Checked from P2 # k(-P2)
+  to P2 # (k + 1)(-P2).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 from operator import mul
 from pathlib import Path
 
@@ -26,7 +34,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swcalc import ManifoldTopology, PeriodRay, load_manifold_file, sw_table
+from conftest import minus_one_classes
+from swcalc import KahlerFacts, ManifoldTopology, PeriodRay, load_manifold_file, sw_table
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 CUBIC = load_manifold_file(DEMOS / "cubic_surface.manifold")
@@ -143,3 +152,49 @@ def test_psc_laws_on_del_pezzo_rows(data, k):
     rows = {row.c: row for row in sw_table(m, [c, minus, *images], psc_ray=ray)}
     assert rows[minus] == conjugate(rows[c])
     assert [rows[s][1:] for s in images] == [rows[c][1:]] * len(images)
+
+
+@functools.cache
+def blow_up_pipelines(k: int, depth: int) -> dict:
+    """Both pipelines on P2 # k(-P2) with the rays of P2 # (k - depth)(-P2)
+    at -K, each extended by -1/10 per blow-up, K = (-3, 1, ..., 1) and the
+    effective cone of the (-1)-classes (for k <= 1 also H, or the fibre
+    H - E1, which the (-1)-classes miss)."""
+    h = (Fraction(3),) + (Fraction(-1),) * (k - depth) + (Fraction(-1, 10),) * depth
+    cone = minus_one_classes(k) + {0: [(1,)], 1: [(1, -1)]}.get(k, [])
+    facts = KahlerFacts(
+        canonical_class=(-3,) + (1,) * k,
+        ns_basis=tuple(tuple(int(i == j) for j in range(k + 1)) for i in range(k + 1)),
+        effective_cone=tuple(tuple(map(Fraction, g)) for g in cone),
+        pg_zero=True,
+        kahler_ray=PeriodRay(h),
+    )
+    return {"psc": dict(psc_ray=PeriodRay(h)), "kahler": dict(kahler_facts=facts)}
+
+
+def blow_up_rows(k: int, pipeline: str, c_list) -> tuple[dict, dict]:
+    """The rows of c_list on P2 # k(-P2), and of every (c, +-1) on its blow-up."""
+    blown_up = [(*c, e) for c in c_list for e in (1, -1)]
+    rows = sw_table(del_pezzo(k), c_list, **blow_up_pipelines(k, 0)[pipeline])
+    rows_up = sw_table(del_pezzo(k + 1), blown_up, **blow_up_pipelines(k + 1, 1)[pipeline])
+    return {row.c: row[1:] for row in rows}, {row.c: row[1:] for row in rows_up}
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("k", range(6))
+def test_blow_up_on_del_pezzo_boxes(pipeline, k):
+    # c0 in [-5, 5] and c_i in [-3, 3]: 6 * 4^k classes, 6,144 at k = 5.
+    box = list(itertools.product(range(-5, 6, 2), *[range(-3, 4, 2)] * k))
+    table, table_up = blow_up_rows(k, pipeline, box)
+    assert len(table_up) == 2 * len(table) == 2 * len(box)
+    bad = [c for c, row in table_up.items() if row != table[c[:-1]]]
+    assert bad == []
+    assert {row for row in table.values()} >= {(0, 0), (1, 0), (0, -1)}
+
+
+@settings(max_examples=40)
+@given(data=st.data(), k=st.integers(1, 7), pipeline=st.sampled_from(sorted(PIPELINES)))
+def test_blow_up_on_drawn_rows(data, k, pipeline):
+    c = tuple(2 * x + 1 for x in data.draw(st.tuples(*[st.integers(-6, 6)] * (k + 1)), "c"))
+    table, table_up = blow_up_rows(k, pipeline, [c])
+    assert table_up == {(*c, 1): table[c], (*c, -1): table[c]}

@@ -475,6 +475,9 @@ def test_construction_rejects_malformed_shapes(t2xs2):
         (((1, 2, 3, 1),), r"triple cup index \(1,2,3\) out of range"),
         (((1, 2, 1, 1), (1, 2, 1, 0)), r"duplicate triple cup entry for \(1,2,1\)"),
         (((1, 2),), r"triple cup entry must be \(i, j, k, value\), got \(1, 2\)"),
+        # The dense-tensor probe reads no entry that is not a sequence.
+        ((5,), r"triple cup entry must be \(i, j, k, value\), got 5"),
+        (((1, 2, 1, 1), 5), r"triple cup entry must be \(i, j, k, value\), got 5"),
     ]:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(t2xs2, triple_cup=cup)
@@ -498,6 +501,9 @@ def test_construction_rejects_malformed_shapes(t2xs2):
         ([(1,)], r"triple cup entry must be \(i, j, k, value\), got \(1,\)"),
         # Zero entries still fill their mirrors, so the pair is a repeat.
         ([(1, 2, 1, 0), (2, 1, 1, 0)], r"duplicate triple cup entry for \(2,1,1\)"),
+        # An entry that is not iterable.
+        ([5], r"triple cup entry must be \(i, j, k, value\), got 5"),
+        ([(1, 2, 1, 1), None], r"triple cup entry must be \(i, j, k, value\), got None"),
     ],
 )
 def test_cup_entries_name_their_single_fault(entries, message):
