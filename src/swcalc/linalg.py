@@ -6,11 +6,12 @@ introduced. Determinant, rank, the integer coordinates of a vector in
 a lattice basis (the Neron-Severi solve) and the simplex of cone
 membership share one fraction-free Gauss-Jordan pivot step on input
 scaled to integers, so entries grow only as minors of the input do.
-Two congruences have steps of their own. Inertia pivots on the diagonal
-and updates only the upper triangle of the symmetric trailing block,
-the Schur complement, which is all Sylvester's law needs. The Pfaffian
-clears two rows and columns at once, and a one-sided row step would
-find only det = Pf^2, losing the sign.
+Two congruences have steps of their own. Inertia pivots on the diagonal,
+two at a time through the 2x2 bordered minor (one at a time when that
+block is singular), and updates only the upper triangle of the symmetric
+trailing block, the Schur complement, which is all Sylvester's law
+needs. The Pfaffian clears two rows and columns at once, and a one-sided
+row step would find only det = Pf^2, losing the sign.
 
 Both solves can be prepared once for many targets. A :class:`_Span`
 eliminates its basis once (the Neron-Severi solve, and the check of a
@@ -169,24 +170,27 @@ def inertia_and_determinant(q: Matrix) -> tuple[int, int, int, Fraction]:
     symmetric rational matrix, and its determinant, from one elimination.
 
     Fraction-free pivots on the diagonal of the congruent integer matrix
-    D q D (D the row scales). Step k updates only the upper triangle of
-    the trailing block, the symmetric Schur complement times p / prev
-    (after Bareiss 1968): its entries are the (k+1)-minors a Gauss-Jordan
-    step would leave there, so dividing by prev is exact. A zero pivot is
-    first fixed by a symmetric swap or row-and-column addition. Each
-    pivot times the previous one has the sign of a diagonal entry of
-    LDL^T, so by Sylvester's law of inertia the counts are exact. The
-    swaps and additions are unimodular, so the n-th pivot is det(D q D);
-    a skipped row means det(q) = 0.
+    D q D (D the row scales), keeping the upper triangle of the trailing
+    block, whose entries are bordered minors (after Bareiss 1968). A pair
+    (k, k+1) whose block [[a, b], [b, c]] has det2 = a*c - b*b != 0 goes
+    in one pass: each entry becomes its 3x3 bordered minor over prev^2,
+    exact by Sylvester's identity, and prev becomes det2 / prev. Otherwise
+    a alone is the pivot, after a symmetric swap or row-and-column
+    addition if a = b = 0. By Sylvester's law of inertia a lone pivot has
+    the sign of a * prev, and a pair one of each sign if det2 < 0, else
+    two of the sign of a * prev. The swaps and additions are unimodular,
+    so the last prev is det(D q D); a skipped row means det(q) = 0.
     """
     _require_square(q)
     rows, scales = _integer_rows(q)
-    rows = [[v * d for v, d in zip(row, scales)] for row in rows]
+    if any(d != 1 for d in scales):
+        rows = [[v * d for v, d in zip(row, scales)] for row in rows]
     n = len(rows)
     pos = neg = 0
-    prev = 1
-    for k in range(n):
-        if rows[k][k] == 0:
+    prev, k = 1, 0
+    while k < n:
+        top = rows[k]
+        if top[k] == 0 and (k + 1 == n or top[k + 1] == 0):
             # The steps keep only the upper triangle of the trailing block;
             # the fixes below need all of it, so mirror it first.
             for i in range(k, n):
@@ -200,22 +204,37 @@ def inertia_and_determinant(q: Matrix) -> tuple[int, int, int, Fraction]:
                 j = next((i for i in range(k + 1, n) if rows[k][i]), None)
                 if j is None:
                     # Row k pairs to zero with the whole trailing block.
+                    k += 1
                     continue
                 # Every trailing diagonal entry vanishes here, so the
                 # congruence row/column addition makes (k, k) twice (k, j).
                 rows[k] = [x + y for x, y in zip(rows[k], rows[j])]
                 for row in rows:
                     row[k] += row[j]
-        top = rows[k]
-        p = top[k]
-        if p * prev > 0:
-            pos += 1
+            top = rows[k]
+        a = top[k]
+        b, c = (top[k + 1], rows[k + 1][k + 1]) if k + 1 < n else (0, 0)
+        det2 = a * c - b * b
+        if det2 < 0:
+            pos, neg = pos + 1, neg + 1
+        elif a * prev > 0:
+            pos += 1 + (det2 > 0)
         else:
-            neg += 1
-        for i in range(k + 1, n):
-            row, f = rows[i], top[i]
-            row[i:] = [(p * x - f * y) // prev for x, y in zip(row[i:], top[i:])]
-        prev = p
+            neg += 1 + (det2 > 0)
+        if det2:
+            nxt, pp = rows[k + 1], prev * prev
+            for i in range(k + 2, n):
+                row, al, be = rows[i], c * top[i] - b * nxt[i], a * nxt[i] - b * top[i]
+                row[i:] = [
+                    (det2 * x - al * y - be * z) // pp
+                    for x, y, z in zip(row[i:], top[i:], nxt[i:])
+                ]
+            prev, k = det2 // prev, k + 2
+        else:
+            for i in range(k + 1, n):
+                row, f = rows[i], top[i]
+                row[i:] = [(a * x - f * y) // prev for x, y in zip(row[i:], top[i:])]
+            prev, k = a, k + 1
     zero = n - pos - neg
     return pos, neg, zero, Fraction(0 if zero else prev, prod(scales) ** 2)
 

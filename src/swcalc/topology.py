@@ -224,18 +224,16 @@ def validate_topology(m: ManifoldTopology) -> list[str]:
             f"bplus + bminus = {m.bplus + m.bminus} does not match the "
             f"intersection form size b2 = {n}"
         )
-    symmetric = True
-    for i, j in itertools.combinations(range(n), 2):
-        if q[i][j] != q[j][i]:
-            symmetric = False
-            violations.append(
-                f"intersection form not symmetric at ({i + 1},{j + 1}): "
-                f"{q[i][j]} vs {q[j][i]}"
-            )
-            break
+    i = next((i for i, (row, col) in enumerate(zip(q, zip(*q))) if row != col), None)
+    symmetric = i is None
     if symmetric:
         pos, neg, _, det = inertia_and_determinant(q)
     else:
+        # Every earlier row matched its column, so row i differs first at j > i.
+        j = next(j for j in range(n) if q[i][j] != q[j][i])
+        violations.append(
+            f"intersection form not symmetric at ({i + 1},{j + 1}): {q[i][j]} vs {q[j][i]}"
+        )
         det = determinant(q)
     if abs(det) != 1:
         violations.append(f"intersection form not unimodular: det = {det}")
@@ -268,14 +266,11 @@ def _characteristic_violations(m: ManifoldTopology) -> list[str]:
     # x^T Q x == w2^T Q x (mod 2) for all x reduces to the basis vectors,
     # since squares agree with first powers mod 2.
     q = m.intersection_form
-    out = []
-    for i in range(m.b2):
-        if (q[i][i] - sum(m.w2[j] * q[j][i] for j in range(m.b2))) % 2:
-            out.append(
-                "w2 is not characteristic: x^T Q x != w2^T Q x (mod 2) "
-                f"for x = e_{i + 1}"
-            )
-    return out
+    return [
+        f"w2 is not characteristic: x^T Q x != w2^T Q x (mod 2) for x = e_{i + 1}"
+        for i, column in enumerate(zip(*q))
+        if (q[i][i] - sum(map(mul, m.w2, column))) % 2
+    ]
 
 
 def is_characteristic(m: ManifoldTopology, c: Sequence[int]) -> bool:

@@ -3,15 +3,27 @@ and brute-force oracles kept independent of the code paths they check."""
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm
+from pathlib import Path
 from typing import Optional, Sequence
 
 import pytest
 from hypothesis import settings
 
-from swcalc import (
+# Where swcalc is imported from: the PYTHONPATH entries when it is set, so
+# that PYTHONPATH=<tree>/src tests that tree, else this checkout's src.
+# pyproject.toml's pythonpath has put the checkout's src ahead of
+# PYTHONPATH, so these go first again before swcalc is imported.
+SWCALC_PATH = [
+    os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
+] or [str(Path(__file__).resolve().parent.parent / "src")]
+sys.path[:0] = SWCALC_PATH
+
+from swcalc import (  # noqa: E402
     DimensionMismatchError,
     DomainError,
     ExtForm,

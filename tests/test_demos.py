@@ -10,16 +10,16 @@ from pathlib import Path
 
 import pytest
 
+import swcalc
+from conftest import SWCALC_PATH
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 GOLDEN = Path(__file__).resolve().parent / "golden_demos"
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(SWCALC_PATH))
     return subprocess.run(
         [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
@@ -50,3 +50,11 @@ def test_cubic_surface_table_runs():
     header, *rows = result.stdout.splitlines()
     assert len(rows) == 2 ** 7
     assert all(row.endswith("\t0\t0") for row in rows)
+
+
+def test_swcalc_comes_from_the_first_pythonpath_entry():
+    # PYTHONPATH=<tree>/src tests that tree, here and in the children.
+    assert Path(swcalc.__file__).resolve().is_relative_to(Path(SWCALC_PATH[0]).resolve())
+    result = run_python("-c", "import swcalc; print(swcalc.__file__)")
+    assert result.returncode == 0, result.stderr
+    assert Path(result.stdout.strip()).resolve() == Path(swcalc.__file__).resolve()

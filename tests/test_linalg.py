@@ -143,7 +143,8 @@ def test_inertia_agrees_with_characteristic_polynomial(a):
 @pytest.mark.parametrize(
     "a, want",
     [
-        # Schur block [[0, -1], [-1, 0]]: fixed by the row-and-column addition.
+        # Schur block [[0, -1], [-1, 0]]: a zero pivot with b != 0, taken by
+        # a 2x2 step.
         (((1, 1, 1), (1, 1, 0), (1, 0, 1)), (2, 1, 0, -1)),
         # Schur block [[0, 0], [0, 2]]: fixed by the symmetric swap.
         (((1, 1, 0), (1, 1, 0), (0, 0, 2)), (2, 0, 1, 0)),
@@ -158,10 +159,76 @@ def test_inertia_fixes_a_zero_pivot_that_appears_after_a_step(a, want):
     assert charpoly_inertia(a) == want[:3]
 
 
+def direct_sum(*blocks):
+    n = sum(map(len, blocks))
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[at + i][at:at + len(block)] = row
+        at += len(block)
+    return out
+
+
+def bordered(head, tail, seed):
+    """P^T (head + tail) P for P = [[I, X], [0, I]] with X seeded in
+    [-2, 2]: once head's rows are eliminated the trailing block is tail
+    times the last pivot, whatever X is, so tail's zero pattern decides
+    the next step."""
+    rng = random.Random(seed)
+    h, n = len(head), len(head) + len(tail)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(h):
+        p[i][h:] = [rng.randint(-2, 2) for _ in range(h, n)]
+    return congruent(p, direct_sum(head, tail))
+
+
+# Zero diagonal and b = 0 at the first pivot: the swap with the diagonal 2
+# two rows down, and (all of it zero) the row-and-column addition.
+SWAP_TAIL = ((0, 0, 1, 1), (0, 0, 1, 2), (1, 1, 2, 1), (1, 2, 1, 0))
+ADDITION_TAIL = ((0, 0, 1, 1), (0, 0, 1, 2), (1, 1, 0, 1), (1, 2, 1, 0))
+A2 = ((2, 1), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "a, want",
+    [
+        (HYPERBOLIC, (1, 1, 0, -1)),
+        (direct_sum(HYPERBOLIC, HYPERBOLIC), (2, 2, 0, 1)),
+        (bordered(HYPERBOLIC, congruent(dense_unimodular(8, random.Random(8)), E8), 1),
+         (9, 1, 0, -1)),
+        (bordered(((3,),), HYPERBOLIC, 2), (2, 1, 0, -3)),
+        (bordered(((-1,),), SWAP_TAIL, 3), (2, 3, 0, -1)),
+        (bordered(HYPERBOLIC, SWAP_TAIL, 4), (3, 3, 0, -1)),
+        (bordered(((-1,),), ADDITION_TAIL, 5), (2, 3, 0, -1)),
+        (bordered(HYPERBOLIC, ADDITION_TAIL, 6), (3, 3, 0, -1)),
+        (bordered(HYPERBOLIC, ((5,),), 7), (2, 1, 0, -5)),
+        (bordered(direct_sum(HYPERBOLIC, A2), ((-2,),), 8), (3, 2, 0, 6)),
+        (bordered(HYPERBOLIC, ((0,),), 9), (1, 1, 1, 0)),
+        (direct_sum(HYPERBOLIC, A2), (3, 1, 0, -3)),
+        (bordered(HYPERBOLIC, A2, 10), (3, 1, 0, -3)),
+    ],
+    ids=["H", "H + H", "H + E8 dense", "one pivot, then a = 0 and b != 0",
+         "swap after one pivot", "swap after a 2x2 step",
+         "addition after one pivot", "addition after a 2x2 step",
+         "odd n ends on one pivot", "odd n ends on one pivot after det2 > 0",
+         "odd n ends on a zero row",
+         "det2 > 0 after a negative pivot", "det2 > 0 after a negative pivot, dense"],
+)
+def test_inertia_takes_each_step_of_the_elimination(a, want):
+    # Each case reaches one branch of the loop first: a 2x2 step with a = 0,
+    # the one-pivot step where det2 = 0, a zero-pivot fix after either step,
+    # the last row of an odd n, and two positive signs after prev < 0.
+    assert inertia_and_determinant(a) == want
+    assert charpoly_inertia(a) == want[:3]
+    assert determinant(a) == want[3]
+
+
 @pytest.mark.parametrize("n", [22, 40])
 def test_inertia_of_large_congruent_forms(n):
-    # U^T D U for D = H + H + diag(+-1) and U unimodular has D's inertia
-    # and determinant, at sizes the symmetric-matrix strategy never draws.
+    # U^T D U for U unimodular has D's inertia and determinant, at sizes the
+    # symmetric-matrix strategy never draws. D = H + H + diag(+-1) first,
+    # then an even D of +-E8 and H blocks, then D with a zero row.
     rng = random.Random(n)
     signs = [rng.choice((-1, 1)) for _ in range(n - 4)]
     d = [[0] * n for _ in range(n)]
@@ -171,6 +238,16 @@ def test_inertia_of_large_congruent_forms(n):
         d[i][i] = s
     a = congruent(dense_unimodular(n, rng, rng.choice((-1, 1))), d)
     want = (2 + signs.count(1), 2 + signs.count(-1), 0, (-1) ** signs.count(-1))
+    assert inertia_and_determinant(a) == want
+    e8_signs = [rng.choice((-1, 1)) for _ in range((n - 6) // 8)]
+    h = (n - 8 * len(e8_signs)) // 2
+    d = direct_sum(*[[[s * v for v in row] for row in E8] for s in e8_signs], *[HYPERBOLIC] * h)
+    a = congruent(dense_unimodular(n, rng, rng.choice((-1, 1))), d)
+    want = (h + 8 * e8_signs.count(1), h + 8 * e8_signs.count(-1), 0, (-1) ** h)
+    assert inertia_and_determinant(a) == want
+    d = direct_sum(HYPERBOLIC, HYPERBOLIC, *[[[s]] for s in signs[:-1]], [[0]])
+    a = congruent(dense_unimodular(n, rng, rng.choice((-1, 1))), d)
+    want = (2 + signs[:-1].count(1), 2 + signs[:-1].count(-1), 1, 0)
     assert inertia_and_determinant(a) == want
 
 
