@@ -13,7 +13,8 @@ wall of c evaluated on a test multivector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping
+from typing import Optional, Sequence
 
 from .chambers import OrientationData
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
@@ -51,7 +52,7 @@ class ExtForm:
         if self.b1 < 0:
             raise ValueError("b1 must be nonnegative")
         normalized = {}
-        for key, value in self.coeffs.items():
+        for key, value in _as_instance(self.coeffs, Mapping, "form coefficients").items():
             key = _validate_key(key, self.b1)
             value = _as_integer(value, "form coefficient")
             if value:

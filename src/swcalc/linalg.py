@@ -11,7 +11,10 @@ two at a time through the 2x2 bordered minor (one at a time when that
 block is singular), and updates only the upper triangle of the symmetric
 trailing block, the Schur complement, which is all Sylvester's law
 needs. The Pfaffian clears two rows and columns at once, and a one-sided
-row step would find only det = Pf^2, losing the sign.
+row step would find only det = Pf^2, losing the sign. Both meet a zero
+pivot by one rule: a symmetric swap brings the first nonzero entry of
+the row next to the diagonal, so every congruence they apply is a
+permutation.
 
 Both solves can be prepared once for many targets. A :class:`_Span`
 eliminates its basis once (the Neron-Severi solve, and the check of a
@@ -175,11 +178,14 @@ def inertia_and_determinant(q: Matrix) -> tuple[int, int, int, Fraction]:
     (k, k+1) whose block [[a, b], [b, c]] has det2 = a*c - b*b != 0 goes
     in one pass: each entry becomes its 3x3 bordered minor over prev^2,
     exact by Sylvester's identity, and prev becomes det2 / prev. Otherwise
-    a alone is the pivot, after a symmetric swap or row-and-column
-    addition if a = b = 0. By Sylvester's law of inertia a lone pivot has
+    a alone is the pivot. If a = 0, the pair is (k, j) for the first j > k
+    with a nonzero entry in row k, after a symmetric swap of k+1 and j, the
+    Pfaffian's pivot rule (and Bunch and Kaufman's, 1977): then b != 0 and
+    det2 = -b^2 < 0. With no such j, row k pairs to zero with the trailing
+    block and is skipped. By Sylvester's law of inertia a lone pivot has
     the sign of a * prev, and a pair one of each sign if det2 < 0, else
-    two of the sign of a * prev. The swaps and additions are unimodular,
-    so the last prev is det(D q D); a skipped row means det(q) = 0.
+    two of the sign of a * prev. The swaps are permutations, so the last
+    prev is det(D q D); a skipped row means det(q) = 0.
     """
     _require_square(q)
     rows, scales = _integer_rows(q)
@@ -190,28 +196,20 @@ def inertia_and_determinant(q: Matrix) -> tuple[int, int, int, Fraction]:
     prev, k = 1, 0
     while k < n:
         top = rows[k]
-        if top[k] == 0 and (k + 1 == n or top[k + 1] == 0):
-            # The steps keep only the upper triangle of the trailing block;
-            # the fixes below need all of it, so mirror it first.
-            for i in range(k, n):
-                rows[i][k:i] = [rows[j][i] for j in range(k, i)]
-            j = next((i for i in range(k + 1, n) if rows[i][i]), None)
-            if j is not None:
-                rows[k], rows[j] = rows[j], rows[k]
+        if top[k] == 0:
+            j = next((j for j in range(k + 1, n) if top[j]), None)
+            if j is None:
+                # Row k pairs to zero with the whole trailing block.
+                k += 1
+                continue
+            if j != k + 1:
+                # The steps keep only the upper triangle of the trailing
+                # block; the swap moves entries across it, so mirror it first.
+                for i in range(k + 1, n):
+                    rows[i][k:i] = [rows[t][i] for t in range(k, i)]
+                rows[k + 1], rows[j] = rows[j], rows[k + 1]
                 for row in rows:
-                    row[k], row[j] = row[j], row[k]
-            else:
-                j = next((i for i in range(k + 1, n) if rows[k][i]), None)
-                if j is None:
-                    # Row k pairs to zero with the whole trailing block.
-                    k += 1
-                    continue
-                # Every trailing diagonal entry vanishes here, so the
-                # congruence row/column addition makes (k, k) twice (k, j).
-                rows[k] = [x + y for x, y in zip(rows[k], rows[j])]
-                for row in rows:
-                    row[k] += row[j]
-            top = rows[k]
+                    row[k + 1], row[j] = row[j], row[k + 1]
         a = top[k]
         b, c = (top[k + 1], rows[k + 1][k + 1]) if k + 1 < n else (0, 0)
         det2 = a * c - b * b

@@ -52,6 +52,26 @@ def test_cubic_surface_table_runs():
     assert all(row.endswith("\t0\t0") for row in rows)
 
 
+def test_s2xs2_blown_up_table_runs():
+    # Both pipelines on a form whose first pivot needs the symmetric swap.
+    # Swapping F and S is the reflection in F - S, which fixes the form,
+    # K and both rays and permutes the effective cone, so it fixes the table.
+    result = run_python(
+        "-m", "swcalc.cli", "sw-table", "demos/s2xs2_blown_up.manifold", "--cmin=-5", "--cmax=5"
+    )
+    assert result.returncode == 0, result.stderr
+    header, *lines = result.stdout.splitlines()
+    assert header == "c\tsw_plus\tsw_minus"
+    table = {}
+    for line in lines:
+        c, plus, minus = line.split("\t")
+        table[tuple(map(int, c.split(",")))] = (int(plus), int(minus))
+    assert len(lines) == len(table) == 150
+    assert table[(2, -1, 2)] == (1, 0)
+    assert table[(-2, 1, -2)] == (0, -1)
+    assert {(f, e, s): v for (s, e, f), v in table.items()} == table
+
+
 def test_swcalc_comes_from_the_first_pythonpath_entry():
     # PYTHONPATH=<tree>/src tests that tree, here and in the children.
     assert Path(swcalc.__file__).resolve().is_relative_to(Path(SWCALC_PATH[0]).resolve())

@@ -73,8 +73,8 @@ def test_inertia_diagonal_and_hyperbolic():
     assert inertia(neg_e8) == (0, 8, 0)
     assert inertia(((0, 0), (0, 0))) == (0, 0, 2)
     assert inertia(((1, 1), (1, 1))) == (1, 0, 1)
-    # Zero pivots fixed by row-and-column additions between rows of
-    # different denominators: scaling each row alone is no congruence.
+    # Zero pivots met by symmetric swaps between rows of different
+    # denominators: scaling each row alone is no congruence.
     a = (
         (0, 0, F(1, 3), F(1, 3), -2),
         (0, 0, F(-3, 2), F(-3, 2), 2),
@@ -104,8 +104,8 @@ def test_inertia_matches_eigen_signs_on_random_symmetric():
 def symmetric_matrices(draw):
     """Symmetric matrices up to 7x7 with int and Fraction entries. Zero
     diagonals and low rank are drawn often, so that elimination meets
-    zero pivots fixed by a symmetric swap and by a row-and-column
-    addition, on rows of different denominators too."""
+    zero pivots, taken at once or after a symmetric swap, and zero rows,
+    on rows of different denominators too."""
     n = draw(st.integers(0, 7))
     entry = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
     kind = draw(st.sampled_from(["full", "zero diagonal", "low rank"]))
@@ -146,7 +146,8 @@ def test_inertia_agrees_with_characteristic_polynomial(a):
         # Schur block [[0, -1], [-1, 0]]: a zero pivot with b != 0, taken by
         # a 2x2 step.
         (((1, 1, 1), (1, 1, 0), (1, 0, 1)), (2, 1, 0, -1)),
-        # Schur block [[0, 0], [0, 2]]: fixed by the symmetric swap.
+        # Schur block [[0, 0], [0, 2]]: its first row pairs to zero with the
+        # block, so it counts a zero and the 2 is the last pivot.
         (((1, 1, 0), (1, 1, 0), (0, 0, 2)), (2, 0, 1, 0)),
         # Schur block [[0, -1], [-1, 0]], while the entry below its diagonal
         # still holds the +1 from before the step.
@@ -183,10 +184,22 @@ def bordered(head, tail, seed):
     return congruent(p, direct_sum(head, tail))
 
 
-# Zero diagonal and b = 0 at the first pivot: the swap with the diagonal 2
-# two rows down, and (all of it zero) the row-and-column addition.
+# Zero diagonal and b = 0 at the first pivot, with and without a nonzero
+# diagonal entry further down: both swap column k+2 into k+1 and take the
+# hyperbolic pair.
 SWAP_TAIL = ((0, 0, 1, 1), (0, 0, 1, 2), (1, 1, 2, 1), (1, 2, 1, 0))
 ADDITION_TAIL = ((0, 0, 1, 1), (0, 0, 1, 2), (1, 1, 0, 1), (1, 2, 1, 0))
+# a = 0 and b != 0: the pair needs no swap.
+NEXT_TAIL = ((0, 2, 1), (2, 0, 1), (1, 1, -1))
+# a = b = 0: the first nonzero entry is three columns on and another one
+# follows, so the step reads the rows that the swap moves across the diagonal.
+FAR_TAIL = ((0, 0, 0, 1, 1), (0, 1, 1, 0, 1), (0, 1, -1, 0, 0), (1, 0, 0, 2, 1), (1, 1, 0, 1, 0))
+# a = b = 0: the first nonzero entry is in the last column.
+LAST_TAIL = ((0, 0, 0, 3), (0, 1, 1, 0), (0, 1, -1, 0), (3, 0, 0, 0))
+# A zero row first and last, a hyperbolic pair and a one-pivot step between.
+ZERO_ROWS_TAIL = (
+    (0, 0, 0, 0, 0), (0, 0, 2, 1, 0), (0, 2, 0, 0, 0), (0, 1, 0, -1, 0), (0, 0, 0, 0, 0)
+)
 A2 = ((2, 1), (1, 2))
 
 
@@ -207,18 +220,28 @@ A2 = ((2, 1), (1, 2))
         (bordered(HYPERBOLIC, ((0,),), 9), (1, 1, 1, 0)),
         (direct_sum(HYPERBOLIC, A2), (3, 1, 0, -3)),
         (bordered(HYPERBOLIC, A2, 10), (3, 1, 0, -3)),
+        (bordered(HYPERBOLIC, NEXT_TAIL, 11), (2, 3, 0, -8)),
+        (bordered(((-1,),), FAR_TAIL, 13), (2, 4, 0, 1)),
+        (bordered(HYPERBOLIC, FAR_TAIL, 12), (3, 4, 0, 1)),
+        (bordered(((2,),), LAST_TAIL, 14), (3, 2, 0, 36)),
+        (bordered(((1,),), ZERO_ROWS_TAIL, 15), (2, 2, 2, 0)),
     ],
     ids=["H", "H + H", "H + E8 dense", "one pivot, then a = 0 and b != 0",
          "swap after one pivot", "swap after a 2x2 step",
          "addition after one pivot", "addition after a 2x2 step",
          "odd n ends on one pivot", "odd n ends on one pivot after det2 > 0",
          "odd n ends on a zero row",
-         "det2 > 0 after a negative pivot", "det2 > 0 after a negative pivot, dense"],
+         "det2 > 0 after a negative pivot", "det2 > 0 after a negative pivot, dense",
+         "a = 0 and b != 0 after a 2x2 step, no swap", "swap to j = k+3 after one pivot",
+         "swap to j = k+3 after a 2x2 step", "swap to j = n-1",
+         "a zero row mid-matrix and another last"],
 )
 def test_inertia_takes_each_step_of_the_elimination(a, want):
     # Each case reaches one branch of the loop first: a 2x2 step with a = 0,
-    # the one-pivot step where det2 = 0, a zero-pivot fix after either step,
-    # the last row of an odd n, and two positive signs after prev < 0.
+    # the one-pivot step where det2 = 0, a zero pivot after either step,
+    # taken as it is or after the symmetric swap of k+1 and j, a skipped
+    # zero row, the last row of an odd n, and two positive signs after
+    # prev < 0.
     assert inertia_and_determinant(a) == want
     assert charpoly_inertia(a) == want[:3]
     assert determinant(a) == want[3]

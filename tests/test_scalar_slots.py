@@ -308,6 +308,8 @@ STRUCTURED_SLOTS = [
     ("x", "ExtForm", lambda v: wedge(v, FORM), 3),
     ("y", "ExtForm", lambda v: wedge(FORM, v), 3),
     ("x", "ExtForm", lambda v: wedge_power(v, 2), 3),
+    ("form coefficients", "Mapping", lambda v: ExtForm(2, v), [((1,), 1)]),
+    ("form coefficients", "Mapping", lambda v: ExtForm(2, v), None),
 ]
 
 
