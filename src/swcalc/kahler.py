@@ -14,8 +14,8 @@ nonemptiness rule for Kahler surfaces with p_g = 0. When both are
 available they must agree, and the table builder checks that they do.
 Entries the supplied facts cannot decide are reported as undetermined,
 never guessed.
-The table builder decides its rows from a plan built once per table;
-the p_g = 0 pair of one class is the one row of its table.
+The table builder checks every input before it decides any row; the
+p_g = 0 pair of one class is the one row of its table.
 """
 
 from __future__ import annotations
@@ -177,14 +177,14 @@ def douady_nonempty(
     of the effective cone generators. Both checks are exact; classes
     outside the Neron-Severi lattice give an empty moduli space.
     """
+    return _douady_test(m, facts)(_require_line_class(m, line_class))
+
+
+def _douady_test(m: ManifoldTopology, facts: KahlerFacts) -> Callable[[Sequence[int]], bool]:
+    """The Douady nonemptiness test of the facts, checked first, prepared
+    once for many line classes: the Neron-Severi solve of the check and
+    the effective cone with its certificate caches (:class:`linalg._Cone`)."""
     ns = _require_valid_facts(m, facts)
-    return _douady_test(facts, ns)(_require_line_class(m, line_class))
-
-
-def _douady_test(facts: KahlerFacts, ns: _Span) -> Callable[[Sequence[int]], bool]:
-    """The Douady nonemptiness test of valid facts, prepared once for
-    many line classes: ns, the facts' Neron-Severi solve, and the
-    effective cone with its certificate caches (see :class:`linalg._Cone`)."""
     cone = _Cone(facts.effective_cone, len(facts.ns_basis))
 
     def nonempty(line_class: Sequence[int]) -> bool:
@@ -239,32 +239,29 @@ def sw_table(
     containing (ray, 0) and the wall-crossing jump fills the other,
     which for b1 = 0 is 1 when w_c >= 0; the p_g = 0 Douady rule decides
     both values at once. Rows are emitted in lexicographically sorted c
-    order.
+    order; a strictly increasing list is not sorted again.
 
-    The manifold (b1 = 0, bplus = 1), the rays (length b2, positive
-    square, one hyperbola component for both) and the Kahler facts
-    (:func:`validate_kahler_facts`, then the p_g = 0 flag) are checked
-    once, before any row, and then signature + euler == 0 (mod 4): given the row
-    congruence c^2 == signature (mod 8), that is exactly when every w_c
-    is an even integer, so inconsistent Betti data is refused even for
-    an empty c_list. The rows are then handled by blocks. One scan of
-    the entry types passes a list of int tuples at once; any other
-    entry type has every entry read as by :func:`require_characteristic`,
-    in input order. A strictly increasing list is not sorted again. The
-    rows' own checks (length b2, c == w2 mod 2, c^2 == signature mod 8)
-    run per column, on blocks of rows (:func:`topology._squares`). In a
-    block where every row passes, only the rows with w_c >= 0 are
-    decided, in order, and the others are (0, 0). A block holding a row
-    that fails is walked row by row. So the first row that fails a
-    check, or where both pipelines decide and disagree, raises, naming
-    its c exactly as a row-at-a-time check would.
+    Every check comes before any decision, in this order, and the first
+    failure raises. (1) The table: the manifold (b1 = 0, bplus = 1), the
+    rays (length b2, positive square, one hyperbola component for both),
+    the Kahler facts (:func:`validate_kahler_facts`, then p_g = 0), and
+    signature + euler == 0 (mod 4), which given c^2 == signature (mod 8)
+    holds exactly when every w_c is an even integer, so it is checked
+    even for an empty c_list. (2) The entry types, in one scan; a list
+    that is not all int tuples is read entry by entry as by
+    :func:`require_characteristic`, in input order. (3) Each row's own
+    checks (length b2, c == w2 mod 2, c^2 == signature mod 8) in sorted
+    order, per column on blocks of rows (:func:`topology._squares`), a
+    failing block row by row, so the first failing row raises as a
+    row-at-a-time check would. (4) The decisions: the rows with w_c >= 0,
+    in order (the others are (0, 0)); the first where both pipelines
+    decide and disagree raises.
 
-    The rows share a plan built once: the integer wall vector u of the
-    PSC ray, and the Douady test with its Neron-Severi solve and cone
-    prepared. The cone caches a few certificates (Farkas vectors,
-    generator bases) for the rest of the table and checks each one
-    exactly on a new class, so every row is what a table of that row
-    alone would give; :func:`sw_pg0_invariants` is such a table.
+    The table checks build the plan the rows share: the integer wall
+    vector u of the PSC ray, and the Douady test with its Neron-Severi
+    solve and cone prepared. The cone's certificate caches are checked
+    exactly on each new class, so every row is what a table of that row
+    alone gives; :func:`sw_pg0_invariants` is such a table.
     """
     if m.b1 != 0:
         raise DomainError(f"the table synthesis requires b1 = 0, got {m.b1}")
@@ -275,11 +272,13 @@ def sw_table(
             "insufficient facts: supply a positive-scalar-curvature period ray "
             "or Kahler facts"
         )
-    problem = ray_violation(m, psc_ray) if psc_ray is not None else None
-    if problem is not None:
-        raise problem
+    if psc_ray is not None:
+        problem = ray_violation(m, psc_ray)
+        if problem is not None:
+            raise problem
+        u = wall_vector(m, psc_ray)
     if kahler_facts is not None:
-        douady = _douady_test(kahler_facts, _require_valid_facts(m, kahler_facts))
+        douady = _douady_test(m, kahler_facts)
         if not kahler_facts.pg_zero:
             raise DomainError("the invariant rule applies only when p_g = 0")
     if psc_ray is not None and kahler_facts is not None:
@@ -292,7 +291,6 @@ def sw_table(
             "the expected dimensions are not even integers; the topology data is "
             "inconsistent"
         )
-    u = wall_vector(m, psc_ray) if psc_ray is not None else None
     cs: list[IntVector] = []
     try:
         cs.extend(map(tuple, c_list))
@@ -305,43 +303,34 @@ def sw_table(
     if not all(map(lt, cs, islice(cs, 1, None))):
         # dict.fromkeys drops repeats in order.
         cs = sorted(dict.fromkeys(cs))
-    # Given c^2 == signature (mod 8) and signature + euler == 0 (mod 4), the
-    # numerator c^2 - 3 signature - 2 euler of w_c is a multiple of 8, so
-    # w_c < 0 exactly when c^2 < 3 signature + 2 euler.
-    threshold = 3 * m.signature + 2 * m.euler
-    rows: list[SWRow] = []
+    # A block that fails a column check is checked row by row, to raise at its first failing row.
+    squares: list[int] = []
     for start in range(0, len(cs), _ROW_BLOCK):
         block = cs[start:start + _ROW_BLOCK]
-        squares = _squares(m, block)
-        plus, minus = [0] * len(block), [0] * len(block)
-        # A row with w_c < 0 stays (0, 0). A block holding a row that fails
-        # a check is walked row by row: the row check raises at the first
-        # failure, after a disagreement at any row before it.
-        if squares is None:
-            todo = range(len(block))
-        else:
-            todo = compress(count(), map(ge, squares, repeat(threshold)))
-        for r in todo:
-            c = block[r]
-            if squares is None and characteristic_square(m, c) < threshold:
-                continue
-            pair: tuple[Optional[int], Optional[int]] = (None, None)
-            if psc_ray is not None:
-                # A positive-scalar-curvature metric has empty untwisted moduli,
-                # so the chamber containing (ray, 0) carries 0 and the other one
-                # the jump 1.
-                s = sum(map(mul, c, u))
-                pair = (1, 0) if s > 0 else (0, -1) if s < 0 else (None, None)
-            if kahler_facts is not None:
-                # c and K are both characteristic, so c + K is even.
-                line_class = [(cv + kv) // 2 for cv, kv in zip(c, kahler_facts.canonical_class)]
-                kahler = (1, 0) if douady(line_class) else (0, -1)
-                if pair[0] is not None and pair != kahler:
-                    raise DomainError(
-                        f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
-                        f"SW+ = {pair[0]} vs {kahler[0]}; the supplied facts are inconsistent"
-                    )
-                pair = kahler
-            plus[r], minus[r] = pair
-        rows.extend(map(tuple.__new__, repeat(SWRow), zip(block, plus, minus)))
-    return rows
+        squares += _squares(m, block) or [characteristic_square(m, c) for c in block]
+    # Given c^2 == signature (mod 8) and signature + euler == 0 (mod 4), the
+    # numerator c^2 - 3 signature - 2 euler of w_c is a multiple of 8, so
+    # w_c < 0 exactly when c^2 < 3 signature + 2 euler; such a row stays (0, 0).
+    threshold = 3 * m.signature + 2 * m.euler
+    plus, minus = [0] * len(cs), [0] * len(cs)
+    for r in compress(count(), map(ge, squares, repeat(threshold))):
+        c = cs[r]
+        pair: tuple[Optional[int], Optional[int]] = (None, None)
+        if psc_ray is not None:
+            # A positive-scalar-curvature metric has empty untwisted moduli,
+            # so the chamber containing (ray, 0) carries 0 and the other one
+            # the jump 1.
+            s = sum(map(mul, c, u))
+            pair = (1, 0) if s > 0 else (0, -1) if s < 0 else (None, None)
+        if kahler_facts is not None:
+            # c and K are both characteristic, so c + K is even.
+            line_class = [(cv + kv) // 2 for cv, kv in zip(c, kahler_facts.canonical_class)]
+            kahler = (1, 0) if douady(line_class) else (0, -1)
+            if pair[0] is not None and pair != kahler:
+                raise DomainError(
+                    f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
+                    f"SW+ = {pair[0]} vs {kahler[0]}; the supplied facts are inconsistent"
+                )
+            pair = kahler
+        plus[r], minus[r] = pair
+    return list(map(tuple.__new__, repeat(SWRow), zip(cs, plus, minus)))

@@ -8,7 +8,7 @@ row-major, one whitespace-separated row per line; ``[w2]`` holds the
 Optional ``[kahler]`` and ``[psc]`` sections carry the geometric facts;
 ``ns_basis`` and ``effective_cone`` keys repeat, one row each. Vector
 values are comma-separated integers or rationals ``p/q``. Lines
-starting with ``#`` are comments. Files are read as UTF-8.
+starting with ``#`` are comments. Files are UTF-8; a leading BOM is dropped.
 
 Parsing is one pass, one key store: a single pass over the lines files
 every ``key = value`` entry under its key (each key belongs to exactly
@@ -20,6 +20,7 @@ re-parses to equal data.
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,7 +214,7 @@ def parse_manifold_text(text: str) -> ManifoldData:
 
 def load_manifold_file(path) -> ManifoldData:
     with open(path, "rb") as handle:
-        raw = handle.read()
+        raw = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

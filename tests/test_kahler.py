@@ -643,14 +643,15 @@ def test_del_pezzo_k8_cone_membership_known_answers():
 def row_at_a_time(m, c_list, psc_ray=None, facts=None):
     """sw_table from the single-vector checks: the entry checks of the
     empty table, every entry of every c read as an int in input order,
-    then row by row in sorted order characteristic_square, spinor_c2 and
-    dot with the wall vector, and the Douady rule."""
+    characteristic_square of every row in sorted order, and only then,
+    row by row, spinor_c2, dot with the wall vector and the Douady rule."""
     sw_table(m, [], psc_ray=psc_ray, kahler_facts=facts)
     u = wall_vector(m, psc_ray) if psc_ray is not None else None
-    cs = [_as_int_vector(c, "characteristic vector entry") for c in c_list]
+    cs = sorted(set(_as_int_vector(c, "characteristic vector entry") for c in c_list))
+    squares = [characteristic_square(m, c) for c in cs]
     rows = []
-    for c in sorted(set(cs)):
-        if spinor_c2(m, characteristic_square(m, c), 1) < 0:
+    for c, square in zip(cs, squares):
+        if spinor_c2(m, square, 1) < 0:
             rows.append(SWRow(c, 0, 0))
             continue
         pair = (None, None)
@@ -805,19 +806,20 @@ def planted_disagreement():
     ],
 )
 def test_a_failing_row_and_a_disagreement_raise_in_row_order(bad, error):
-    # Whichever of the failing row and the disagreement at (5, 0) sorts
-    # first raises, as it does row at a time.
+    # The failing row raises with its own class and text wherever it sorts,
+    # also after the disagreement at (5, 0): every row's own checks run
+    # before any row is decided.
     m, ray, facts = planted_disagreement()
     c_list = [(7, 0), bad, (5, 0), (-1, 0), (5, 0)]
     want = outcome(row_at_a_time, m, c_list, ray, facts)
     assert outcome(sw_table, m, c_list, psc_ray=ray, kahler_facts=facts) == want
-    if bad < (5, 0):
-        assert want[0] is error
-    else:
-        assert want == (DomainError, (
-            "the PSC and Kahler pipelines disagree at c = [5, 0]: "
-            "SW+ = 1 vs 0; the supplied facts are inconsistent"
-        ))
+    assert want == outcome(characteristic_square, m, bad)
+    assert want[0] is error
+    c_list.remove(bad)
+    assert outcome(sw_table, m, c_list, psc_ray=ray, kahler_facts=facts) == (DomainError, (
+        "the PSC and Kahler pipelines disagree at c = [5, 0]: "
+        "SW+ = 1 vs 0; the supplied facts are inconsistent"
+    ))
 
 
 # P2 # 4(-P2) with both rays at -K: 1,024 classes in the box [-3, 3], four
@@ -919,12 +921,18 @@ def test_squares_find_a_late_wrong_parity_value():
 @pytest.mark.parametrize("pipeline", PIPELINES)
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_a_late_wrong_parity_value_is_refused_at_its_row(pipeline, block):
-    # The bad row is the last of its block; every row before it with
-    # w_c >= 0 is decided first.
+    # The bad row is the last of its block; no row is decided before it
+    # is refused, in any block.
     c_list = DP4_BOX[:256 * (block - 1)] + wrong_parity_last(DP4_BOX[256 * (block - 1):256 * block])
     c_list += DP4_BOX[256 * block:]
     want = same_as_row_at_a_time(DP4, c_list, *PIPELINES[pipeline])
     assert want[0] is DomainError and "not characteristic" in want[1]
+
+
+def failing_row(kind, c):
+    """c with an even coordinate 4, or with a sixth coordinate: a row that
+    sorts right after c."""
+    return c[:4] + (c[4] + 1,) if kind == "wrong parity" else c + (1,)
 
 
 @pytest.mark.parametrize("bad_at", [0, 100, 500, 853, 854, 1023])
@@ -932,14 +940,27 @@ def test_a_late_wrong_parity_value_is_refused_at_its_row(pipeline, block):
 def test_blocks_mixing_a_failing_row_with_decided_rows(kind, bad_at):
     # Without the (-1)-class E4 in the cone the pipelines disagree first at
     # row 854. The failing row sorts right after row bad_at: before, among
-    # or after the rows with w_c >= 0, in their block or another one.
-    # Whichever comes first raises.
+    # or after the rows with w_c >= 0, in their block or another one. It
+    # raises, also where the disagreement comes first.
     cone = [g for g in DP4_FACTS.effective_cone if g != (0, 0, 0, 0, 1)]
     facts = dataclasses.replace(DP4_FACTS, effective_cone=tuple(cone))
-    c = DP4_BOX[bad_at]
-    bad = c[:4] + (c[4] + 1,) if kind == "wrong parity" else c + (1,)
+    bad = failing_row(kind, DP4_BOX[bad_at])
     want = same_as_row_at_a_time(DP4, [bad] + DP4_BOX, DP4_RAY, facts)
-    if bad_at < 854:
-        assert want[0] is (DomainError if kind == "wrong parity" else DimensionMismatchError)
-    else:
-        assert "disagree at c = [3, -1, -1, -1, 1]" in want[1]
+    assert want == outcome(characteristic_square, DP4, bad)
+    assert want[0] is (DomainError if kind == "wrong parity" else DimensionMismatchError)
+    assert "disagree at c = [3, -1, -1, -1, 1]" in outcome(sw_table, DP4, DP4_BOX, DP4_RAY, facts)[1]
+
+
+@pytest.mark.parametrize("kind", ["wrong parity", "wrong length"])
+def test_a_failing_row_two_blocks_after_a_disagreement_raises(kind):
+    # With -H in the cone every class of negative degree is effective, so
+    # the pipelines disagree first at row 85, in block 0. The failing row
+    # sorts after row 600, in block 2, a whole block later.
+    facts = dataclasses.replace(
+        DP4_FACTS, effective_cone=DP4_FACTS.effective_cone + ((-1, 0, 0, 0, 0),)
+    )
+    disagreement = outcome(sw_table, DP4, DP4_BOX, DP4_RAY, facts)
+    assert disagreement[1].startswith(f"the PSC and Kahler pipelines disagree at c = {list(DP4_BOX[85])}")
+    bad = failing_row(kind, DP4_BOX[600])
+    want = same_as_row_at_a_time(DP4, DP4_BOX + [bad], DP4_RAY, facts)
+    assert want == outcome(characteristic_square, DP4, bad)

@@ -158,6 +158,33 @@ def test_load_rejects_non_utf8_input(tmp_path):
     assert str(info.value) == "line 2: input is not valid UTF-8"
 
 
+DEMO_P2 = Path(__file__).resolve().parent.parent / "demos" / "p2.manifold"
+BOM = b"\xef\xbb\xbf"
+
+
+def test_load_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.manifold"
+    path.write_bytes(BOM + DEMO_P2.read_bytes())
+    assert load_manifold_file(path) == load_manifold_file(DEMO_P2)
+
+
+def test_load_counts_lines_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom-latin1.manifold"
+    path.write_bytes(BOM + b"[manifold]\n\xff\n")
+    with pytest.raises(ManifoldFileError) as info:
+        load_manifold_file(path)
+    assert str(info.value) == "line 2: input is not valid UTF-8"
+
+
+def test_load_refuses_a_byte_order_mark_after_the_start(tmp_path):
+    lines = DEMO_P2.read_bytes().splitlines(keepends=True)
+    path = tmp_path / "bom-line2.manifold"
+    path.write_bytes(lines[0] + BOM + b"".join(lines[1:]))
+    with pytest.raises(ManifoldFileError) as info:
+        load_manifold_file(path)
+    assert info.value.line == 2
+
+
 def test_parse_rejects_duplicate_cup_entries():
     text = MINIMAL.replace("b1 = 0", "b1 = 2").replace("euler = 4", "euler = 0")
     text += "\n[triple_cup]\n1 2 1 1\n2 1 1 1\n"
