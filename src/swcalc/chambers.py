@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError
@@ -74,10 +75,11 @@ def ray_violation(m: ManifoldTopology, ray: PeriodRay) -> Optional[DomainError]:
         return DimensionMismatchError(
             f"period ray has length {len(ray.h)}, expected b2 = {m.b2}"
         )
-    square = quadratic(m.intersection_form, ray.h)
+    (h,), (d,) = _integer_rows([ray.h])
+    square = quadratic(m.intersection_form, h)
     if square <= 0:
         return DomainError(
-            f"period ray must have positive square, got h.h = {square}"
+            f"period ray must have positive square, got h.h = {Fraction(square, d * d)}"
         )
     return None
 
@@ -86,9 +88,12 @@ def wall_vector(m: ManifoldTopology, ray: PeriodRay) -> list[int]:
     """The wall functional of the ray: u = q h scaled to integers by a
     positive factor, times the ray's component sign. The sign of x . u
     is the side, relative to the designated component, of the wall
-    orthogonal to x on which the ray lies."""
-    (u,), _ = _integer_rows([matvec(m.intersection_form, ray.h)])
-    return [ray.component_sign * v for v in u]
+    orthogonal to x on which the ray lies. With h = h'/d, h' integer,
+    u = v / gcd(d, v) for v = q h', the least such scale."""
+    (h,), (d,) = _integer_rows([ray.h])
+    v = matvec(m.intersection_form, h)
+    common = gcd(d, *v)
+    return [ray.component_sign * x // common for x in v]
 
 
 def component_violation(
@@ -97,7 +102,8 @@ def component_violation(
     """Why the two rays designate different hyperbola components, or None.
     For bplus = 1 and rays of length b2 with positive square, they share
     one iff their component-signed pairing is positive (never 0)."""
-    if psc_ray.component_sign * dot(psc_ray.h, wall_vector(m, kahler_ray)) < 0:
+    (h,), _ = _integer_rows([psc_ray.h])
+    if psc_ray.component_sign * dot(h, wall_vector(m, kahler_ray)) < 0:
         return DomainError(
             "the PSC ray and the Kahler ray designate different hyperbola "
             "components; the two pipelines would use different orientation data"

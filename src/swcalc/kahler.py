@@ -14,8 +14,10 @@ nonemptiness rule for Kahler surfaces with p_g = 0. When both are
 available they must agree, and the table builder checks that they do.
 Entries the supplied facts cannot decide are reported as undetermined,
 never guessed.
-The table builder checks every input before it decides any row; the
-p_g = 0 pair of one class is the one row of its table.
+The table builder checks every input before it decides any row, then
+decides the line classes L of its Kahler rows at once, in increasing h.L
+(h the Kahler ray), by a chain of generators summing to L, the simplex, or
+a Farkas vector the simplex found; sw_pg0_invariants is a one-row table.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
-from operator import ge, lt, mul
+from operator import ge, lt
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chambers import PeriodRay, _twisted_sign, component_violation, ray_violation, wall_vector
 from .errors import DomainError, InvalidTopologyError
-from .linalg import Scalar, _Cone, _Span
+from .linalg import Columns, Scalar, _column_dot, _Cone, _Span
 from .topology import (
     IntVector,
     ManifoldTopology,
@@ -177,19 +179,21 @@ def douady_nonempty(
     of the effective cone generators. Both checks are exact; classes
     outside the Neron-Severi lattice give an empty moduli space.
     """
-    return _douady_test(m, facts)(_require_line_class(m, line_class))
+    return _douady_test(m, facts)([[v] for v in _require_line_class(m, line_class)], 1)[0]
 
 
-def _douady_test(m: ManifoldTopology, facts: KahlerFacts) -> Callable[[Sequence[int]], bool]:
-    """The Douady nonemptiness test of the facts, checked first, prepared
-    once for many line classes: the Neron-Severi solve of the check and
-    the effective cone with its certificate caches (:class:`linalg._Cone`)."""
+def _douady_test(m: ManifoldTopology, facts: KahlerFacts) -> Callable[[Columns, int], list[bool]]:
+    """The Douady nonemptiness test of the facts, checked first, for a
+    batch of line classes L by columns: the Neron-Severi solve, and the
+    effective cone (:class:`linalg._Cone`) deciding L in increasing h.L."""
     ns = _require_valid_facts(m, facts)
     cone = _Cone(facts.effective_cone, len(facts.ns_basis))
+    u = wall_vector(m, facts.kahler_ray)
 
-    def nonempty(line_class: Sequence[int]) -> bool:
-        coords = ns.integral(line_class)
-        return coords is not None and cone.contains(coords)[0]
+    def nonempty(cols: Columns, size: int) -> list[bool]:
+        keep, coords = ns.integral_columns(cols, size)
+        answers = iter(cone.decide(coords, list(compress(_column_dot(cols, u, size), keep))))
+        return [kept and next(answers)[0] for kept in keep]
 
     return nonempty
 
@@ -253,16 +257,14 @@ def sw_table(
     checks (length b2, c == w2 mod 2, c^2 == signature mod 8) in sorted
     order, per column on blocks of rows (:func:`topology._squares`), a
     failing block row by row, so the first failing row raises as a
-    row-at-a-time check would. (4) The decisions: the rows with w_c >= 0,
-    in order (the others are (0, 0)); the first where both pipelines
-    decide and disagree raises.
-
-    The table checks build the plan the rows share: the integer wall
-    vector u of the PSC ray, and the Douady test with its Neron-Severi
-    solve and cone prepared. The cone's certificate caches are checked
-    exactly on each new class, so every row is what a table of that row
-    alone gives; :func:`sw_pg0_invariants` is such a table.
-    """
+    row-at-a-time check would. (4) The decisions, by columns on the rows
+    with w_c >= 0 (the others are (0, 0)): the sign of c.u, u the PSC
+    ray's wall vector, and the cone test of each L = (c + K)/2 in
+    increasing h.L (h the Kahler ray) by three routes: a chain of
+    generators summing to L, the simplex, or a Farkas vector it found for
+    an earlier L. The first row where both pipelines decide and disagree
+    raises. Each route is exact in any order, so a row is its table alone
+    (:func:`sw_pg0_invariants`)."""
     if m.b1 != 0:
         raise DomainError(f"the table synthesis requires b1 = 0, got {m.b1}")
     if m.bplus != 1:
@@ -312,25 +314,24 @@ def sw_table(
     # numerator c^2 - 3 signature - 2 euler of w_c is a multiple of 8, so
     # w_c < 0 exactly when c^2 < 3 signature + 2 euler; such a row stays (0, 0).
     threshold = 3 * m.signature + 2 * m.euler
+    decided = list(compress(count(), map(ge, squares, repeat(threshold))))
+    cols, size = list(zip(*map(cs.__getitem__, decided))), len(decided)
+    psc = kahler = repeat(None)
+    if psc_ray is not None:
+        # A positive-scalar-curvature metric has empty untwisted moduli, so
+        # the chamber containing (ray, 0) carries 0 and the other one the jump 1.
+        sides = _column_dot(cols, u, size)
+        psc = [(1, 0) if s > 0 else (0, -1) if s < 0 else (None, None) for s in sides]
+    if kahler_facts is not None:
+        # c and K are both characteristic, so c + K is even.
+        halves = [[(v + k) // 2 for v in col] for col, k in zip(cols, kahler_facts.canonical_class)]
+        kahler = [(1, 0) if x else (0, -1) for x in douady(halves, size)]
     plus, minus = [0] * len(cs), [0] * len(cs)
-    for r in compress(count(), map(ge, squares, repeat(threshold))):
-        c = cs[r]
-        pair: tuple[Optional[int], Optional[int]] = (None, None)
-        if psc_ray is not None:
-            # A positive-scalar-curvature metric has empty untwisted moduli,
-            # so the chamber containing (ray, 0) carries 0 and the other one
-            # the jump 1.
-            s = sum(map(mul, c, u))
-            pair = (1, 0) if s > 0 else (0, -1) if s < 0 else (None, None)
-        if kahler_facts is not None:
-            # c and K are both characteristic, so c + K is even.
-            line_class = [(cv + kv) // 2 for cv, kv in zip(c, kahler_facts.canonical_class)]
-            kahler = (1, 0) if douady(line_class) else (0, -1)
-            if pair[0] is not None and pair != kahler:
-                raise DomainError(
-                    f"the PSC and Kahler pipelines disagree at c = {list(c)}: "
-                    f"SW+ = {pair[0]} vs {kahler[0]}; the supplied facts are inconsistent"
-                )
-            pair = kahler
-        plus[r], minus[r] = pair
+    for r, pair, kpair in zip(decided, psc, kahler):
+        if pair and kpair and pair[0] is not None and pair != kpair:
+            raise DomainError(
+                f"the PSC and Kahler pipelines disagree at c = {list(cs[r])}: "
+                f"SW+ = {pair[0]} vs {kpair[0]}; the supplied facts are inconsistent"
+            )
+        plus[r], minus[r] = kpair or pair
     return list(map(tuple.__new__, repeat(SWRow), zip(cs, plus, minus)))

@@ -16,19 +16,19 @@ pivot by one rule: a symmetric swap brings the first nonzero entry of
 the row next to the diagonal, so every congruence they apply is a
 permutation.
 
-Both solves can be prepared once for many targets. A :class:`_Span`
-eliminates its basis once (the Neron-Severi solve, and the check of a
-cone basis); a :class:`_Cone` scales its generators once, returns a
-certificate with each answer (McConnell et al., "Certifying algorithms",
-2011) and reuses a few, each checked exactly on the new target.
+Both solves are prepared once and take a batch of targets by columns. A
+:class:`_Span` eliminates its basis once (the Neron-Severi solve); a
+:class:`_Cone` scales its generators once and decides a batch in one pass,
+with a certificate per answer (McConnell et al., "Certifying algorithms",
+2011): chains of generators inside, checked Farkas vectors outside.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, floordiv, lt, mod, mul, not_, sub
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, DomainError
@@ -36,6 +36,8 @@ from .errors import DimensionMismatchError, DomainError
 Scalar = int | Fraction
 Vector = Sequence[Scalar]
 Matrix = Sequence[Sequence[Scalar]]
+# A batch of integer vectors by columns: cols[i][r] is entry i of vector r.
+Columns = Sequence[Sequence[int]]
 
 
 def dot(x: Vector, y: Vector) -> Scalar:
@@ -48,6 +50,16 @@ def matvec(q: Matrix, x: Vector) -> list[Scalar]:
     if any(len(row) != len(x) for row in q):
         raise DimensionMismatchError(f"matrix width does not match vector length {len(x)}")
     return [sum(map(mul, row, x)) for row in q]
+
+
+def _column_dot(cols: Columns, v: Sequence[int], size: int) -> list[int]:
+    """x . v for each of size vectors x by columns: a pass per nonzero v[i]."""
+    total = None
+    for a, col in zip(v, cols):
+        if a:
+            term = col if a == 1 else map(mul, col, repeat(a))
+            total = list(term) if total is None else list(map(add, total, term))
+    return [0] * size if total is None else total
 
 
 def pairing(q: Matrix, x: Vector, y: Vector) -> Scalar:
@@ -260,18 +272,19 @@ class _Span:
         self.k, self.d = k, a[0][0] if k else 1
         self.m = [row[k:] for row in a]
 
-    def scaled(self, t: Vector) -> Optional[list[Scalar]]:
-        """d*x for the target t, or None if t is outside the span."""
-        if any(sum(map(mul, row, t)) for row in self.m[self.k:]):
-            return None
-        return [sum(map(mul, row, t)) for row in self.m[:self.k]]
-
     def integral(self, t: Vector) -> Optional[list[int]]:
-        """Integer x with sum_i x[i]*rows[i] == t, or None."""
-        v = self.scaled(t)
-        if v is None or any(x % self.d for x in v):
-            return None
-        return [x // self.d for x in v]
+        """Integer x with sum_i x[i]*rows[i] == t, or None: a batch of one."""
+        keep, coords = self.integral_columns([[v] for v in t], 1)
+        return [col[0] for col in coords] if keep[0] else None
+
+    def integral_columns(self, cols: Columns, size: int) -> tuple[list[bool], list[list[int]]]:
+        """:meth:`integral` of size targets by columns, one column pass per
+        row of M: which targets have integer coordinates, and their columns."""
+        k, d = self.k, self.d
+        m_t = [_column_dot(cols, row, size) for row in self.m]
+        misses = zip(*m_t[k:], *(map(mod, v, repeat(d)) for v in m_t[:k]))
+        keep = list(map(not_, map(any, misses))) if m_t else [True] * size
+        return keep, [list(compress(map(floordiv, v, repeat(d)), keep)) for v in m_t[:k]]
 
 
 def integer_combination(rows: Matrix, target: Vector) -> Optional[list[int]]:
@@ -294,26 +307,18 @@ def integer_combination(rows: Matrix, target: Vector) -> Optional[list[int]]:
     return _Span(rows, n).integral(target)
 
 
-# Caps on the witnesses one _Cone keeps. Scanning the cache costs too, so
-# a larger one decides more targets without the simplex but each one slower.
-_FARKAS_CAP = 8
-_BASIS_CAP = 16
-
-
 class _Cone:
     """A cone prepared for many integer targets: the generators scaled to
-    integers once (a positive scale each, so the same cone), and caches
-    of the certificates its answers came with. Outside, a Farkas vector
-    z: z.g >= 0 for every generator g and z.t < 0. Inside, the indices of
-    independent generators with a nonnegative combination equal to t.
-    """
+    integers once (a positive scale each, so the same cone). An outside
+    answer's certificate is a Farkas vector z: z.g >= 0 for every generator
+    g and z.t < 0; an inside one is (basis, chain), chain a linked list
+    (j, rest) ending in (): t minus the generators g_j along it is 0 or a
+    nonnegative combination of the independent generators in basis."""
 
     def __init__(self, generators: Sequence[Vector], n: int):
         self.n = n
         self.gens = _integer_rows(generators)[0]
         self.rows = [[gen[i] for gen in self.gens] for i in range(n)]
-        self.farkas: list[list[int]] = []
-        self.bases: list[tuple[list[int], _Span]] = []
 
     def phase1(self, target: Sequence[int]) -> tuple[bool, list[int]]:
         """Whether {A x = target, x >= 0} is feasible, where the columns
@@ -369,32 +374,50 @@ class _Cone:
             basis[r] = s
         return True, [j for j in basis if j < g]
 
-    def contains(self, target: Sequence[int]) -> tuple[bool, list[int]]:
-        """:meth:`phase1`, but the cached certificates are tried first,
-        each checked exactly on the target: one dot product for a Farkas
-        vector (checked on every generator when cached), one span solve
-        and a sign check for a basis. So a cached answer is as exact as
-        a fresh one."""
-        for z in self.farkas:
-            if sum(map(mul, z, target)) < 0:
-                return False, z
-        for i, (basis, span) in enumerate(self.bases):
-            x = span.scaled(target)
-            if x is not None and all(v * span.d >= 0 for v in x):
-                self.bases.insert(0, self.bases.pop(i))
-                return True, basis
-        inside, witness = self.phase1(target)
-        if inside:
-            span = _Span([self.gens[j] for j in witness], self.n)
-            self.bases = [(witness, span)] + self.bases[:_BASIS_CAP - 1]
-        elif all(sum(map(mul, witness, gen)) >= 0 for gen in self.gens):
-            self.farkas = [witness] + self.farkas[:_FARKAS_CAP - 1]
-        return inside, witness
+    def decide(self, cols: Columns, key: Sequence[Scalar]) -> list[tuple]:
+        """(inside, certificate) for each of the len(key) targets by columns,
+        in increasing key: t is inside if it is 0, a generator, repeated, or
+        g plus a target inside (its chain extends that target's chain); else
+        :meth:`phase1` decides t, and a Farkas vector checked on every
+        generator refuses every target it separates, in one column sweep.
+        Any order is exact; a key positive on the generators puts t - g first."""
+        size, gens = len(key), list(map(tuple, self.gens))
+        targets = list(zip(*cols)) if cols else [()] * size
+        known = {(0,) * self.n: ([], ())}
+        for j, g in enumerate(gens):
+            known.setdefault(g, ([], (j, ())))
+        answers: list = [None] * size
+        for i in sorted(range(size), key=key.__getitem__):
+            if answers[i] is not None:
+                continue
+            t = targets[i]
+            cert = known.get(t) or next(
+                ((p[0], (j, p[1])) for j, g in enumerate(gens)
+                 if (p := known.get(tuple(map(sub, t, g))))),
+                None,
+            )
+            if cert is None:
+                inside, witness = self.phase1(t)
+                if not inside:
+                    answers[i] = (False, witness)
+                    if all(sum(map(mul, witness, g)) >= 0 for g in gens):
+                        sweep = _column_dot(cols, witness, size)
+                        for r in compress(count(), map(lt, sweep, repeat(0))):
+                            answers[r] = answers[r] or answers[i]
+                    continue
+                cert = (witness, ())
+            known[t] = cert
+            answers[i] = (True, cert)
+        return answers
+
+    def contains(self, target: Sequence[int]) -> tuple[bool, object]:
+        """:meth:`decide` of the one target."""
+        return self.decide([[v] for v in target], [0])[0]
 
 
 def cone_contains(generators: Sequence[Vector], target: Vector) -> bool:
     """Exact membership of target in the cone of nonnegative rational
-    combinations of the generators, by one uncached :meth:`_Cone.phase1`
+    combinations of the generators, by one :meth:`_Cone.phase1` alone
     on the target scaled to integers (a positive scale, so the same
     question)."""
     n = len(target)

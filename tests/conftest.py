@@ -535,3 +535,41 @@ def minus_one_classes(k):
         # d^2 - sum(a^2) = -1 and -3d - sum(a) = -1.
         extend([d], d * d + 1, 1 - 3 * d)
     return out
+
+
+def chain_indices(chain):
+    """The generator indices along a chain certificate of linalg._Cone, a
+    linked list (j, rest) ending in ()."""
+    out = []
+    while chain:
+        j, chain = chain
+        out.append(j)
+    return out
+
+
+def del_pezzo_slab(k, bound):
+    """The characteristic c of P2#k(-P2), k <= 8, in the diagonal basis of
+    :func:`minus_one_classes`, with w_c >= 0 and |c.(-K)| <= bound, sorted.
+    Here c.(-K) = 3 c0 + c1 + ... + ck (not 3 c0 - sum ci, which centres
+    the slab on an isometric image of -K), every entry is odd, and w_c >= 0
+    reads c0^2 - sum ci^2 >= 9 - k. By Cauchy-Schwarz on the ci, every such
+    c has |c0| <= 6 * bound + 9."""
+    out = []
+
+    def extend(prefix, squares, lo, hi):
+        # The rest of the ci: sum in [lo, hi], sum of squares <= squares.
+        slots = k + 1 - len(prefix)
+        nearest = max(lo, -hi, 0)
+        if squares < slots or nearest * nearest > slots * squares:
+            return
+        if not slots:
+            if lo <= 0 <= hi:
+                out.append(tuple(prefix))
+            return
+        r = isqrt(squares)
+        for a in range(-r + (r % 2 == 0), r + 1, 2):
+            extend(prefix + [a], squares - a * a, lo - a, hi - a)
+
+    for c0 in range(-6 * bound - 9, 6 * bound + 10, 2):
+        extend([c0], c0 * c0 - 9 + k, -bound - 3 * c0, bound - 3 * c0)
+    return sorted(out)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import minus_one_classes
+from conftest import chain_indices, del_pezzo_slab, minus_one_classes
 from swcalc import (
     Chamber,
     DimensionMismatchError,
@@ -40,7 +40,7 @@ from swcalc import (
 )
 from swcalc import kahler
 from swcalc.chambers import wall_vector
-from swcalc.linalg import _BASIS_CAP, _FARKAS_CAP, _Cone, cone_contains, dot
+from swcalc.linalg import _Cone, cone_contains, dot
 from swcalc.topology import _as_int_vector, _squares, characteristic_square, spinor_c2
 
 
@@ -576,8 +576,8 @@ def test_sw_table_del_pezzo_cross_path(k, count):
 
 @pytest.mark.parametrize("table", ["del Pezzo 6", "p2#2 dense"])
 def test_sw_table_rows_do_not_depend_on_the_other_rows(table):
-    # The cone's cached certificates carry over from row to row, yet each
-    # row equals the table of that row alone.
+    # The cone decides the rows of a table in one batch, its chains going
+    # through other rows, yet each row equals the table of that row alone.
     if table == "del Pezzo 6":
         m, ray, facts = del_pezzo(6)
         c_list = del_pezzo_c_list(6, 400)
@@ -613,13 +613,62 @@ def test_del_pezzo_k8_cone_reuses_checked_certificates():
     ]
     targets = [(t, True) for t in inside] + [(t, False) for t in outside]
     rng.shuffle(targets)
-    for target, answer in targets:
-        assert cone.contains(target)[0] is answer
-    # One Farkas vector can refuse every class of negative degree, so a
-    # few simplex runs decide all 40 of them.
+    # One batch in increasing h.t for h = -K, whose wall vector is (3, 1, ..., 1).
+    cols = list(zip(*(t for t, _ in targets)))
+    key = [3 * t[0] + sum(t[1:]) for t, _ in targets]
+    answers = cone.decide(cols, key)
+    for (target, answer), (inside_found, witness) in zip(targets, answers):
+        assert inside_found is answer
+        if answer:
+            # The target minus the chain is in the cone of the basis: it is 0
+            # when the basis is empty, so a pure chain sums to the target.
+            basis, chain = witness
+            steps = chain_indices(chain)
+            rest = [t - sum(cone.gens[j][i] for j in steps) for i, t in enumerate(target)]
+            assert cone_contains([cone.gens[j] for j in basis], rest)
+        else:
+            assert all(dot(witness, g) >= 0 for g in cone.gens) and dot(witness, target) < 0
+    # One Farkas vector, swept over the batch, can refuse every class of
+    # negative degree, so a few simplex runs decide all 40 of them.
     assert len(runs) < len(targets)
     assert sum(not found for found, _ in runs) <= 4
-    assert len(cone.farkas) <= _FARKAS_CAP and len(cone.bases) <= _BASIS_CAP
+    # The cone keeps no certificates between batches: the same batch again
+    # gives the same answers from as many simplex runs.
+    first = len(runs)
+    assert cone.decide(cols, key) == answers and len(runs) == 2 * first
+
+
+@pytest.mark.parametrize(
+    "k, kind, bound, size",
+    [(8, "slab", 1, 2), (8, "slab", 3, 484), (8, "slab", 5, 18726), (6, "box", 5, 24576)],
+)
+def test_del_pezzo_tables_are_decided_by_chains(monkeypatch, k, kind, bound, size):
+    # In increasing h.L the chain decides every inside class but a few:
+    # on the k = 8 slab, 0, the 240 generators and their sums g + g' come
+    # before -K, which alone needs the simplex; on the cubic-surface box
+    # with c0 in [-5, 5] and ci in [-3, 3], all 1,472 inside classes chain.
+    # One Farkas vector refuses every outside class. Both pipelines run in
+    # one call and agree row by row.
+    m, minus_k, facts = del_pezzo(k)
+    if kind == "slab":
+        c_list = del_pezzo_slab(k, bound)
+    else:
+        c_list = list(itertools.product(range(-bound, bound + 1, 2), *[(-3, -1, 1, 3)] * k))
+    runs = []
+    phase1 = _Cone.phase1
+
+    def counted(cone, target):
+        runs.append(phase1(cone, target))
+        return runs[-1]
+
+    monkeypatch.setattr(_Cone, "phase1", counted)
+    rows = sw_table(m, c_list, psc_ray=minus_k, kahler_facts=facts)
+    assert len(rows) == size and len(runs) <= 4
+    assert [(r.sw_plus, r.sw_minus) for r in rows] == [
+        (0, 0) if expected_dim_abelian(m, c) < 0 else (1, 0) if 3 * c[0] + sum(c[1:]) > 0
+        else (0, -1)
+        for c in sorted(c_list)
+    ]
 
 
 def test_del_pezzo_k8_cone_membership_known_answers():

@@ -6,13 +6,14 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    chain_indices,
     charpoly,
     charpoly_inertia,
     congruent,
@@ -31,6 +32,7 @@ from swcalc.linalg import (
     _Span,
     cone_contains,
     determinant,
+    dot,
     inertia,
     inertia_and_determinant,
     integer_combination,
@@ -420,13 +422,20 @@ def test_integer_combination_agrees_with_echelon_oracle(case):
         event("outside the span")
 
 
+def scaled_solve(span, t):
+    """d*x for the target t from the span's M, or None if t is outside the
+    span: (M t)[:k] is d*x when (M t)[k:] vanishes."""
+    mt = [sum(a * v for a, v in zip(row, t)) for row in span.m]
+    return None if any(mt[span.k:]) else mt[:span.k]
+
+
 @settings(max_examples=300)
 @given(bases_with_targets())
 def test_prepared_span_agrees_with_echelon_oracle(case):
     rows, target = case
     n = len(target)
     span = _Span(rows, n)
-    scaled = span.scaled(target)
+    scaled = scaled_solve(span, target)
     if laplace_rank(rows + [target]) > len(rows):
         assert scaled is None
     else:
@@ -647,26 +656,56 @@ def fraction_key_phase1(cone, target):
     return True, [j for j in basis if j < g]
 
 
-@given(cone_streams())
-def test_cached_cone_agrees_with_uncached_and_fourier_motzkin(case):
-    gens, stream = case
-    cone = _Cone(gens, len(stream[0]))
-    for target in stream:
-        cached = {id(z) for z in cone.farkas} | {id(b) for b, _ in cone.bases}
-        inside, witness = cone.contains(integer_target(target))
-        event("cache hit" if id(witness) in cached else "simplex")
+@st.composite
+def cone_batches(draw):
+    """A cone of :func:`cone_streams`, its first generator possibly doubled
+    (so its scaled generator need not be primitive), and a batch of integer
+    targets: the stream scaled by one common factor, and chains from those
+    targets and from 0 through the scaled generators, so that t - g is
+    often a target of either answer. With them a random integer h, which
+    is <= 0 on some generator of most cones."""
+    gens, stream = draw(cone_streams())
+    n = len(stream[0])
+    if gens and draw(st.booleans()):
+        gens[0] = tuple(2 * v for v in gens[0])
+    scale = lcm(*(v.denominator for t in stream for v in t))
+    targets = [tuple(int(v * scale) for v in t) for t in stream]
+    scaled = _integer_rows(gens)[0]
+    for t in targets[:] + [(0,) * n]:
+        for j in draw(st.lists(st.integers(0, len(gens) - 1), max_size=3)) if gens else ():
+            t = tuple(a + b for a, b in zip(t, scaled[j]))
+            targets.append(t)
+    h = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return gens, targets, h
+
+
+@given(cone_batches())
+def test_batch_cone_agrees_with_uncached_and_fourier_motzkin(case):
+    gens, targets, h = case
+    cone = _Cone(gens, len(h))
+    answers = cone.decide(list(zip(*targets)), [dot(h, t) for t in targets])
+    farkas = set()
+    for target, (inside, witness) in zip(targets, answers):
         assert inside == cone_contains(gens, target) == fm_cone_contains(gens, target)
+        check_answer(cone, target, inside, witness)
+        if inside:
+            route = ("zero", "generator", "chain")[min(len(chain_indices(witness[1])), 2)]
+            event(route + (" over a simplex basis" if witness[0] else ""))
+        else:
+            event("Farkas sweep" if id(witness) in farkas else "simplex, outside")
+            farkas.add(id(witness))
         # The cross-multiplied ratio test gives the same answer and the same
         # certificate as the Fraction key.
-        t = integer_target(target)
-        assert cone.phase1(t) == fraction_key_phase1(cone, t)
+        assert cone.phase1(target) == fraction_key_phase1(cone, target)
+    event("h.g <= 0" if any(dot(h, g) <= 0 for g in cone.gens) else "h.g > 0")
 
 
-def test_cached_basis_is_checked_with_the_sign_of_d():
+def test_batch_solves_keep_the_sign_of_d():
     # Eliminating the single row (-1) leaves d = -1, so the scaled
     # coordinate of t = 2 is d*x = 2 for x = -2 < 0: outside the ray.
     span = _Span([[-1]], 1)
-    assert (span.d, span.scaled([2])) == (-1, [2])
+    assert (span.d, scaled_solve(span, [2])) == (-1, [2])
+    assert span.integral_columns([[2, -3, 0]], 3) == ([True] * 3, [[-2, 3, 0]])
     for gens, stream in (
         (((-1,),), [(-1,), (2,), (-3,)]),
         (((0, -1), (-1, 0)), [(-1, -2), (1, 2), (0, 1), (0, -1)]),
@@ -675,6 +714,57 @@ def test_cached_basis_is_checked_with_the_sign_of_d():
         cone = _Cone(gens, len(stream[0]))
         for target in stream:
             assert cone.contains(target)[0] == cone_contains(gens, target)
+
+
+def test_an_unchecked_farkas_vector_refuses_no_other_target():
+    # On the quadrant, t = (-1, 0) is outside, and z = (1, -5) has z.t < 0
+    # but fails on the generator (0, 1). Swept, it would refuse (1, 1),
+    # which lies inside and comes after t in increasing h.t, h = (1, 1).
+    cone = _Cone([(1, 0), (0, 1)], 2)
+    cone.phase1 = lambda target: (False, [1, -5])
+    (outside, z), (inside, cert) = cone.decide([(-1, 1), (0, 1)], [-1, 2])
+    assert (outside, z, inside, cert) == (False, [1, -5], True, ([], (0, (1, ()))))
+
+
+def test_a_chain_goes_only_through_targets_inside():
+    # In the cone of (1, 2) and (2, 1), t = (-1, -1) is outside, with the
+    # Farkas vector (1, 1), which refuses neither (0, 1) = t + (1, 2) nor
+    # (-1, 1) = (1, 2) - (2, 1). Both are outside, yet a chain through t,
+    # or through a generator taking t + g for t - g, would put them inside.
+    cone = _Cone([(1, 2), (2, 1)], 2)
+    first = cone.decide([(-1, 0), (-1, 1)], [-2, 1])
+    assert first[0] == (False, [1, 1]) and dot([1, 1], (0, 1)) > 0 and not first[1][0]
+    assert cone.decide([(-1,), (1,)], [0]) == [(False, [2, -1])]
+
+
+def test_a_chain_shares_the_certificate_of_t_minus_g():
+    # On the ray of (1,), each of the targets 2, ..., 1999 chains through
+    # the one before it. Its certificate links to that target's chain, so a
+    # batch holds one link per target, not a copy of every chain.
+    n = 2000
+    answers = _Cone([(1,)], 1).decide([list(range(n))], list(range(n)))
+    for t in range(2, n):
+        inside, (basis, chain) = answers[t]
+        assert inside and not basis and chain[1] is answers[t - 1][1][1]
+    assert chain_indices(answers[-1][1][1]) == [0] * (n - 1)
+
+
+@settings(max_examples=300)
+@given(bases_with_targets(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_span_columns_agree_with_the_one_target_solve(case, weights):
+    # A batch of the target, its multiples and shifts by the rows, and 0.
+    rows, target = case
+    n = len(target)
+    batch = [
+        [a * t + sum(w * row[j] for w, row in zip(weights, rows)) for j, t in enumerate(target)]
+        for a in (1, 2, -3)
+    ] + [target, [0] * n]
+    span = _Span(rows, n)
+    keep, coords = span.integral_columns(list(zip(*batch)), len(batch))
+    solved = [span.integral(t) for t in batch]
+    assert keep == [x is not None for x in solved]
+    found = [x for x in solved if x is not None]
+    assert coords == [[x[i] for x in found] for i in range(len(rows))]
 
 
 def fraction_solve(columns, target):
@@ -703,6 +793,19 @@ def check_certificate(gens, target, inside, witness):
         assert sum(z * t for z, t in zip(witness, target)) < 0
 
 
+def check_answer(cone, target, inside, witness):
+    """An answer of :meth:`_Cone.decide` against its certificate, on the
+    cone's scaled generators. Inside, target minus the chain's generators
+    is a nonnegative combination of the basis, so it is 0 for a chain."""
+    if inside:
+        basis, chain = witness
+        steps = chain_indices(chain)
+        rest = [t - sum(cone.gens[j][i] for j in steps) for i, t in enumerate(target)]
+        check_certificate(cone.gens, rest, True, basis)
+    else:
+        check_certificate(cone.gens, target, False, witness)
+
+
 @given(cone_streams())
 def test_cone_certificates_check_exactly(case):
     gens, stream = case
@@ -710,7 +813,7 @@ def test_cone_certificates_check_exactly(case):
     for target in stream:
         t = integer_target(target)
         check_certificate(gens, target, *cone.phase1(t))
-        check_certificate(gens, target, *cone.contains(t))
+        check_answer(cone, t, *cone.contains(t))
 
 
 def laplace_det(a):
