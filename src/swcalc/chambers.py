@@ -8,7 +8,9 @@ component. Period points are modeled as unnormalized rational rays,
 which is enough because every predicate here only uses the sign of a
 linear pairing against the ray and is therefore invariant under
 positive rescaling. Every wall sign in the package is the sign of
-x . u for the one functional u of :func:`wall_vector`.
+x . u for the one functional u of :func:`wall_vector`, which is also the
+one check that a ray is a period ray: each caller checks a ray once and
+reads its functional from that check.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError, DomainError
-from .linalg import Scalar, _integer_rows, dot, matvec, quadratic
+from .linalg import Scalar, _integer_rows, dot, matvec
 from .topology import ManifoldTopology, _as_fraction, _as_sign, _b2_vector, require_characteristic
 
 
@@ -67,55 +69,44 @@ class OrientationData:
         object.__setattr__(self, "o1_sign", _as_sign(self.o1_sign, "o1_sign"))
 
 
-def ray_violation(m: ManifoldTopology, ray: PeriodRay) -> Optional[DomainError]:
-    """Why ray is no period ray of m (a PeriodRay, length b2, positive square), or None."""
-    if not isinstance(ray, PeriodRay):
-        return DomainError(f"period ray must be a PeriodRay, got {ray!r}")
-    if len(ray.h) != m.b2:
-        return DimensionMismatchError(
-            f"period ray has length {len(ray.h)}, expected b2 = {m.b2}"
-        )
-    (h,), (d,) = _integer_rows([ray.h])
-    square = quadratic(m.intersection_form, h)
-    if square <= 0:
-        return DomainError(
-            f"period ray must have positive square, got h.h = {Fraction(square, d * d)}"
-        )
-    return None
-
-
 def wall_vector(m: ManifoldTopology, ray: PeriodRay) -> list[int]:
-    """The wall functional of the ray: u = q h scaled to integers by a
-    positive factor, times the ray's component sign. The sign of x . u
-    is the side, relative to the designated component, of the wall
-    orthogonal to x on which the ray lies. With h = h'/d, h' integer,
-    u = v / gcd(d, v) for v = q h', the least such scale."""
+    """The wall functional of a period ray of m, after the one check that
+    ray is one (a PeriodRay, length b2, positive square; else DomainError):
+    u = q h scaled to integers by a positive factor, times the component
+    sign. The sign of x . u is the side, relative to the designated
+    component, of the wall orthogonal to x on which the ray lies. With
+    h = h'/d, h' integer, u = v / gcd(d, v) for v = q h', the least such scale."""
+    if not isinstance(ray, PeriodRay):
+        raise DomainError(f"period ray must be a PeriodRay, got {ray!r}")
+    if len(ray.h) != m.b2:
+        raise DimensionMismatchError(f"period ray has length {len(ray.h)}, expected b2 = {m.b2}")
     (h,), (d,) = _integer_rows([ray.h])
     v = matvec(m.intersection_form, h)
+    square = dot(h, v)
+    if square <= 0:
+        raise DomainError(
+            f"period ray must have positive square, got h.h = {Fraction(square, d * d)}"
+        )
     common = gcd(d, *v)
     return [ray.component_sign * x // common for x in v]
 
 
-def component_violation(
-    m: ManifoldTopology, psc_ray: PeriodRay, kahler_ray: PeriodRay
-) -> Optional[DomainError]:
-    """Why the two rays designate different hyperbola components, or None.
-    For bplus = 1 and rays of length b2 with positive square, they share
-    one iff their component-signed pairing is positive (never 0)."""
-    (h,), _ = _integer_rows([psc_ray.h])
-    if psc_ray.component_sign * dot(h, wall_vector(m, kahler_ray)) < 0:
-        return DomainError(
+def require_one_component(m: ManifoldTopology, psc_ray: PeriodRay, kahler_ray: PeriodRay) -> None:
+    """Raise unless the two rays designate one hyperbola component. For
+    bplus = 1 and period rays, they do iff their component-signed pairing
+    is positive (never 0)."""
+    if psc_ray.component_sign * dot(psc_ray.h, wall_vector(m, kahler_ray)) < 0:
+        raise DomainError(
             "the PSC ray and the Kahler ray designate different hyperbola "
             "components; the two pipelines would use different orientation data"
         )
-    return None
 
 
-def _twisted_sign(m: ManifoldTopology, x: Sequence[int], ray: PeriodRay, b: Sequence) -> int:
-    """Sign of (x - b) . u, u the ray's wall functional, for a checked
-    period ray and a twisting class b of length b2."""
+def _twisted_sign(x: Sequence[int], u: Sequence[int], b: Sequence) -> int:
+    """Sign of (x - b) . u, u a ray's wall functional, for a twisting
+    class b of length b2."""
     diff = [xi - _as_fraction(bi, "twisting class entry") for xi, bi in zip(x, b)]
-    s = dot(diff, wall_vector(m, ray))
+    s = dot(diff, u)
     return (s > 0) - (s < 0)
 
 
@@ -134,10 +125,7 @@ def classify_chamber_oriented(
         )
     c = require_characteristic(m, c)
     b = _b2_vector(m, b, "twisting class")
-    problem = ray_violation(m, ray)
-    if problem is not None:
-        raise problem
-    return _SIDE_CHAMBERS[_twisted_sign(m, c, ray, b)]
+    return _SIDE_CHAMBERS[_twisted_sign(c, wall_vector(m, ray), b)]
 
 
 def is_c_good(

@@ -25,8 +25,8 @@ from .chambers import (
     Chamber,
     PeriodRay,
     classify_chamber_oriented,
-    component_violation,
-    ray_violation,
+    require_one_component,
+    wall_vector,
 )
 from .errors import DomainError, ManifoldFileError
 from .kahler import SWRow, sw_table, validate_kahler_facts
@@ -110,13 +110,15 @@ def cmd_validate(args) -> int:
     if data.kahler is not None:
         violations.extend(validate_kahler_facts(m, data.kahler))
     if data.psc_ray is not None:
-        problem = ray_violation(m, data.psc_ray)
-        if problem is not None:
+        try:
+            wall_vector(m, data.psc_ray)
+        except DomainError as problem:
             violations.append(f"psc_ray: {problem}")
-        elif not violations and m.bplus == 1 and data.kahler is not None:
+        if not violations and m.bplus == 1 and data.kahler is not None:
             # Hyperbola components exist: a valid bplus = 1 form and valid rays.
-            problem = component_violation(m, data.psc_ray, data.kahler.kahler_ray)
-            if problem is not None:
+            try:
+                require_one_component(m, data.psc_ray, data.kahler.kahler_ray)
+            except DomainError as problem:
                 violations.append(str(problem))
     ok = not violations
     if ok and args.echo:

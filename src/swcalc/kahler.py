@@ -29,7 +29,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import ge, lt
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .chambers import PeriodRay, _twisted_sign, component_violation, ray_violation, wall_vector
+from .chambers import PeriodRay, _twisted_sign, require_one_component, wall_vector
 from .errors import DomainError, InvalidTopologyError
 from .linalg import Columns, Scalar, _column_dot, _Cone, _Span
 from .topology import (
@@ -99,10 +99,13 @@ def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:
     return _check_facts(m, facts)[0]
 
 
-def _check_facts(m: ManifoldTopology, facts: KahlerFacts) -> tuple[list[str], Optional[_Span]]:
-    """The violations, and the Neron-Severi solve when the basis is one:
-    its elimination is the independence check."""
-    violations, ns = [], None
+def _check_facts(
+    m: ManifoldTopology, facts: KahlerFacts
+) -> tuple[list[str], Optional[_Span], Optional[list[int]]]:
+    """The violations, the Neron-Severi solve when the basis is one (its
+    elimination is the independence check), and the Kahler ray's wall
+    functional when the ray is a period ray (:func:`wall_vector` is its check)."""
+    violations, ns, u = [], None, None
     if len(_as_instance(facts, KahlerFacts, "Kahler facts").canonical_class) != m.b2:
         violations.append(
             f"canonical class has length {len(facts.canonical_class)}, "
@@ -122,23 +125,25 @@ def _check_facts(m: ManifoldTopology, facts: KahlerFacts) -> tuple[list[str], Op
             "effective cone generators must be given in ns_basis coordinates "
             f"(length {len(facts.ns_basis)})"
         )
-    problem = ray_violation(m, facts.kahler_ray)
-    if problem is not None:
+    try:
+        u = wall_vector(m, facts.kahler_ray)
+    except DomainError as problem:
         violations.append(f"kahler_ray: {problem}")
     if facts.kahler_ray.component_sign != 1:
         violations.append(
             "kahler_ray must designate the component containing Kahler classes "
             "(component_sign = +1)"
         )
-    return violations, ns
+    return violations, ns, u
 
 
-def _require_valid_facts(m: ManifoldTopology, facts: KahlerFacts) -> _Span:
-    """The Neron-Severi solve of valid facts; invalid ones raise."""
-    violations, ns = _check_facts(m, facts)
+def _require_valid_facts(m: ManifoldTopology, facts: KahlerFacts) -> tuple[_Span, list[int]]:
+    """The Neron-Severi solve and the Kahler ray's wall functional of
+    valid facts; invalid ones raise."""
+    violations, ns, u = _check_facts(m, facts)
     if violations:
         raise DomainError("invalid Kahler facts: " + "; ".join(violations))
-    return ns
+    return ns, u
 
 
 def abelian_solvability_side(
@@ -158,11 +163,11 @@ def abelian_solvability_side(
     of the line bundle; that twist is a statement about orientations
     only and is not applied to any value computed here.
     """
-    _require_valid_facts(m, facts)
+    _, u = _require_valid_facts(m, facts)
     b = _b2_vector(m, b, "twisting class")
     line_class = _require_line_class(m, line_class)
     c = [2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class)]
-    return _SIDE_SOLVABILITY[_twisted_sign(m, c, facts.kahler_ray, b)]
+    return _SIDE_SOLVABILITY[_twisted_sign(c, u, b)]
 
 
 def _require_line_class(m: ManifoldTopology, line_class: Sequence[int]) -> IntVector:
@@ -186,9 +191,8 @@ def _douady_test(m: ManifoldTopology, facts: KahlerFacts) -> Callable[[Columns, 
     """The Douady nonemptiness test of the facts, checked first, for a
     batch of line classes L by columns: the Neron-Severi solve, and the
     effective cone (:class:`linalg._Cone`) deciding L in increasing h.L."""
-    ns = _require_valid_facts(m, facts)
+    ns, u = _require_valid_facts(m, facts)
     cone = _Cone(facts.effective_cone, len(facts.ns_basis))
-    u = wall_vector(m, facts.kahler_ray)
 
     def nonempty(cols: Columns, size: int) -> list[bool]:
         keep, coords = ns.integral_columns(cols, size)
@@ -275,18 +279,13 @@ def sw_table(
             "or Kahler facts"
         )
     if psc_ray is not None:
-        problem = ray_violation(m, psc_ray)
-        if problem is not None:
-            raise problem
         u = wall_vector(m, psc_ray)
     if kahler_facts is not None:
         douady = _douady_test(m, kahler_facts)
         if not kahler_facts.pg_zero:
             raise DomainError("the invariant rule applies only when p_g = 0")
     if psc_ray is not None and kahler_facts is not None:
-        problem = component_violation(m, psc_ray, kahler_facts.kahler_ray)
-        if problem is not None:
-            raise problem
+        require_one_component(m, psc_ray, kahler_facts.kahler_ray)
     if (m.signature + m.euler) % 4:
         raise InvalidTopologyError(
             f"signature + euler = {m.signature + m.euler} is not divisible by 4, so "

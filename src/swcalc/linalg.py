@@ -410,10 +410,6 @@ class _Cone:
             answers[i] = (True, cert)
         return answers
 
-    def contains(self, target: Sequence[int]) -> tuple[bool, object]:
-        """:meth:`decide` of the one target."""
-        return self.decide([[v] for v in target], [0])[0]
-
 
 def cone_contains(generators: Sequence[Vector], target: Vector) -> bool:
     """Exact membership of target in the cone of nonnegative rational

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from conftest import congruent, dense_unimodular, oracle_wall_side
@@ -22,10 +24,15 @@ from swcalc import (
     SolvabilitySide,
     abelian_solvability_side,
     classify_chamber_oriented,
+    douady_nonempty,
     expected_dim_abelian,
     is_c_good,
+    load_manifold_file,
+    sw_pg0_invariants,
     sw_table,
+    validate_kahler_facts,
 )
+from swcalc.cli import main
 
 
 FLIPPED = {
@@ -109,6 +116,116 @@ def test_a_ray_that_is_no_period_ray_is_refused(p2, call):
 def test_kahler_facts_refuse_a_ray_that_is_no_period_ray():
     with pytest.raises(DomainError, match=r"^kahler_ray must be a PeriodRay, got \(1,\)$"):
         KahlerFacts((-3,), ((1,),), ((1,),), True, (1,))
+
+
+QUADRIC_FILE = Path(__file__).resolve().parent.parent / "demos" / "quadric.manifold"
+
+# Rays that are no period ray of the quadric (b2 = 2, form ((0, 1), (1, 0))):
+# the ray, the error class and text of the one ray check, and the ray as a
+# manifold file spells it. The fourth kind, a ray that is no PeriodRay, is
+# pinned by the two tests above: the PSC entry points and KahlerFacts refuse
+# it, and no file or --h value can give one.
+BAD_RAYS = {
+    "wrong_length": (
+        PeriodRay((1, 1, 1)), DimensionMismatchError,
+        "period ray has length 3, expected b2 = 2", "1,1,1",
+    ),
+    "null": (
+        PeriodRay((1, 0)), DomainError, "period ray must have positive square, got h.h = 0", "1,0",
+    ),
+    "negative_fraction": (
+        PeriodRay((Fraction(1, 2), Fraction(-1, 3))), DomainError,
+        "period ray must have positive square, got h.h = -1/3", "1/2,-1/3",
+    ),
+}
+
+# Every entry point that reads a period ray: a PSC ray, the Kahler ray of
+# its facts, or a ray from a manifold file or --h.
+PSC_ENTRIES = {
+    "sw_table": lambda m, ray: sw_table(m, [(0, 0)], psc_ray=ray),
+    "classify_chamber_oriented": lambda m, ray: classify_chamber_oriented(m, (0, 0), ray, (0, 0)),
+    "is_c_good": lambda m, ray: is_c_good(m, (0, 0), ray, (0, 0)),
+}
+KAHLER_ENTRIES = {
+    "sw_table": lambda m, facts: sw_table(m, [(0, 0)], kahler_facts=facts),
+    "douady_nonempty": lambda m, facts: douady_nonempty(m, facts, (1, 1)),
+    "sw_pg0_invariants": lambda m, facts: sw_pg0_invariants(m, facts, (1, 1)),
+    "abelian_solvability_side": lambda m, facts: abelian_solvability_side(m, facts, (1, 1), (0, 0)),
+    "validate_kahler_facts": validate_kahler_facts,
+}
+ENTRIES = [
+    *(f"psc {name}" for name in PSC_ENTRIES),
+    *(f"kahler {name}" for name in KAHLER_ENTRIES),
+    "cli validate psc_ray",
+    "cli validate kahler_ray",
+    "cli chamber",
+]
+# Pinned elsewhere: test_kahler.py and test_cli.py.
+COVERED = {
+    ("wrong_length", "kahler validate_kahler_facts"),
+    ("wrong_length", "cli validate psc_ray"),
+    ("wrong_length", "cli validate kahler_ray"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, entry",
+    [(case, entry) for case in BAD_RAYS for entry in ENTRIES if (case, entry) not in COVERED],
+)
+def test_every_entry_point_refuses_a_bad_ray_with_the_one_text(tmp_path, capsys, case, entry):
+    ray, cls, text, spelled = BAD_RAYS[case]
+    data = load_manifold_file(QUADRIC_FILE)
+    m, facts = data.topology, dataclasses.replace(data.kahler, kahler_ray=ray)
+    kind, name = entry.split(" ", 1)
+    if kind == "psc":
+        with pytest.raises(DomainError) as info:
+            PSC_ENTRIES[name](m, ray)
+        assert (type(info.value), str(info.value)) == (cls, text)
+    elif name == "validate_kahler_facts":
+        assert validate_kahler_facts(m, facts) == [f"kahler_ray: {text}"]
+    elif kind == "kahler":
+        with pytest.raises(DomainError) as info:
+            KAHLER_ENTRIES[name](m, facts)
+        assert (type(info.value), str(info.value)) == (
+            DomainError, f"invalid Kahler facts: kahler_ray: {text}"
+        )
+    elif name == "chamber":
+        code = main(["chamber", str(QUADRIC_FILE), "--c=2,2", f"--h={spelled}"])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {text}\n")
+    else:
+        key = name.split()[1]
+        path = tmp_path / "edited.manifold"
+        source = QUADRIC_FILE.read_text(encoding="utf-8")
+        assert f"\n{key} = 1,1\n" in source
+        edited = source.replace(f"\n{key} = 1,1\n", f"\n{key} = {spelled}\n")
+        path.write_text(edited, encoding="utf-8")
+        assert (main(["validate", str(path)]), *capsys.readouterr()) == (
+            2, f"violation: {key}: {text}\n", ""
+        )
+
+
+def test_a_bad_ray_is_refused_ahead_of_other_bad_inputs():
+    data = load_manifold_file(QUADRIC_FILE)
+    m = data.topology
+    ray, _, text, _ = BAD_RAYS["negative_fraction"]
+    bad_b = ("x", 0)
+    # A good ray reads the bad twisting-class entry; a bad ray is refused first.
+    with pytest.raises(DomainError, match="twisting class entry"):
+        classify_chamber_oriented(m, (0, 0), data.psc_ray, bad_b)
+    for call in (classify_chamber_oriented, is_c_good):
+        with pytest.raises(DomainError) as info:
+            call(m, (0, 0), ray, bad_b)
+        assert str(info.value) == text
+    # The PSC ray is checked ahead of the Kahler facts, bad ray or bad length.
+    for facts in (
+        dataclasses.replace(data.kahler, kahler_ray=ray),
+        dataclasses.replace(data.kahler, canonical_class=(-2,)),
+    ):
+        with pytest.raises(DomainError, match="^invalid Kahler facts"):
+            sw_table(m, [(0, 0)], kahler_facts=facts)
+        with pytest.raises(DomainError) as info:
+            sw_table(m, [(0, 0)], psc_ray=ray, kahler_facts=facts)
+        assert str(info.value) == text
 
 
 def test_c_good_examples(p2, s2xs2, p2_ray):

@@ -38,7 +38,7 @@ from swcalc import (
     validate_topology,
     wall_crossing_delta,
 )
-from swcalc import kahler
+from swcalc import chambers, kahler
 from swcalc.chambers import wall_vector
 from swcalc.linalg import _Cone, cone_contains, dot
 from swcalc.topology import _as_int_vector, _squares, characteristic_square, spinor_c2
@@ -669,6 +669,23 @@ def test_del_pezzo_tables_are_decided_by_chains(monkeypatch, k, kind, bound, siz
         else (0, -1)
         for c in sorted(c_list)
     ]
+
+
+def test_a_table_with_both_rays_scales_a_ray_three_times(monkeypatch):
+    # The PSC ray once, for its wall functional; the Kahler ray once in the
+    # facts check, whose functional orders the cone test, and once for the
+    # one-component check. No check scales a ray it has scaled before.
+    m, ray, facts, c_list = p2_blown_up_twice_dense()
+    scaled = []
+    integer_rows = chambers._integer_rows
+
+    def counted(rows):
+        scaled.append(rows)
+        return integer_rows(rows)
+
+    monkeypatch.setattr(chambers, "_integer_rows", counted)
+    sw_table(m, c_list, psc_ray=ray, kahler_facts=facts)
+    assert scaled == [[ray.h], [facts.kahler_ray.h], [facts.kahler_ray.h]]
 
 
 def test_del_pezzo_k8_cone_membership_known_answers():

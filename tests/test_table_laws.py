@@ -20,6 +20,17 @@ with one kind of facts only, can still break it.
   the chamber pulled back from X (the blow-up formula: Fintushel and
   Stern, Turkish J. Math. 19 (1995) 145-157). Checked from P2 # k(-P2)
   to P2 # (k + 1)(-P2).
+- Deformation: the Hirzebruch surface F_n, on the basis (F, C_n) with
+  F^2 = 0, F.C_n = 1 and C_n^2 = -n, has w2 = (n mod 2, 0), K = -(n + 2) F
+  - 2 C_n, e = 4, signature 0, the effective cone of F and C_n, and the
+  ample class C_n + (n + 1) F, where both rays sit. F_n deforms to F_(n-2)
+  (Barth, Hulek, Peters and Van de Ven, *Compact Complex Surfaces*, V.4)
+  by the isometry phi(p F + q C_n) = (p - q) F + q C_(n-2), which fixes F
+  and K. The invariants in a chamber are deformation invariant and the
+  chambers are topological (Friedman and Morgan, J. Algebraic Geom. 6
+  (1997) 445-479), so row_(F_n)(c) = row_(F_(n-2))(phi c), although phi(C_n)
+  = C_(n-2) - F is not effective. F_1 is P2 # (-P2) with F = H - E1 and
+  C_1 = E1, so its rows are those of the del Pezzo table at k = 1.
 """
 
 from __future__ import annotations
@@ -198,3 +209,65 @@ def test_blow_up_on_drawn_rows(data, k, pipeline):
     c = tuple(2 * x + 1 for x in data.draw(st.tuples(*[st.integers(-6, 6)] * (k + 1)), "c"))
     table, table_up = blow_up_rows(k, pipeline, [c])
     assert table_up == {(*c, 1): table[c], (*c, -1): table[c]}
+
+
+@functools.cache
+def hirzebruch(n: int) -> tuple[ManifoldTopology, dict]:
+    """F_n on (F, C_n), and both pipelines with the rays at C_n + (n + 1) F."""
+    m = ManifoldTopology(
+        name=f"F_{n}", b1=0, bplus=1, bminus=1, euler=4, signature=0,
+        intersection_form=((0, 1), (1, -n)), w2=(n % 2, 0),
+    )
+    ray = PeriodRay((n + 1, 1))
+    facts = KahlerFacts(
+        canonical_class=(-(n + 2), -2),
+        ns_basis=((1, 0), (0, 1)),
+        effective_cone=((1, 0), (0, 1)),
+        pg_zero=True,
+        kahler_ray=ray,
+    )
+    return m, {"psc": dict(psc_ray=ray), "kahler": dict(kahler_facts=facts)}
+
+
+def hirzebruch_rows(n: int, pipeline: str, c_list) -> dict:
+    m, pipelines = hirzebruch(n)
+    return {row.c: row[1:] for row in sw_table(m, c_list, **pipelines[pipeline])}
+
+
+def deform(c):
+    """phi: the coordinates on (F, C_(n-2)) of the class c of F_n."""
+    return (c[0] - c[1], c[1])
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_hirzebruch_deformation_on_boxes(pipeline):
+    # The characteristic (p, q) of F_n have p = n (mod 2) and q even.
+    for n in range(2, 13):
+        box = list(itertools.product(range(n % 2 - 14, 15, 2), range(-8, 9, 2)))
+        table = hirzebruch_rows(n, pipeline, box)
+        images = hirzebruch_rows(n - 2, pipeline, list(map(deform, box)))
+        bad = [c for c in box if table[c] != images[deform(c)]]
+        assert bad == [], n
+        assert set(table.values()) >= {(0, 0), (1, 0), (0, -1)}
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(2, 12),
+    pipeline=st.sampled_from(sorted(PIPELINES)),
+    p=st.integers(-40, 40),
+    q=st.integers(-20, 20),
+)
+def test_hirzebruch_deformation_on_drawn_rows(n, pipeline, p, q):
+    c = (2 * p + n % 2, 2 * q)
+    (row,) = hirzebruch_rows(n, pipeline, [c]).values()
+    assert hirzebruch_rows(n - 2, pipeline, [deform(c)]) == {deform(c): row}
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_hirzebruch_one_is_the_del_pezzo_table(pipeline):
+    # p F + q C_1 = p H + (q - p) E1.
+    box = list(itertools.product(range(-15, 16, 2), range(-14, 15, 2)))
+    table = hirzebruch_rows(1, pipeline, box)
+    rows = sw_table(del_pezzo(1), [(p, q - p) for p, q in box], **blow_up_pipelines(1, 0)[pipeline])
+    assert {(row.c[0], row.c[0] + row.c[1]): row[1:] for row in rows} == table
