@@ -11,25 +11,19 @@ comma-separated integers or rationals in the fixed H^2 basis; use the
 Each command states its result once, as a field map, and one renderer
 prints it: as ``key = value`` lines, a tab-separated table, or with
 ``--format json`` as a JSON object holding the same values.
+
+Each command imports what it calls when it runs, so a process loads only
+the modules of its one command, and ``json`` only under ``--format json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chambers import (
-    Chamber,
-    PeriodRay,
-    classify_chamber_oriented,
-    require_one_component,
-    wall_vector,
-)
 from .errors import DomainError, ManifoldFileError
-from .kahler import SWRow, sw_table, validate_kahler_facts
 from .manifoldfile import (
     ManifoldData,
     _fmt,
@@ -40,27 +34,11 @@ from .manifoldfile import (
     parse_int,
     parse_int_vector,
 )
-from .stability import (
-    HilbertPoly,
-    PairProfile,
-    Stability,
-    framing_defect,
-    oriented_pair_status_rank2,
-    oriented_sheaf_semistable,
-    poly_compare,
-    rho_interval,
-    slope,
-)
-from .topology import (
-    characteristic_range,
-    expected_dim_abelian,
-    expected_dim_pu2,
-    uhlenbeck_strata,
-    validate_topology,
-)
 
 
 def _parse_poly(text: str) -> HilbertPoly:
+    from .stability import HilbertPoly
+
     return HilbertPoly(parse_fraction_vector(text))
 
 
@@ -79,6 +57,8 @@ def _emit(args, command: str, fields: dict, text_lines: Optional[list] = None) -
     """Print a field map as JSON, or as ``text_lines`` (default: one
     ``key = value`` line per field)."""
     if args.format == "json":
+        import json
+
         payload = {key: _json_value(value) for key, value in fields.items()}
         print(json.dumps({"command": command, **payload}, sort_keys=True, indent=2))
     else:
@@ -96,6 +76,8 @@ def _emit_rows(args, command: str, header: tuple, rows: list) -> None:
 
 
 def _load(path) -> ManifoldData:
+    from .topology import validate_topology
+
     data = load_manifold_file(path)
     violations = validate_topology(data.topology)
     if violations:
@@ -104,12 +86,18 @@ def _load(path) -> ManifoldData:
 
 
 def cmd_validate(args) -> int:
+    from .topology import validate_topology
+
     data = load_manifold_file(args.file)
     m = data.topology
     violations = validate_topology(m)
     if data.kahler is not None:
+        from .kahler import validate_kahler_facts
+
         violations.extend(validate_kahler_facts(m, data.kahler))
     if data.psc_ray is not None:
+        from .chambers import require_one_component, wall_vector
+
         try:
             wall_vector(m, data.psc_ray)
         except DomainError as problem:
@@ -131,6 +119,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    from .topology import expected_dim_abelian, expected_dim_pu2
+
     data = _load(args.file)
     m = data.topology
     if args.pu2:
@@ -148,6 +138,9 @@ def cmd_dim(args) -> int:
 
 
 def cmd_sw_table(args) -> int:
+    from .kahler import SWRow, sw_table
+    from .topology import characteristic_range
+
     data = _load(args.file)
     m = data.topology
     c_list = characteristic_range(m, args.cmin, args.cmax)
@@ -156,6 +149,8 @@ def cmd_sw_table(args) -> int:
 
 
 def cmd_strata(args) -> int:
+    from .topology import uhlenbeck_strata
+
     data = _load(args.file)
     strata = uhlenbeck_strata(data.topology, args.p1, parse_int_vector(args.c1), args.max_level)
     _emit_rows(args, "strata", ("l", "p1", "dim"), strata)
@@ -163,6 +158,8 @@ def cmd_strata(args) -> int:
 
 
 def cmd_chamber(args) -> int:
+    from .chambers import Chamber, PeriodRay, classify_chamber_oriented
+
     data = _load(args.file)
     m = data.topology
     c = parse_int_vector(args.c)
@@ -174,11 +171,15 @@ def cmd_chamber(args) -> int:
 
 
 def cmd_stability_slope(args) -> int:
+    from .stability import slope
+
     _emit(args, "slope", {"slope": slope(parse_fraction(args.degree), args.rank)})
     return 0
 
 
 def cmd_stability_pair(args) -> int:
+    from .stability import Stability, oriented_pair_status_rank2
+
     phi_zero = args.phi == "zero"
     mu_div = parse_fraction(args.mu_div) if args.mu_div is not None else None
     status = oriented_pair_status_rank2(
@@ -189,6 +190,8 @@ def cmd_stability_pair(args) -> int:
 
 
 def cmd_stability_rho(args) -> int:
+    from .stability import rho_interval
+
     interval = rho_interval(parse_fraction(args.m_under), parse_fraction(args.m_over))
     if interval is None:
         value, text = None, "empty"
@@ -200,12 +203,16 @@ def cmd_stability_rho(args) -> int:
 
 
 def cmd_stability_poly_compare(args) -> int:
+    from .stability import poly_compare
+
     order = poly_compare(_parse_poly(args.p), _parse_poly(args.q))
     _emit(args, "poly_compare", {"order": order.value})
     return 0
 
 
 def cmd_stability_defect(args) -> int:
+    from .stability import framing_defect
+
     defect = framing_defect(
         _parse_poly(args.p_e), args.rk_e, _parse_poly(args.p_ker), args.rk_ker
     )
@@ -216,6 +223,8 @@ def cmd_stability_defect(args) -> int:
 
 
 def cmd_stability_semistable(args) -> int:
+    from .stability import PairProfile, oriented_sheaf_semistable
+
     kermax = _parse_ranked_poly(args.kermax) if args.kermax is not None else None
     subsheaves = tuple(_parse_ranked_poly(text) for text in args.subsheaf or [])
     profile = PairProfile(
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = stab.add_parser("pair-rank2", help="rank-2 oriented pair status")
     q.add_argument("--phi", choices=("zero", "nonzero"), required=True)
-    q.add_argument("--e-stability", choices=tuple(s.value for s in Stability), default="neither")
+    q.add_argument("--e-stability", choices=("stable", "polystable", "neither"), default="neither")
     q.add_argument("--mu-div")
     q.add_argument("--mu-e", required=True)
     q.set_defaults(func=cmd_stability_pair)

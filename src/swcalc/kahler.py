@@ -129,7 +129,7 @@ def _check_facts(
         u = wall_vector(m, facts.kahler_ray)
     except DomainError as problem:
         violations.append(f"kahler_ray: {problem}")
-    if facts.kahler_ray.component_sign != 1:
+    if isinstance(facts.kahler_ray, PeriodRay) and facts.kahler_ray.component_sign != 1:
         violations.append(
             "kahler_ray must designate the component containing Kahler classes "
             "(component_sign = +1)"

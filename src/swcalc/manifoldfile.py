@@ -15,7 +15,9 @@ every ``key = value`` entry under its key (each key belongs to exactly
 one section) and parses data lines token by token; the data is then
 built from that store. It reports the first offending line and column
 with exit-code-3 semantics; the emitter writes a canonical form that
-re-parses to equal data.
+re-parses to equal data. The facts types are imported where a
+``[kahler]`` or ``[psc]`` section is built, so a file without them loads
+neither ``kahler`` nor ``chambers``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .chambers import PeriodRay
 from .errors import DomainError, ManifoldFileError
-from .kahler import KahlerFacts
 from .topology import ManifoldTopology, triple_cup_from_entries
 
 _TOKEN = re.compile(r"\S+")
@@ -161,6 +161,8 @@ def parse_manifold_text(text: str) -> ManifoldData:
         return _parse(parse, *entries[key][0])
 
     def ray(section):
+        from .chambers import PeriodRay
+
         h = need(section, f"{section}_ray", parse_fraction_vector)
         sign = entries.get(f"{section}_component_sign")
         try:
@@ -200,6 +202,8 @@ def parse_manifold_text(text: str) -> ManifoldData:
         raise ManifoldFileError(str(exc), headers["manifold"], 1)
     kahler = None
     if "kahler" in headers:
+        from .kahler import KahlerFacts
+
         kahler = KahlerFacts(
             canonical_class=need("kahler", "canonical_class", parse_int_vector),
             ns_basis=tuple(_parse(parse_int_vector, *e) for e in entries.get("ns_basis", [])),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm
@@ -42,6 +43,20 @@ from swcalc import (  # noqa: E402
 # cannot fail them by a per-example deadline.
 settings.register_profile("swcalc", derandomize=True, deadline=None)
 settings.load_profile("swcalc")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A child interpreter in the checkout root, importing swcalc from SWCALC_PATH."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(SWCALC_PATH))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
 
 P2_FILE_TEXT = """\
 [manifold]

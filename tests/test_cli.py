@@ -354,7 +354,7 @@ def test_sw_table_json(p2_file, capsys):
 def test_sw_table_undetermined_entries(p2_file, capsys, monkeypatch):
     # No demo file has an undecidable row, so stand in a table with one.
     monkeypatch.setattr(
-        "swcalc.cli.sw_table", lambda *args, **kwargs: [SWRow((1,), None, 0)]
+        "swcalc.kahler.sw_table", lambda *args, **kwargs: [SWRow((1,), None, 0)]
     )
     code, out, _ = run(capsys, ["sw-table", str(p2_file), "--cmin=1", "--cmax=1"])
     assert (code, out) == (0, "c\tsw_plus\tsw_minus\n1\tundetermined\t0\n")
@@ -362,6 +362,22 @@ def test_sw_table_undetermined_entries(p2_file, capsys, monkeypatch):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert json.loads(out)["rows"] == [{"c": "1", "sw_plus": None, "sw_minus": 0}]
+
+
+def test_hirzebruch_f2_table_is_the_quadrics_under_the_deformation(capsys):
+    # F_2 deforms to F_0, the quadric, by phi(p F + q C_2) = (p - q) F + q C_0.
+    def table(name):
+        argv = ["sw-table", str(ROOT / "demos" / name), "--cmin=-6", "--cmax=6"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rows = (line.split("\t") for line in out.splitlines()[1:])
+        return {tuple(map(int, c.split(","))): (plus, minus) for c, plus, minus in rows}
+
+    f2, quadric = table("hirzebruch_f2.manifold"), table("quadric.manifold")
+    pairs = {(p, q): (p - q, q) for p, q in f2 if (p - q, q) in quadric}
+    assert len(pairs) == 37
+    assert {c: f2[c] for c in pairs} == {c: quadric[d] for c, d in pairs.items()}
+    assert sum(f2[c] != ("0", "0") for c in pairs) == 6
 
 
 def test_strata_plantiko(p2_file, capsys):

@@ -3,26 +3,16 @@ file validates, in a fresh interpreter."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import swcalc
-from conftest import SWCALC_PATH
+from conftest import SWCALC_PATH, run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 GOLDEN = Path(__file__).resolve().parent / "golden_demos"
-
-
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(SWCALC_PATH))
-    return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
 
 
 @pytest.mark.parametrize("script", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)

@@ -3,9 +3,7 @@ and every private module-level definition is read somewhere in swcalc.
 
 No linter ships with the package, and deleting a helper can leave its
 import behind, or a helper behind once its last caller is gone; these
-checks parse each module with ``ast`` instead. The package's
-``__init__`` is skipped by the import check, since it imports names to
-re-export.
+checks parse each module with ``ast`` instead.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "swcalc"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:

@@ -137,6 +137,16 @@ def test_validate_kahler_facts_reports_past_length_errors(p2):
     ]
 
 
+def test_a_tampered_kahler_ray_is_a_violation(p2, p2_kahler):
+    # A ray swapped past __post_init__ is reported, not read for its sign.
+    facts = dataclasses.replace(p2_kahler)
+    object.__setattr__(facts, "kahler_ray", (1, 1))
+    message = "kahler_ray: period ray must be a PeriodRay, got (1, 1)"
+    assert validate_kahler_facts(p2, facts) == [message]
+    with pytest.raises(DomainError, match=re.escape(f"invalid Kahler facts: {message}")):
+        sw_table(p2, characteristic_range(p2, -3, 3), kahler_facts=facts)
+
+
 def test_solvability_side_p2(p2, p2_kahler):
     # (2m - K) . h = 7 > 0 for m = 2h, so the moduli sit on the K - m side.
     assert (
