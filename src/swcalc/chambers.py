@@ -21,9 +21,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import DimensionMismatchError, DomainError
-from .linalg import Scalar, _integer_rows, dot, matvec
-from .topology import ManifoldTopology, _as_fraction, _as_sign, _b2_vector, require_characteristic
+from .errors import DimensionMismatchError, DomainError, Scalar, _as_fraction, _as_sign
+from .linalg import _integer_rows, dot, matvec
+from .topology import ManifoldTopology, _b2_vector, require_characteristic
 
 
 class Chamber(enum.Enum):

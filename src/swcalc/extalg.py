@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 
 from .chambers import OrientationData
 from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
+from .errors import _as_instance, _as_int_vector, _as_integer
 from .linalg import _pfaffian
-from .topology import IntVector, ManifoldTopology, _as_instance, _as_int_vector, _as_integer
+from .topology import IntVector, ManifoldTopology
 from .topology import characteristic_square, require_characteristic, spinor_c2
 
 Key = tuple[int, ...]

@@ -14,10 +14,11 @@ nonemptiness rule for Kahler surfaces with p_g = 0. When both are
 available they must agree, and the table builder checks that they do.
 Entries the supplied facts cannot decide are reported as undetermined,
 never guessed.
-The table builder checks every input before it decides any row, then
-decides the line classes L of its Kahler rows at once, in increasing h.L
-(h the Kahler ray), by a chain of generators summing to L, the simplex, or
-a Farkas vector the simplex found; sw_pg0_invariants is a one-row table.
+The table builder checks every input before it decides any row (the
+squares of a box of classes by sums over its column values), then decides
+the line classes L of its Kahler rows at once, in increasing h.L (h the
+Kahler ray), by a chain of generators summing to L, the simplex, or a
+Farkas vector the simplex found; sw_pg0_invariants is a one-row table.
 """
 
 from __future__ import annotations
@@ -26,20 +27,19 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
-from operator import ge, lt
+from math import prod
+from operator import ge, itemgetter, lt
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chambers import PeriodRay, _twisted_sign, require_one_component, wall_vector
-from .errors import DomainError, InvalidTopologyError
-from .linalg import Columns, Scalar, _column_dot, _Cone, _Span
+from .errors import DomainError, InvalidTopologyError, Scalar
+from .errors import _as_flag, _as_fraction, _as_instance, _as_int_vector
+from .linalg import Columns, _column_dot, _Cone, _Span
 from .topology import (
     IntVector,
     ManifoldTopology,
-    _as_flag,
-    _as_fraction,
-    _as_instance,
-    _as_int_vector,
     _b2_vector,
+    _box_squares,
     _lifts_w2,
     _squares,
     characteristic_square,
@@ -259,8 +259,10 @@ def sw_table(
     that is not all int tuples is read entry by entry as by
     :func:`require_characteristic`, in input order. (3) Each row's own
     checks (length b2, c == w2 mod 2, c^2 == signature mod 8) in sorted
-    order, per column on blocks of rows (:func:`topology._squares`), a
-    failing block row by row, so the first failing row raises as a
+    order: on a box, every combination of its columns' distinct values, by
+    sums over those values (:func:`topology._box_squares`); on any other
+    list, or a failing box, per column on blocks of rows (:func:`topology._squares`),
+    a failing block row by row, so the first failing row raises as a
     row-at-a-time check would. (4) The decisions, by columns on the rows
     with w_c >= 0 (the others are (0, 0)): the sign of c.u, u the PSC
     ray's wall vector, and the cone test of each L = (c + K)/2 in
@@ -304,11 +306,18 @@ def sw_table(
     if not all(map(lt, cs, islice(cs, 1, None))):
         # dict.fromkeys drops repeats in order.
         cs = sorted(dict.fromkeys(cs))
-    # A block that fails a column check is checked row by row, to raise at its first failing row.
-    squares: list[int] = []
-    for start in range(0, len(cs), _ROW_BLOCK):
-        block = cs[start:start + _ROW_BLOCK]
-        squares += _squares(m, block) or [characteristic_square(m, c) for c in block]
+    # Sorted rows as many as the product of their columns' distinct values
+    # are that product, a box: its squares come by outer sums over the values.
+    squares = None
+    if set(map(len, cs)) == {m.b2}:
+        values = [sorted(set(map(itemgetter(i), cs))) for i in range(m.b2)]
+        squares = _box_squares(m, values) if len(cs) == prod(map(len, values)) else None
+    if squares is None:
+        # A block failing a column check is checked row by row, to raise at its first failing row.
+        squares = []
+        for start in range(0, len(cs), _ROW_BLOCK):
+            block = cs[start:start + _ROW_BLOCK]
+            squares += _squares(m, block) or [characteristic_square(m, c) for c in block]
     # Given c^2 == signature (mod 8) and signature + euler == 0 (mod 4), the
     # numerator c^2 - 3 signature - 2 euler of w_c is a multiple of 8, so
     # w_c < 0 exactly when c^2 < 3 signature + 2 euler; such a row stays (0, 0).

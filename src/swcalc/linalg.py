@@ -31,9 +31,8 @@ from math import gcd, lcm, prod
 from operator import add, floordiv, lt, mod, mul, not_, sub
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, Scalar
 
-Scalar = int | Fraction
 Vector = Sequence[Scalar]
 Matrix = Sequence[Sequence[Scalar]]
 # A batch of integer vectors by columns: cols[i][r] is entry i of vector r.

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import DomainError
-from .linalg import Scalar
-from .topology import _as_flag, _as_fraction, _as_instance, _as_integer
+from .errors import DomainError, Scalar, _as_flag, _as_fraction, _as_instance, _as_integer
 
 
 class Stability(enum.Enum):

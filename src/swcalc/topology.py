@@ -10,8 +10,9 @@ a basis a_1..a_b1 of H^1/Tors as sparse entries. Characteristic elements
 :func:`is_characteristic` / :func:`require_characteristic`. A table
 checks its classes column by column instead: the parity of each
 coordinate against w2 comes from the distinct values of its column, the
-square c^2 of every class from one product pass per coordinate, and only
-a class that fails a check is looked at on its own.
+square c^2 of every class from one product pass per coordinate (of a box
+of classes, from sums kept once per prefix of coordinates), and only a
+class that fails a check is looked at on its own.
 
 All arithmetic is exact. Quantities that are integral for consistent
 input, such as the expected dimension of the abelian monopole moduli
@@ -29,65 +30,12 @@ from fractions import Fraction
 from operator import add, mod, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import DimensionMismatchError, DomainError, InvalidTopologyError
-from .linalg import Scalar, determinant, inertia_and_determinant, quadratic
+from .errors import DimensionMismatchError, DomainError, InvalidTopologyError, Scalar
+from .errors import _as_fraction, _as_instance, _as_int_vector, _as_integer, _as_sign
+from .linalg import determinant, inertia_and_determinant, quadratic
 
 IntVector = tuple[int, ...]
 _RANGE_LIMIT = 200_000  # the most vectors characteristic_range lists
-
-
-def _as_integer(value, what: str) -> int:
-    """value as an int; a non-integral value or a bool raises DomainError
-    instead of being truncated. Integral rationals such as Fraction(4, 2) pass."""
-    if type(value) is int:
-        return value
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value or isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return n
-
-
-def _as_fraction(value, what: str) -> Fraction:
-    """value as a Fraction: an int or a Fraction keeps its value, an integral
-    float is read as by :func:`_as_integer`, and a bool or anything else raises DomainError."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-        raise DomainError(f"{what} must be an int or a Fraction, got {value!r}")
-    return Fraction(value)
-
-
-def _as_sign(value, what: str) -> int:
-    """:func:`_as_integer` on value, which must then be +1 or -1."""
-    sign = _as_integer(value, what)
-    if sign not in (1, -1):
-        raise DomainError(f"{what} must be +1 or -1, got {sign!r}")
-    return sign
-
-
-def _as_flag(value, what: str) -> bool:
-    """value, which must be True or False; a truthy stand-in raises DomainError."""
-    if type(value) is not bool:
-        raise DomainError(f"{what} must be True or False, got {value!r}")
-    return value
-
-
-def _as_instance(value, kind: type, what: str):
-    """value, which must be a kind; anything else raises DomainError."""
-    if not isinstance(value, kind):
-        raise DomainError(f"{what} must be a {kind.__name__}, got {value!r}")
-    return value
-
-
-def _as_int_vector(values: Iterable, what: str) -> IntVector:
-    """:func:`_as_integer` on every entry; what names one entry."""
-    values = tuple(values)
-    if {int}.issuperset(map(type, values)):
-        return values
-    return tuple(_as_integer(v, what) for v in values)
 
 
 def _b2_vector(m: ManifoldTopology, values: Sequence, what: str) -> Sequence:
@@ -325,6 +273,31 @@ def _squares(m: ManifoldTopology, cs: Sequence[IntVector]) -> Optional[list[int]
                 y = term if y is None else map(add if a > 0 else sub, y, term)
         if y is not None:
             total = list(map(add if sign > 0 else sub, total, map(mul, x, y)))
+    return total if set(map(mod, total, itertools.repeat(8))) <= {m.signature % 8} else None
+
+
+def _box_squares(m: ManifoldTopology, values: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """:func:`characteristic_square` of each c of itertools.product(*values),
+    in that order, or None when that call would raise for some c (no value
+    list empty). Parity against w2 reads the value lists. As in :func:`_squares`,
+    c^2 = sum_k x_k (q_kk x_k + l_k) with l_k = sum_{j<k} (q_jk + q_kj) x_j;
+    each partial sum and each l_i is kept once per prefix x_0..x_k, so a c
+    costs about one multiply-add."""
+    n, q = m.b2, m.intersection_form
+    if len(values) != n or any((v - w) % 2 for x, w in zip(values, m.w2) for v in x):
+        return None
+    total, lin = [0], [[0]] * n  # per prefix: the partial sum and every l_i
+    for k, x in enumerate(values):
+        # Prefix p and value t of column k make the prefix p * step + t.
+        step, out = len(x), [0] * (len(total) * len(x))
+        for t, v in enumerate(x):
+            out[t::step] = map(add, map((q[k][k] * v * v).__add__, total), map(v.__mul__, lin[k]))
+        total = out
+        for i in range(k + 1, n):
+            col, lin[i] = lin[i], [0] * len(out)
+            for t, v in enumerate(x):
+                shift = (q[k][i] + q[i][k]) * v
+                lin[i][t::step] = map(shift.__add__, col) if shift else col
     return total if set(map(mod, total, itertools.repeat(8))) <= {m.signature % 8} else None
 
 

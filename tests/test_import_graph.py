@@ -144,6 +144,16 @@ def test_bare_import_loads_no_submodule_and_resolves_them_on_use():
     assert out == "['swcalc']\nswcalc.kahler swcalc.linalg\n"
 
 
+def test_stability_loads_no_lattice_module():
+    # Its scalar checks and Scalar come from errors, not topology or linalg.
+    out = child_stdout(
+        "-c",
+        "import sys, swcalc.stability\n"
+        "print(sorted(m for m in sys.modules if m.startswith('swcalc')))",
+    )
+    assert out == "['swcalc', 'swcalc.errors', 'swcalc.stability']\n"
+
+
 @pytest.fixture(scope="module")
 def plain_file(tmp_path_factory):
     # P2 without its [kahler] and [psc] sections.

@@ -7,9 +7,10 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_indices, del_pezzo_slab, minus_one_classes
@@ -30,6 +31,7 @@ from swcalc import (
     douady_nonempty,
     expected_dim_abelian,
     expected_dim_pu2,
+    load_manifold_file,
     require_characteristic,
     spin_u2_admissible,
     sw_pg0_invariants,
@@ -41,7 +43,13 @@ from swcalc import (
 from swcalc import chambers, kahler
 from swcalc.chambers import wall_vector
 from swcalc.linalg import _Cone, cone_contains, dot
-from swcalc.topology import _as_int_vector, _squares, characteristic_square, spinor_c2
+from swcalc.topology import (
+    _as_int_vector,
+    _box_squares,
+    _squares,
+    characteristic_square,
+    spinor_c2,
+)
 
 
 def quadric_facts() -> KahlerFacts:
@@ -992,6 +1000,147 @@ def test_squares_find_a_late_wrong_parity_value():
     for block in (DP4_BOX[:256], DP4_BOX[512:768]):
         assert _squares(DP4, block) == [characteristic_square(DP4, c) for c in block]
         assert _squares(DP4, wrong_parity_last(block)) is None
+
+
+@st.composite
+def boxes(draw):
+    """A form of rank 1..6 and one value list per column. The form is a sum
+    of hyperbolic planes (w2 = 0 on them) and +-1 entries (w2 = 1), in a
+    dense basis made as in test_topology._dense_blowup, plus a skew part,
+    which changes no square. Now and then w2 or the signature is drawn
+    instead, so that c^2 == signature (mod 8) fails for some or all c. The
+    values of each column have the parity of w2 there, now and then but
+    one of them."""
+    n = draw(st.integers(1, 6))
+    q, w2, i = [[0] * n for _ in range(n)], [0] * n, 0
+    while i < n:
+        if i + 1 < n and draw(st.booleans()):
+            q[i][i + 1] = q[i + 1][i] = 1
+            i += 2
+        else:
+            q[i][i], w2[i] = draw(st.sampled_from((1, -1))), 1
+            i += 1
+    signature = sum(q[i][i] for i in range(n))
+    for _ in range(draw(st.integers(0, 3 * n)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        s = draw(st.sampled_from((-1, 1)))
+        q[i] = [x + s * y for x, y in zip(q[i], q[j])]
+        for row in q:
+            row[i] += s * row[j]
+        w2[j] = (w2[j] + w2[i]) % 2
+    for i, j in itertools.combinations(range(n), 2):
+        s = draw(st.integers(-2, 2))
+        q[i][j] += s
+        q[j][i] -= s
+    if draw(st.integers(0, 3)) == 0:
+        w2 = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        signature = draw(st.integers(-8, 8))
+    values = [
+        [w + 2 * v for v in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))]
+        for w in w2
+    ]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, n - 1))
+        values[i].insert(draw(st.integers(0, len(values[i]))), 2 * draw(st.integers(-2, 2)) + 1 - w2[i])
+    m = ManifoldTopology(
+        name="box", b1=0, bplus=1, bminus=n - 1, euler=2 + n, signature=signature,
+        intersection_form=q, w2=w2,
+    )
+    return m, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes())
+def test_box_squares_are_the_squares_of_the_product(case):
+    # In itertools.product order, or None exactly when a class is refused.
+    m, values = case
+    try:
+        want = [characteristic_square(m, c) for c in itertools.product(*values)]
+    except DomainError:
+        want = None
+    event("refused" if want is None else "squares")
+    assert _box_squares(m, values) == want
+
+
+F3 = load_manifold_file(Path(__file__).resolve().parent.parent / "demos" / "hirzebruch_f3.manifold")
+DENSE = p2_blown_up_twice_dense()[:3]
+# A lattice, its PSC ray, its Kahler facts and a box of its characteristic
+# classes: diagonal, dense and off-diagonal with an odd w2.
+BOX_TABLES = {
+    "P2#4(-P2)": (DP4, DP4_RAY, DP4_FACTS, DP4_BOX),
+    "P2#2(-P2) dense": (*DENSE, characteristic_range(DENSE[0], -5, 5)),
+    "F3": (F3.topology, F3.psc_ray, F3.kahler, characteristic_range(F3.topology, -9, 9)),
+}
+
+
+def spy_box_route(monkeypatch) -> list:
+    """What each call of sw_table's box route returns, recorded in order."""
+    results = []
+
+    def spy(m, values):
+        results.append(_box_squares(m, values))
+        return results[-1]
+
+    monkeypatch.setattr(kahler, "_box_squares", spy)
+    return results
+
+
+@pytest.mark.parametrize("pipeline", ["psc", "kahler", "both"])
+@pytest.mark.parametrize("lattice", BOX_TABLES)
+def test_a_box_takes_the_box_route_with_the_block_routes_rows(monkeypatch, lattice, pipeline):
+    # One more class past the box gives its first column one more value: the
+    # rows are no box, and take the block route.
+    m, ray, facts, box = BOX_TABLES[lattice]
+    psc_ray, facts = (ray if pipeline != "kahler" else None), (facts if pipeline != "psc" else None)
+    results = spy_box_route(monkeypatch)
+    outside = (box[-1][0] + 2,) + box[-1][1:]
+    by_blocks = sw_table(m, box + [outside], psc_ray=psc_ray, kahler_facts=facts)
+    assert results == [] and by_blocks[-1].c == outside
+    assert sw_table(m, box, psc_ray=psc_ray, kahler_facts=facts) == by_blocks[:-1]
+    assert len(results) == 1 and results[0] is not None
+
+
+NEAR_BOXES = {
+    "minus one row": lambda box: box[:517] + box[518:],
+    "repeats": lambda box: box + box[::7],
+    "shuffled": lambda box: random.Random(30).sample(box, len(box)),
+}
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("near", NEAR_BOXES)
+def test_near_boxes_match_the_row_at_a_time_oracle(monkeypatch, near, pipeline):
+    # Repeats and order do not matter: sorted and deduplicated, those are the box.
+    results = spy_box_route(monkeypatch)
+    want = same_as_row_at_a_time(DP4, NEAR_BOXES[near](DP4_BOX), *PIPELINES[pipeline])
+    assert want.count("SWRow(") == len(DP4_BOX) - (near == "minus one row")
+    assert len(results) == (near != "minus one row")
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_a_box_with_a_wrong_parity_value_is_refused_at_its_row(monkeypatch, pipeline):
+    results = spy_box_route(monkeypatch)
+    c_list = list(itertools.product(*[[-3, -1, 1, 3]] * 4, [-3, -1, 0, 1, 3]))
+    want = same_as_row_at_a_time(DP4, c_list, *PIPELINES[pipeline])
+    assert want == (DomainError, "c = [-3, -3, -3, -3, 0] is not characteristic: c != w2 (mod 2)")
+    assert results == [None]
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_a_box_on_an_inconsistent_lattice_is_refused_at_its_row(monkeypatch, pipeline):
+    # On the planted lattice c^2 == signature (mod 8) fails for c = (a, b)
+    # with b == 2 (mod 4): first at the second row of the box.
+    m, ray, facts = planted_disagreement()
+    psc_ray, facts = (ray if pipeline != "kahler" else None), (facts if pipeline != "psc" else None)
+    results = spy_box_route(monkeypatch)
+    c_list = list(itertools.product([-3, -1, 1, 3], [-4, -2, 0, 2, 4]))
+    want = same_as_row_at_a_time(m, c_list, psc_ray, facts)
+    assert want == (InvalidTopologyError, (
+        "characteristic vector c = [-3, -2] violates c^2 == signature (mod 8); "
+        "the lattice data is inconsistent"
+    ))
+    assert results == [None]
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
