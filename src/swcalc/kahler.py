@@ -15,7 +15,8 @@ available they must agree, and the table builder checks that they do.
 Entries the supplied facts cannot decide are reported as undetermined,
 never guessed.
 The table builder checks every input before it decides any row (the
-squares of a box of classes by sums over its column values), then decides
+squares of a box of classes by sums over its column values, read without
+a scan from an unchanged characteristic_range), then decides
 the line classes L of its Kahler rows at once, in increasing h.L (h the
 Kahler ray), by a chain of generators summing to L, the simplex, or a
 Farkas vector the simplex found; sw_pg0_invariants is a one-row table.
@@ -28,17 +29,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
 from math import prod
-from operator import ge, itemgetter, lt
+from operator import ge, is_, itemgetter, lt
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chambers import PeriodRay, _twisted_sign, require_one_component, wall_vector
 from .errors import DomainError, InvalidTopologyError, Scalar
 from .errors import _as_flag, _as_fraction, _as_instance, _as_int_vector
-from .linalg import Columns, _column_dot, _Cone, _Span
+from .linalg import Columns, _column_dot, _Cone, _integer_rows, _Span, dot
 from .topology import (
     IntVector,
     ManifoldTopology,
     _b2_vector,
+    _Box,
     _box_squares,
     _lifts_w2,
     _squares,
@@ -101,11 +103,12 @@ def validate_kahler_facts(m: ManifoldTopology, facts: KahlerFacts) -> list[str]:
 
 def _check_facts(
     m: ManifoldTopology, facts: KahlerFacts
-) -> tuple[list[str], Optional[_Span], Optional[list[int]]]:
+) -> tuple[list[str], Optional[_Span], Optional[list[int]], Optional[list[list[int]]]]:
     """The violations, the Neron-Severi solve when the basis is one (its
-    elimination is the independence check), and the Kahler ray's wall
-    functional when the ray is a period ray (:func:`wall_vector` is its check)."""
-    violations, ns, u = [], None, None
+    elimination is the independence check), the Kahler ray's wall functional
+    when the ray is a period ray (:func:`wall_vector` is its check), and, with
+    both, the cone generators, each scaled to integers by a positive factor."""
+    violations, ns, u, gens = [], None, None, None
     if len(_as_instance(facts, KahlerFacts, "Kahler facts").canonical_class) != m.b2:
         violations.append(
             f"canonical class has length {len(facts.canonical_class)}, "
@@ -134,16 +137,27 @@ def _check_facts(
             "kahler_ray must designate the component containing Kahler classes "
             "(component_sign = +1)"
         )
-    return violations, ns, u
+    if ns is not None and u is not None:
+        # A Kahler class h has h.g > 0 on every nonzero effective class g.
+        degrees = [facts.kahler_ray.component_sign * dot(row, u) for row in facts.ns_basis]
+        gens = _integer_rows(facts.effective_cone)[0]
+        violations += [
+            f"effective cone generator {i} = ({', '.join(map(str, g))}) is not positive "
+            "on the Kahler ray" for i, (g, x) in enumerate(zip(facts.effective_cone, gens), 1)
+            if len(x) == len(degrees) and any(x) and dot(x, degrees) <= 0
+        ]
+    return violations, ns, u, gens
 
 
-def _require_valid_facts(m: ManifoldTopology, facts: KahlerFacts) -> tuple[_Span, list[int]]:
-    """The Neron-Severi solve and the Kahler ray's wall functional of
-    valid facts; invalid ones raise."""
-    violations, ns, u = _check_facts(m, facts)
+def _require_valid_facts(
+    m: ManifoldTopology, facts: KahlerFacts
+) -> tuple[_Span, list[int], list[list[int]]]:
+    """The Neron-Severi solve, the Kahler ray's wall functional and the
+    integer cone generators of valid facts; invalid ones raise."""
+    violations, ns, u, gens = _check_facts(m, facts)
     if violations:
         raise DomainError("invalid Kahler facts: " + "; ".join(violations))
-    return ns, u
+    return ns, u, gens
 
 
 def abelian_solvability_side(
@@ -163,7 +177,7 @@ def abelian_solvability_side(
     of the line bundle; that twist is a statement about orientations
     only and is not applied to any value computed here.
     """
-    _, u = _require_valid_facts(m, facts)
+    u = _require_valid_facts(m, facts)[1]
     b = _b2_vector(m, b, "twisting class")
     line_class = _require_line_class(m, line_class)
     c = [2 * mv - kv for mv, kv in zip(line_class, facts.canonical_class)]
@@ -191,8 +205,8 @@ def _douady_test(m: ManifoldTopology, facts: KahlerFacts) -> Callable[[Columns, 
     """The Douady nonemptiness test of the facts, checked first, for a
     batch of line classes L by columns: the Neron-Severi solve, and the
     effective cone (:class:`linalg._Cone`) deciding L in increasing h.L."""
-    ns, u = _require_valid_facts(m, facts)
-    cone = _Cone(facts.effective_cone, len(facts.ns_basis))
+    ns, u, gens = _require_valid_facts(m, facts)
+    cone = _Cone(gens, len(facts.ns_basis))
 
     def nonempty(cols: Columns, size: int) -> list[bool]:
         keep, coords = ns.integral_columns(cols, size)
@@ -255,12 +269,14 @@ def sw_table(
     the Kahler facts (:func:`validate_kahler_facts`, then p_g = 0), and
     signature + euler == 0 (mod 4), which given c^2 == signature (mod 8)
     holds exactly when every w_c is an even integer, so it is checked
-    even for an empty c_list. (2) The entry types, in one scan; a list
-    that is not all int tuples is read entry by entry as by
-    :func:`require_characteristic`, in input order. (3) Each row's own
-    checks (length b2, c == w2 mod 2, c^2 == signature mod 8) in sorted
-    order: on a box, every combination of its columns' distinct values, by
-    sums over those values (:func:`topology._box_squares`); on any other
+    even for an empty c_list. (2) The entry types, in one scan, and the
+    order; a list that is not all int tuples is read entry by entry as by
+    :func:`require_characteristic`, in input order. A :func:`characteristic_range`
+    whose rows are all still the objects it made skips both. (3) Each row's
+    own checks (length b2, c == w2 mod 2, c^2 == signature mod 8) in sorted
+    order: on a box (such a range, with its coordinate ranges, or sorted
+    rows as many as the product of their columns' distinct values), by sums
+    over those values (:func:`topology._box_squares`); on any other
     list, or a failing box, per column on blocks of rows (:func:`topology._squares`),
     a failing block row by row, so the first failing row raises as a
     row-at-a-time check would. (4) The decisions, by columns on the rows
@@ -294,24 +310,29 @@ def sw_table(
             "the expected dimensions are not even integers; the topology data is "
             "inconsistent"
         )
-    cs: list[IntVector] = []
-    try:
-        cs.extend(map(tuple, c_list))
-    finally:
-        # One scan of the entry types; on any other type the entries are
-        # checked one by one, so the first bad one raises, also ahead of a
-        # later row that is not iterable.
-        if not {int}.issuperset(map(type, chain.from_iterable(cs))):
-            cs = [_as_int_vector(c, "characteristic vector entry") for c in cs]
-    if not all(map(lt, cs, islice(cs, 1, None))):
-        # dict.fromkeys drops repeats in order.
-        cs = sorted(dict.fromkeys(cs))
-    # Sorted rows as many as the product of their columns' distinct values
-    # are that product, a box: its squares come by outer sums over the values.
-    squares = None
-    if set(map(len, cs)) == {m.b2}:
-        values = [sorted(set(map(itemgetter(i), cs))) for i in range(m.b2)]
-        squares = _box_squares(m, values) if len(cs) == prod(map(len, values)) else None
+    values, box = None, type(c_list) is _Box and len(c_list) == len(c_list.rows)
+    if box and all(map(is_, c_list, c_list.rows)):
+        # An unchanged characteristic_range: sorted int tuples, the product of its ranges.
+        cs, values = c_list.rows, c_list.values
+    else:
+        cs = []
+        try:
+            cs.extend(map(tuple, c_list))
+        finally:
+            # One scan of the entry types; on any other type the entries are
+            # checked one by one, so the first bad one raises, also ahead of a
+            # later row that is not iterable.
+            if not {int}.issuperset(map(type, chain.from_iterable(cs))):
+                cs = [_as_int_vector(c, "characteristic vector entry") for c in cs]
+        if not all(map(lt, cs, islice(cs, 1, None))):
+            # dict.fromkeys drops repeats in order.
+            cs = sorted(dict.fromkeys(cs))
+        # Sorted rows as many as the product of their columns' distinct values
+        # are that product, a box: its squares come by outer sums over the values.
+        if set(map(len, cs)) == {m.b2}:
+            values = [sorted(set(map(itemgetter(i), cs))) for i in range(m.b2)]
+            values = values if len(cs) == prod(map(len, values)) else None
+    squares = None if values is None else _box_squares(m, values)
     if squares is None:
         # A block failing a column check is checked row by row, to raise at its first failing row.
         squares = []

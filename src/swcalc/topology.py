@@ -11,8 +11,9 @@ a basis a_1..a_b1 of H^1/Tors as sparse entries. Characteristic elements
 checks its classes column by column instead: the parity of each
 coordinate against w2 comes from the distinct values of its column, the
 square c^2 of every class from one product pass per coordinate (of a box
-of classes, from sums kept once per prefix of coordinates), and only a
-class that fails a check is looked at on its own.
+of classes, from sums kept once per prefix of coordinates; the list of
+:func:`characteristic_range` carries its coordinate ranges for this), and
+only a class that fails a check is looked at on its own.
 
 All arithmetic is exact. Quantities that are integral for consistent
 input, such as the expected dimension of the abelian monopole moduli
@@ -278,8 +279,8 @@ def _squares(m: ManifoldTopology, cs: Sequence[IntVector]) -> Optional[list[int]
 
 def _box_squares(m: ManifoldTopology, values: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """:func:`characteristic_square` of each c of itertools.product(*values),
-    in that order, or None when that call would raise for some c (no value
-    list empty). Parity against w2 reads the value lists. As in :func:`_squares`,
+    in that order, or None when that call would raise for some c. Parity
+    against w2 reads the value lists. As in :func:`_squares`,
     c^2 = sum_k x_k (q_kk x_k + l_k) with l_k = sum_{j<k} (q_jk + q_kj) x_j;
     each partial sum and each l_i is kept once per prefix x_0..x_k, so a c
     costs about one multiply-add."""
@@ -431,13 +432,18 @@ def spinor_sup_bound(sup_term: Scalar) -> Fraction:
     return s if s > 0 else Fraction(0)
 
 
+class _Box(list):
+    """characteristic_range's rows, its coordinate ranges (values) and the rows as a tuple."""
+
+
 def characteristic_range(m: ManifoldTopology, cmin: int, cmax: int) -> list[IntVector]:
     """All characteristic vectors with every coordinate in [cmin, cmax],
     in lexicographic order.
 
     Works coordinatewise: entry i runs over the values of the correct
     parity w2[i] in the box. A non-integral bound, or an enumeration
-    over a fixed cap of 200,000 vectors, raises DomainError.
+    over a fixed cap of 200,000 vectors, raises DomainError. sw_table
+    reads the list without a scan while its rows are unchanged.
     """
     cmin, cmax = _as_integer(cmin, "cmin"), _as_integer(cmax, "cmax")
     per_coord = [range(cmin + (cmin - w) % 2, cmax + 1, 2) for w in m.w2]
@@ -445,4 +451,6 @@ def characteristic_range(m: ManifoldTopology, cmin: int, cmax: int) -> list[IntV
         raise DomainError(
             f"characteristic range would enumerate more than {_RANGE_LIMIT} vectors"
         )
-    return list(itertools.product(*per_coord))
+    box = _Box(itertools.product(*per_coord))
+    box.values, box.rows = tuple(per_coord), tuple(box)
+    return box

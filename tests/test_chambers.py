@@ -362,8 +362,10 @@ def test_every_wall_decision_matches_the_oracle(case):
     assert classify_chamber_oriented(m, c, psc, b) is _CHAMBERS[psc.component_sign * side]
     assert is_c_good(m, c, psc, b) == (side != 0)
 
+    # An empty effective cone: the drawn Kahler ray need not be positive on
+    # the coordinate classes.
     identity = [[int(i == j) for j in range(m.b2)] for i in range(m.b2)]
-    facts = KahlerFacts(canonical, identity, identity, True, kahler)
+    facts = KahlerFacts(canonical, identity, (), True, kahler)
     twice = [2 * lv - kv - bv for lv, kv, bv in zip(line_class, canonical, b)]
     assert abelian_solvability_side(m, facts, line_class, b) is _SIDES[
         oracle_wall_side(m, twice, kahler.h)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import operator
+import pickle
 import random
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -153,6 +157,34 @@ def test_a_tampered_kahler_ray_is_a_violation(p2, p2_kahler):
     assert validate_kahler_facts(p2, facts) == [message]
     with pytest.raises(DomainError, match=re.escape(f"invalid Kahler facts: {message}")):
         sw_table(p2, characteristic_range(p2, -3, 3), kahler_facts=facts)
+
+
+def test_a_cone_generator_not_positive_on_the_kahler_ray_is_a_violation():
+    # F_5 on (F, C_5) with the ray C_5 + 6F: h.F = 1 and h.C_5 = 1, but
+    # h.(C_5 - F) = 0, so C_5 - F cannot be effective. A zero generator is no class.
+    m = ManifoldTopology(
+        name="F_5", b1=0, bplus=1, bminus=1, euler=4, signature=0,
+        intersection_form=((0, 1), (1, -5)), w2=(1, 0),
+    )
+    ray = PeriodRay((6, 1))
+    facts = KahlerFacts((-7, -2), ((1, 0), (0, 1)), ((1, 0), (0, 1), (0, 0)), True, ray)
+    assert validate_kahler_facts(m, facts) == []
+    planted = dataclasses.replace(facts, effective_cone=facts.effective_cone + ((-1, 1),))
+    message = "effective cone generator 4 = (-1, 1) is not positive on the Kahler ray"
+    assert validate_kahler_facts(m, planted) == [message]
+    with pytest.raises(DomainError, match=re.escape(f"invalid Kahler facts: {message}")):
+        sw_table(m, characteristic_range(m, -3, 3), psc_ray=ray, kahler_facts=planted)
+    # Generators are read through ns_basis: -F in the basis (-F, C_5) is F.
+    flipped = dataclasses.replace(facts, ns_basis=((-1, 0), (0, 1)))
+    assert validate_kahler_facts(m, flipped) == [
+        "effective cone generator 1 = (1, 0) is not positive on the Kahler ray"
+    ]
+    # The ray's component sign is its own violation, not one per generator.
+    other_side = dataclasses.replace(facts, kahler_ray=PeriodRay((6, 1), -1))
+    assert validate_kahler_facts(m, other_side) == [
+        "kahler_ray must designate the component containing Kahler classes "
+        "(component_sign = +1)"
+    ]
 
 
 def test_solvability_side_p2(p2, p2_kahler):
@@ -397,12 +429,13 @@ def test_sw_table_rejects_conflicting_orientations(p2, p2_ray, p2_kahler):
 
 
 def test_sw_table_refuses_disagreeing_facts(p2, p2_ray):
-    # An effective cone spanned by -H contradicts the PSC vanishing on
-    # both sides of the wall.
+    # An empty effective cone with K = 5H contradicts the PSC vanishing on
+    # both sides of the wall: only L = 0 is effective, so the Kahler rule
+    # gives (1, 0) at c = -5 (L = 0) and (0, -1) at c = 5 (L = 5H).
     facts = KahlerFacts(
-        canonical_class=(-3,),
+        canonical_class=(5,),
         ns_basis=((1,),),
-        effective_cone=((Fraction(-1),),),
+        effective_cone=(),
         pg_zero=True,
         kahler_ray=p2_ray,
     )
@@ -860,9 +893,9 @@ def test_sw_table_columns_match_the_row_at_a_time_oracle(case, mode, block):
 def planted_disagreement():
     """A rank-2 form diag(1, -3), not unimodular, with w2 = (1, 0), which
     is not characteristic for it: c = (a, b) meets c^2 == 1 (mod 8)
-    exactly when b == 0 (mod 4). The effective cone is spanned by
-    (-1, 0), so the Kahler pipeline gives (0, -1) at c = (5, 0), where
-    the PSC pipeline gives (1, 0)."""
+    exactly when b == 0 (mod 4). The effective cone is empty, so the
+    Kahler pipeline gives (0, -1) at c = (5, 0), where the PSC pipeline
+    gives (1, 0)."""
     m = ManifoldTopology(
         name="planted", b1=0, bplus=1, bminus=1, euler=3, signature=1,
         intersection_form=((1, 0), (0, -3)), w2=(1, 0),
@@ -871,7 +904,7 @@ def planted_disagreement():
     facts = KahlerFacts(
         canonical_class=(-3, 0),
         ns_basis=((1, 0), (0, 1)),
-        effective_cone=((Fraction(-1), Fraction(0)),),
+        effective_cone=(),
         pg_zero=True,
         kahler_ray=ray,
     )
@@ -1074,6 +1107,16 @@ BOX_TABLES = {
 }
 
 
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.manifold"))
+
+
+def same_as_a_plain_list(m, box, psc_ray=None, facts=None):
+    """The outcome of sw_table on box, which must be that on a plain list of its rows."""
+    want = outcome(sw_table, m, list(box), psc_ray=psc_ray, kahler_facts=facts)
+    assert outcome(sw_table, m, box, psc_ray=psc_ray, kahler_facts=facts) == want
+    return want
+
+
 def spy_box_route(monkeypatch) -> list:
     """What each call of sw_table's box route returns, recorded in order."""
     results = []
@@ -1099,6 +1142,111 @@ def test_a_box_takes_the_box_route_with_the_block_routes_rows(monkeypatch, latti
     assert results == [] and by_blocks[-1].c == outside
     assert sw_table(m, box, psc_ray=psc_ray, kahler_facts=facts) == by_blocks[:-1]
     assert len(results) == 1 and results[0] is not None
+    # A plain list of the range's rows is read by its columns, to the same rows.
+    assert same_as_a_plain_list(m, box, psc_ray, facts).count("SWRow(") == len(box)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[path.name for path in DEMOS])
+def test_a_range_on_a_demo_gives_the_rows_of_a_plain_list(path):
+    # The file's own facts; a file without them, or with b1 > 0, is refused alike.
+    data = load_manifold_file(path)
+    box = characteristic_range(data.topology, -3, 3)
+    same_as_a_plain_list(data.topology, box, data.psc_ray, data.kahler)
+
+
+def with_row_entry(value):
+    """A change that sets the coordinate 2 of row 517 of a box to value."""
+    def change(box):
+        box[517] = box[517][:2] + (value,) + box[517][3:]
+    return change
+
+
+MUTATIONS = {
+    "True": with_row_entry(True),
+    "Fraction(1)": with_row_entry(Fraction(1)),
+    "1.0": with_row_entry(1.0),
+    "list.__setitem__": lambda box: list.__setitem__(box, 517, box[517][:2] + (True,) + box[517][3:]),
+    "reverse": lambda box: box.reverse(),
+    "append a repeat": lambda box: box.append(box[3]),
+    "del": lambda box: box.__delitem__(517),
+    "extend past the box": lambda box: box.extend([(box[-1][0] + 2,) + box[-1][1:]]),
+}
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_a_mutated_range_gives_the_rows_of_a_plain_list(monkeypatch, mutation, pipeline):
+    # Once its rows change, a range is read as any list: a True is refused by
+    # name, and a row that is no longer the product takes the block route.
+    box = characteristic_range(DP4, -3, 3)
+    MUTATIONS[mutation](box)
+    results = spy_box_route(monkeypatch)
+    want = outcome(sw_table, DP4, list(box), *PIPELINES[pipeline])
+    plain, results[:] = results[:], []
+    assert outcome(sw_table, DP4, box, *PIPELINES[pipeline]) == want
+    assert results == plain
+    assert same_as_row_at_a_time(DP4, box, *PIPELINES[pipeline]) == want
+    if mutation in ("True", "list.__setitem__"):
+        assert want == (DomainError, "characteristic vector entry must be an integer, got True")
+
+
+@pytest.mark.parametrize(
+    "built_on, used_on",
+    [("P2#4(-P2)", "P2#2(-P2) dense"), ("F3", "hirzebruch_f2"), ("F3", "hirzebruch_f1")],
+    ids=["another b2", "another w2", "same b2 and w2"],
+)
+def test_a_range_of_another_manifold_gives_the_rows_of_a_plain_list(built_on, used_on):
+    box = BOX_TABLES[built_on][3]
+    if used_on in BOX_TABLES:
+        m, ray, facts, _ = BOX_TABLES[used_on]
+    else:
+        data = load_manifold_file(DEMOS[0].parent / f"{used_on}.manifold")
+        m, ray, facts = data.topology, data.psc_ray, data.kahler
+    want = same_as_a_plain_list(m, box, ray, facts)
+    if used_on == "hirzebruch_f1":
+        assert want.count("SWRow(") == len(box)
+    else:
+        assert want[0] in (DimensionMismatchError, DomainError)
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_an_empty_range_and_copies_give_the_rows_of_a_plain_list(pipeline):
+    assert same_as_a_plain_list(DP4, characteristic_range(DP4, 3, -3), *PIPELINES[pipeline]) == "[]"
+    assert same_as_a_plain_list(DP4, characteristic_range(DP4, 0, 0), *PIPELINES[pipeline]) == "[]"
+    # On F3 (w2 = (1, 0)) the box [0, 0] has an empty first column and a full second one.
+    assert same_as_a_plain_list(F3.topology, characteristic_range(F3.topology, 0, 0), F3.psc_ray) == "[]"
+    box = characteristic_range(DP4, -3, 3)
+    for copied in (copy.copy(box), copy.deepcopy(box), pickle.loads(pickle.dumps(box))):
+        assert copied == box and repr(copied) == repr(box)
+        assert same_as_a_plain_list(DP4, copied, *PIPELINES[pipeline]) == outcome(
+            sw_table, DP4, box, *PIPELINES[pipeline]
+        )
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(box, protocol)) == box
+
+
+@pytest.mark.parametrize("lattice", BOX_TABLES)
+def test_an_intact_range_reaches_the_box_route_without_a_scan(monkeypatch, lattice):
+    # No entry-type scan (chain.from_iterable), no sortedness scan (islice) and
+    # no column value sets (itemgetter): the range hands over its coordinate ranges.
+    m, ray, _, box = BOX_TABLES[lattice]
+    want = sw_table(m, list(box), psc_ray=ray)
+    scans = []
+
+    def spied(name, call):
+        def spy(*args):
+            scans.append(name)
+            return call(*args)
+        return spy
+
+    monkeypatch.setattr(kahler, "chain", SimpleNamespace(from_iterable=spied("entries", itertools.chain.from_iterable)))
+    monkeypatch.setattr(kahler, "islice", spied("order", itertools.islice))
+    monkeypatch.setattr(kahler, "itemgetter", spied("values", operator.itemgetter))
+    results = spy_box_route(monkeypatch)
+    assert sw_table(m, box, psc_ray=ray) == want
+    assert scans == [] and len(results) == 1 and results[0] is not None
+    assert sw_table(m, list(box), psc_ray=ray) == want
+    assert scans[:2] == ["entries", "order"] and scans.count("values") == m.b2
 
 
 NEAR_BOXES = {
@@ -1178,12 +1326,11 @@ def test_blocks_mixing_a_failing_row_with_decided_rows(kind, bad_at):
 
 @pytest.mark.parametrize("kind", ["wrong parity", "wrong length"])
 def test_a_failing_row_two_blocks_after_a_disagreement_raises(kind):
-    # With -H in the cone every class of negative degree is effective, so
-    # the pipelines disagree first at row 85, in block 0. The failing row
-    # sorts after row 600, in block 2, a whole block later.
-    facts = dataclasses.replace(
-        DP4_FACTS, effective_cone=DP4_FACTS.effective_cone + ((-1, 0, 0, 0, 0),)
-    )
+    # With K = -c for the c of row 85, the first row with w_c >= 0, its line
+    # class is 0, which is effective, so the pipelines disagree first at row
+    # 85, in block 0. The failing row sorts after row 600, in block 2, a
+    # whole block later.
+    facts = dataclasses.replace(DP4_FACTS, canonical_class=tuple(-v for v in DP4_BOX[85]))
     disagreement = outcome(sw_table, DP4, DP4_BOX, DP4_RAY, facts)
     assert disagreement[1].startswith(f"the PSC and Kahler pipelines disagree at c = {list(DP4_BOX[85])}")
     bad = failing_row(kind, DP4_BOX[600])
