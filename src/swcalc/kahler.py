@@ -15,8 +15,8 @@ available they must agree, and the table builder checks that they do.
 Entries the supplied facts cannot decide are reported as undetermined,
 never guessed.
 The table builder checks every input before it decides any row (the
-squares of a box of classes by sums over its column values, read without
-a scan from an unchanged characteristic_range), then decides
+squares of an unchanged characteristic_range by sums over its coordinate
+ranges, read without a scan; of any other list by columns), then decides
 the line classes L of its Kahler rows at once, in increasing h.L (h the
 Kahler ray), by a chain of generators summing to L, the simplex, or a
 Farkas vector the simplex found; sw_pg0_invariants is a one-row table.
@@ -28,8 +28,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
-from math import prod
-from operator import ge, is_, itemgetter, lt
+from operator import ge, is_, lt
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chambers import PeriodRay, _twisted_sign, require_one_component, wall_vector
@@ -274,12 +273,11 @@ def sw_table(
     :func:`require_characteristic`, in input order. A :func:`characteristic_range`
     whose rows are all still the objects it made skips both. (3) Each row's
     own checks (length b2, c == w2 mod 2, c^2 == signature mod 8) in sorted
-    order: on a box (such a range, with its coordinate ranges, or sorted
-    rows as many as the product of their columns' distinct values), by sums
-    over those values (:func:`topology._box_squares`); on any other
-    list, or a failing box, per column on blocks of rows (:func:`topology._squares`),
-    a failing block row by row, so the first failing row raises as a
-    row-at-a-time check would. (4) The decisions, by columns on the rows
+    order: on such a range, by sums over its coordinate ranges
+    (:func:`topology._box_squares`); on any other list, or a failing range,
+    per column on blocks of rows (:func:`topology._squares`), a failing
+    block row by row, so the first failing row raises as a row-at-a-time
+    check would. (4) The decisions, by columns on the rows
     with w_c >= 0 (the others are (0, 0)): the sign of c.u, u the PSC
     ray's wall vector, and the cone test of each L = (c + K)/2 in
     increasing h.L (h the Kahler ray) by three routes: a chain of
@@ -327,11 +325,6 @@ def sw_table(
         if not all(map(lt, cs, islice(cs, 1, None))):
             # dict.fromkeys drops repeats in order.
             cs = sorted(dict.fromkeys(cs))
-        # Sorted rows as many as the product of their columns' distinct values
-        # are that product, a box: its squares come by outer sums over the values.
-        if set(map(len, cs)) == {m.b2}:
-            values = [sorted(set(map(itemgetter(i), cs))) for i in range(m.b2)]
-            values = values if len(cs) == prod(map(len, values)) else None
     squares = None if values is None else _box_squares(m, values)
     if squares is None:
         # A block failing a column check is checked row by row, to raise at its first failing row.

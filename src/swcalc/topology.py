@@ -10,10 +10,10 @@ a basis a_1..a_b1 of H^1/Tors as sparse entries. Characteristic elements
 :func:`is_characteristic` / :func:`require_characteristic`. A table
 checks its classes column by column instead: the parity of each
 coordinate against w2 comes from the distinct values of its column, the
-square c^2 of every class from one product pass per coordinate (of a box
-of classes, from sums kept once per prefix of coordinates; the list of
-:func:`characteristic_range` carries its coordinate ranges for this), and
-only a class that fails a check is looked at on its own.
+square c^2 of every class from one product pass per coordinate (of the
+list of :func:`characteristic_range`, from sums over the coordinate ranges
+it carries, kept once per prefix of coordinates), and only a class that
+fails a check is looked at on its own.
 
 All arithmetic is exact. Quantities that are integral for consistent
 input, such as the expected dimension of the abelian monopole moduli
@@ -279,8 +279,9 @@ def _squares(m: ManifoldTopology, cs: Sequence[IntVector]) -> Optional[list[int]
 
 def _box_squares(m: ManifoldTopology, values: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """:func:`characteristic_square` of each c of itertools.product(*values),
-    in that order, or None when that call would raise for some c. Parity
-    against w2 reads the value lists. As in :func:`_squares`,
+    in that order, or None when that call would raise for some c. sw_table
+    passes the coordinate ranges of a :func:`characteristic_range`, whose lengths
+    differ by at most one. Parity against w2 reads the values. As in :func:`_squares`,
     c^2 = sum_k x_k (q_kk x_k + l_k) with l_k = sum_{j<k} (q_jk + q_kj) x_j;
     each partial sum and each l_i is kept once per prefix x_0..x_k, so a c
     costs about one multiply-add."""

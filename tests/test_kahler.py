@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
-import operator
 import pickle
 import random
 import re
@@ -1227,8 +1226,9 @@ def test_an_empty_range_and_copies_give_the_rows_of_a_plain_list(pipeline):
 
 @pytest.mark.parametrize("lattice", BOX_TABLES)
 def test_an_intact_range_reaches_the_box_route_without_a_scan(monkeypatch, lattice):
-    # No entry-type scan (chain.from_iterable), no sortedness scan (islice) and
-    # no column value sets (itemgetter): the range hands over its coordinate ranges.
+    # No entry-type scan (chain.from_iterable) and no sortedness scan (islice):
+    # the range hands over its coordinate ranges. A plain list of its rows is
+    # scanned and goes by blocks.
     m, ray, _, box = BOX_TABLES[lattice]
     want = sw_table(m, list(box), psc_ray=ray)
     scans = []
@@ -1241,12 +1241,11 @@ def test_an_intact_range_reaches_the_box_route_without_a_scan(monkeypatch, latti
 
     monkeypatch.setattr(kahler, "chain", SimpleNamespace(from_iterable=spied("entries", itertools.chain.from_iterable)))
     monkeypatch.setattr(kahler, "islice", spied("order", itertools.islice))
-    monkeypatch.setattr(kahler, "itemgetter", spied("values", operator.itemgetter))
     results = spy_box_route(monkeypatch)
     assert sw_table(m, box, psc_ray=ray) == want
     assert scans == [] and len(results) == 1 and results[0] is not None
     assert sw_table(m, list(box), psc_ray=ray) == want
-    assert scans[:2] == ["entries", "order"] and scans.count("values") == m.b2
+    assert scans == ["entries", "order"] and len(results) == 1
 
 
 NEAR_BOXES = {
@@ -1259,11 +1258,22 @@ NEAR_BOXES = {
 @pytest.mark.parametrize("pipeline", PIPELINES)
 @pytest.mark.parametrize("near", NEAR_BOXES)
 def test_near_boxes_match_the_row_at_a_time_oracle(monkeypatch, near, pipeline):
-    # Repeats and order do not matter: sorted and deduplicated, those are the box.
+    # Repeats and order do not matter: sorted and deduplicated, those are the
+    # box's rows. No plain list takes the box route.
     results = spy_box_route(monkeypatch)
     want = same_as_row_at_a_time(DP4, NEAR_BOXES[near](DP4_BOX), *PIPELINES[pipeline])
     assert want.count("SWRow(") == len(DP4_BOX) - (near == "minus one row")
-    assert len(results) == (near != "minus one row")
+    assert results == []
+
+
+def test_a_lopsided_plain_list_never_takes_the_box_route(monkeypatch):
+    # On P2#9(-P2), one column of 2,001 values and nine of one: the rows are
+    # a box, but a plain list goes by blocks.
+    m = del_pezzo(9)[0]
+    results = spy_box_route(monkeypatch)
+    c_list = [(a,) + (1,) * 9 for a in range(-2001, 2001, 2)]
+    want = same_as_row_at_a_time(m, c_list, PeriodRay((1,) + (0,) * 9))
+    assert want.count("SWRow(") == len(c_list) and results == []
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
@@ -1272,6 +1282,12 @@ def test_a_box_with_a_wrong_parity_value_is_refused_at_its_row(monkeypatch, pipe
     c_list = list(itertools.product(*[[-3, -1, 1, 3]] * 4, [-3, -1, 0, 1, 3]))
     want = same_as_row_at_a_time(DP4, c_list, *PIPELINES[pipeline])
     assert want == (DomainError, "c = [-3, -3, -3, -3, 0] is not characteristic: c != w2 (mod 2)")
+    assert results == []
+    # A range built for a w2 that differs in the last coordinate fails the
+    # box route's parity check and is refused at its first row by blocks.
+    box = characteristic_range(dataclasses.replace(DP4, w2=(1, 1, 1, 1, 0)), -3, 3)
+    want = same_as_row_at_a_time(DP4, box, *PIPELINES[pipeline])
+    assert want == (DomainError, "c = [-3, -3, -3, -3, -2] is not characteristic: c != w2 (mod 2)")
     assert results == [None]
 
 
@@ -1288,6 +1304,11 @@ def test_a_box_on_an_inconsistent_lattice_is_refused_at_its_row(monkeypatch, pip
         "characteristic vector c = [-3, -2] violates c^2 == signature (mod 8); "
         "the lattice data is inconsistent"
     ))
+    assert results == []
+    # The range of the same rows fails the box route's mod-8 check, and is
+    # refused at the same row by blocks.
+    box = characteristic_range(m, -4, 4)
+    assert box == c_list and same_as_row_at_a_time(m, box, psc_ray, facts) == want
     assert results == [None]
 
 
